@@ -47,12 +47,10 @@ from .linalg import (
     sqrtm_psd,
 )
 from .system import (
-    DiagonalizedSystem,
     PopovScan,
     StateSpaceSystem,
     controllability_gramian,
     default_popov_grid,
-    diagonalize,
     h2_error_sq,
     popov_eval,
     popov_scan,
@@ -120,14 +118,12 @@ __all__ = [
     # systems
     "StateSpaceSystem",
     "PopovScan",
-    "DiagonalizedSystem",
     "transfer_eval",
     "popov_eval",
     "default_popov_grid",
     "popov_scan",
     "controllability_gramian",
     "h2_error_sq",
-    "diagonalize",
     # passivity
     "AreSolution",
     "PassivityVerdict",

@@ -237,9 +237,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"(margin {verdict.margin:.6e}, method {verdict.method})"
     )
     if args.csv is not None:
-        scan = popov_scan(
-            sys_, _grid_from_args(sys_, args), threads=args.threads
-        )
+        scan = popov_scan(sys_, _grid_from_args(sys_, args))
         print(line, file=sys.stderr if args.csv == "-" else sys.stdout)
         with _output_stream(args.csv) as fh:
             _write_csv(
@@ -293,7 +291,7 @@ def _cmd_passivate(args: argparse.Namespace) -> int:
 def _cmd_popov(args: argparse.Namespace) -> int:
     _, sys_ = _load(args.model, args.feedthrough)
     grid = _grid_from_args(sys_, args)
-    scan = popov_scan(sys_, grid, threads=args.threads)
+    scan = popov_scan(sys_, grid)
     if args.per_eigenvalue:
         header = ["omega", "lambda_min"] + [f"lambda_{k + 1}" for k in range(sys_.m)]
         rows = []
@@ -454,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="replace D by this scalar times the identity")
     p_check.add_argument("--csv", default=None, metavar="FILE",
                          help="also write the Popov scan as CSV ('-' for stdout)")
-    p_check.add_argument("--threads", type=int, default=1, help="scan worker threads")
     _add_grid_arguments(p_check)
     p_check.set_defaults(func=_cmd_check)
 
@@ -481,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="replace D by this scalar times the identity")
     p_popov.add_argument("--per-eigenvalue", action="store_true",
                          help="add one column per Popov eigenvalue")
-    p_popov.add_argument("--threads", type=int, default=1, help="scan worker threads")
     _add_grid_arguments(p_popov)
     p_popov.set_defaults(func=_cmd_popov)
 

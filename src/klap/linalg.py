@@ -232,10 +232,6 @@ def _solve(
     if strategy not in ("auto", "diagonalized", "dense"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    bound = residual_rtol * (
-        np.linalg.norm(A, "fro") * 1.0 + np.linalg.norm(W, "fro")
-    )  # placeholder; recomputed with ||X|| below
-
     def _accept(X: np.ndarray) -> np.ndarray | None:
         X = 0.5 * (X + X.T)
         res = _lyapunov_residual(A, X, W, transposed)
@@ -244,8 +240,6 @@ def _solve(
             + np.linalg.norm(W, "fro")
         )
         return X if res <= max(tol, 1e-300) else None
-
-    del bound
 
     if strategy in ("auto", "diagonalized"):
         try:

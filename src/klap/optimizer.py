@@ -35,9 +35,7 @@ import numpy as np
 
 from .exceptions import (
     AreFailureError,
-    DefectiveMatrixError,
     DimensionMismatchError,
-    IllConditionedError,
     NoSolutionError,
     NotPsdError,
     SingularFeedthroughError,
@@ -46,7 +44,7 @@ from .linalg import (
     SpectralDecomposition,
     solve_lyapunov,
     solve_lyapunov_transposed,
-    spectral_decompose,
+    spectral_decompose,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
     sqrtm_psd,
 )
 from .passivity import (
@@ -54,9 +52,11 @@ from .passivity import (
     check_passive,
     global_min_certificate,
     l_from_are,
+    scan_verdict,
     solve_are,
 )
 from .system import (
+    PopovScan,
     StateSpaceSystem,
     controllability_gramian,
     default_popov_grid,
@@ -459,10 +459,12 @@ def initialize(
     sys: StateSpaceSystem,
     config: KlapConfig | None = None,
     rng: np.random.Generator | None = None,
+    scan: PopovScan | None = None,
 ) -> Initialization:
     """Riccati-based starting factor.
 
-    Scan the Popov function for its minimum ``popov_min``; enlarge the
+    Scan the Popov function for its minimum ``popov_min`` (or take it from
+    ``scan``, a scan of ``sys`` on the configured grid); enlarge the
     feedthrough by ``delta = max(eps, -popov_min/2 + eps)`` with margin
     ``eps = init_margin`` (default ``1e-3 * |popov_min|``), which makes the
     perturbed system strictly passive; solve that system's minimal Riccati
@@ -477,7 +479,8 @@ def initialize(
     fallback costs optimization effort, never correctness.
     """
     cfg = config or KlapConfig()
-    scan = popov_scan(sys, grid=_grid(sys, cfg))
+    if scan is None:
+        scan = popov_scan(sys, grid=_grid(sys, cfg))
     popov_min = scan.global_min
     eps = cfg.init_margin if cfg.init_margin is not None else 1e-3 * abs(popov_min)
     for attempt, eps_k in enumerate((eps, 10.0 * eps)):
@@ -550,10 +553,11 @@ def restart_step(
     except (NotPsdError, DimensionMismatchError):
         return RestartDecision(stop_kind, None if allow_reinitialize else L_star, None, -np.inf)
     grad_c = 2.0 * (C_star - sys.C) @ P
+    grid = _grid(sys, cfg)
     margin = -np.inf
     for alpha in (cfg.restart_alpha, cfg.restart_alpha / 10.0):
         candidate = sys.with_output(C_star - alpha * grad_c)
-        verdict = check_passive(candidate, tol=cfg.passive_tol, grid=_grid(sys, cfg))
+        verdict = check_passive(candidate, tol=cfg.passive_tol, grid=grid)
         margin = verdict.margin
         if not verdict.passive:
             continue
@@ -668,15 +672,14 @@ def klap(
             "system shares this feedthrough and passivation cannot succeed"
         ) from exc
 
-    try:
-        decomp: SpectralDecomposition | None = spectral_decompose(sys.A)
-        strategy = "auto"
-    except (DefectiveMatrixError, IllConditionedError):
-        decomp, strategy = None, "dense"
+    # the eigenbasis cached on sys, which its Popov scans and those of the
+    # systems derived from it share
+    decomp, _ = sys._modes()
+    strategy = "auto" if decomp is not None else "dense"
     P = controllability_gramian(sys, strategy=strategy, decomp=decomp)
 
-    grid = _grid(sys, cfg)
-    verdict = check_passive(sys, tol=cfg.passive_tol, method="popov-scan", grid=grid)
+    scan = popov_scan(sys, grid=_grid(sys, cfg))
+    verdict = scan_verdict(scan, cfg.passive_tol)
     if verdict.passive:
         return KlapResult(
             C_hat=sys.C,
@@ -702,7 +705,7 @@ def klap(
     if cfg.L0 is not None:
         L_start = np.asarray(cfg.L0, dtype=float).reshape(sys.n, sys.m)
     elif cfg.init == "are":
-        ini = initialize(sys, cfg, rng=rng)
+        ini = initialize(sys, cfg, rng=rng, scan=scan)
         L_start, delta, popov_min = ini.L0, ini.delta, ini.popov_min
     else:
         L_start = _random_factor(rng, sys, M)

@@ -39,7 +39,7 @@ from .exceptions import (
     SingularFeedthroughError,
 )
 from .linalg import sqrtm_psd
-from .system import StateSpaceSystem, popov_eval, popov_scan
+from .system import PopovScan, StateSpaceSystem, popov_eval, popov_scan
 
 __all__ = [
     "AreSolution",
@@ -351,6 +351,15 @@ class PassivityVerdict:
     method: str
 
 
+def scan_verdict(scan: PopovScan, tol: float) -> PassivityVerdict:
+    """Passivity verdict of a Popov scan: passive iff the grid minimum is
+    ``>= -tol * scale`` with ``scale = max(1, max |lambda_min|)`` over the
+    grid.  The rule of the ``"popov-scan"`` route of :func:`check_passive`,
+    shared with :func:`klap.optimizer.klap`, which scans its input once."""
+    scale = max(1.0, float(np.abs(scan.min_eigenvalues).max()))
+    return PassivityVerdict(scan.global_min >= -tol * scale, scan.global_min, "popov-scan")
+
+
 def _hamiltonian_matrix(sys: StateSpaceSystem, R: np.ndarray) -> np.ndarray:
     A, B, C = sys.A, sys.B, sys.C
     RinvC = np.linalg.solve(R, C)
@@ -426,9 +435,7 @@ def check_passive(
             "the Hamiltonian passivity test needs D + D^T positive definite"
         )
 
-    scan = popov_scan(sys, grid=grid)
-    scale = max(1.0, float(np.abs(scan.min_eigenvalues).max()))
-    return PassivityVerdict(scan.global_min >= -tol * scale, scan.global_min, "popov-scan")
+    return scan_verdict(popov_scan(sys, grid=grid), tol)
 
 
 def lure_residuals(

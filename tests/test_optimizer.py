@@ -459,6 +459,26 @@ def test_klap_passive_input_short_circuits():
     assert res.iterations == 0 and res.converged
 
 
+def test_klap_scans_non_passive_input_once(monkeypatch):
+    # one scan serves the passive-input verdict and the Riccati start
+    import klap.optimizer as opt_mod
+    import klap.passivity as pas_mod
+
+    scanned = []
+    orig = opt_mod.popov_scan
+
+    def counting_scan(sys_, *args, **kwargs):
+        scanned.append(sys_)
+        return orig(sys_, *args, **kwargs)
+
+    monkeypatch.setattr(opt_mod, "popov_scan", counting_scan)
+    monkeypatch.setattr(pas_mod, "popov_scan", counting_scan)
+    sys = toy_system(0.125)
+    res = klap(sys)
+    assert not res.passive_input
+    assert sum(s is sys for s in scanned) == 1
+
+
 def test_klap_deterministic_given_seed():
     a = klap(acc_system(0.125), init="random", rng_seed=7)
     b = klap(acc_system(0.125), init="random", rng_seed=7)

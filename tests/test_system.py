@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from klap.exceptions import DimensionMismatchError, NotHurwitzError
-from klap.linalg import kron_lyapunov_oracle
+from klap.exceptions import DefectiveMatrixError, DimensionMismatchError, NotHurwitzError
+from klap.linalg import DIAG_COND_LIMIT, kron_lyapunov_oracle, spectral_decompose
 from klap.system import (
     StateSpaceSystem,
     controllability_gramian,
     default_popov_grid,
-    diagonalize,
     h2_error_sq,
     popov_eval,
     popov_scan,
@@ -41,6 +40,21 @@ def random_system(rng, n, m, d_scale=0.0):
     C = rng.standard_normal((m, n))
     D = d_scale * rng.standard_normal((m, m))
     return StateSpaceSystem(A, B, C, D)
+
+
+def rand_family_system(n, m, seed):
+    """The random family "rand n x m / seed" of the benchmark workloads."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((m, n))
+    return StateSpaceSystem(A, B, C, 0.05 * np.eye(m))
+
+
+def popov_min_oracle(sys, grid):
+    """Independent per-frequency reference: one direct solve per point."""
+    return np.array([np.linalg.eigvalsh(popov_eval(sys, w)).min() for w in grid])
 
 
 def h2_error_sq_quadrature(sys, C_hat, points=20000):
@@ -173,11 +187,89 @@ def test_feedthrough_shift_moves_popov_uniformly():
     assert_allclose(s8.min_eigenvalues, s0.min_eigenvalues + 0.25, atol=1e-12)
 
 
-def test_popov_scan_threads_match_serial():
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: toy_system(0.125),
+        lambda: rand_family_system(6, 1, 2),
+        lambda: rand_family_system(16, 2, 6),
+        lambda: rand_family_system(64, 4, 2),
+    ],
+    ids=["toy", "rand-6x1", "rand-16x2", "rand-64x4"],
+)
+def test_popov_scan_matches_per_frequency_oracle(make):
+    sys = make()
+    assert spectral_decompose(sys.A).condition_estimate <= DIAG_COND_LIMIT
+    scan = popov_scan(sys)
+    oracle = popov_min_oracle(sys, scan.frequencies)
+    scale = max(1.0, float(np.abs(oracle).max()))
+    assert np.abs(scan.min_eigenvalues - oracle).max() <= 1e-10 * scale
+    # the minimum is decided by the direct solve, bit for bit
+    k = int(np.flatnonzero(scan.frequencies == scan.argmin_frequency)[0])
+    assert scan.global_min == oracle[k]
+    assert scan.min_eigenvalues[k] == oracle[k]
+
+
+def test_popov_scan_defective_falls_back_to_exact_solves():
+    # acc's A has a Jordan block, so it has no eigenbasis
     sys = acc_system(0.125)
-    serial = popov_scan(sys)
-    threaded = popov_scan(sys, threads=4)
-    assert_allclose(threaded.min_eigenvalues, serial.min_eigenvalues, rtol=0, atol=0)
+    with pytest.raises(DefectiveMatrixError):
+        spectral_decompose(sys.A)
+    scan = popov_scan(sys)
+    assert np.array_equal(scan.min_eigenvalues, popov_min_oracle(sys, scan.frequencies))
+
+
+def nearly_defective_system(delta, seed, n=8, m=2):
+    """2 x 2 blocks ``[[a, 1], [0, a - delta]]`` in a random orthogonal
+    basis: eigenvector condition about ``2 / delta``."""
+    rng = np.random.default_rng(seed)
+    A0 = np.zeros((n, n))
+    for k in range(0, n, 2):
+        a = -rng.uniform(0.2, 2.0)
+        A0[k:k + 2, k:k + 2] = [[a, 1.0], [0.0, a - delta]]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((m, n))
+    return StateSpaceSystem(Q @ A0 @ Q.T, B, C, 0.05 * np.eye(m))
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-7])
+def test_popov_scan_ill_conditioned_basis_decides_minimum_directly(delta):
+    from klap.system import _popov_mins_modal
+
+    sys = nearly_defective_system(delta, seed=3)
+    decomp = spectral_decompose(sys.A)
+    assert 1e5 <= decomp.condition_estimate <= DIAG_COND_LIMIT
+    scan = popov_scan(sys)
+    oracle = popov_min_oracle(sys, scan.frequencies)
+    # the modal values deviate by more than on well-conditioned systems,
+    # but stay within half their error estimates
+    modal, err = _popov_mins_modal(
+        sys, decomp, decomp.inverse_vectors @ sys.B, scan.frequencies
+    )
+    assert np.all(np.abs(modal - oracle) <= 0.5 * err)
+    # minimum and argmin are those of the direct solves, bit for bit
+    assert scan.global_min == oracle.min()
+    assert scan.argmin_frequency == scan.frequencies[oracle.argmin()]
+    assert scan.min_eigenvalues.min() == scan.global_min
+
+
+def test_derived_systems_share_the_eigenbasis(monkeypatch):
+    import klap.linalg as mod
+
+    calls = []
+    orig = mod.spectral_decompose
+
+    def counting(A, *args, **kwargs):
+        calls.append(A)
+        return orig(A, *args, **kwargs)
+
+    monkeypatch.setattr(mod, "spectral_decompose", counting)
+    sys = rand_family_system(6, 1, 2)
+    derived = [sys.with_output(np.ones((1, 6))), sys.with_feedthrough([[1.0]])]
+    for s in [sys, *derived, sys]:
+        popov_scan(s)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +354,3 @@ def test_gramian_similarity_transform_law():
     P = controllability_gramian(sys)
     Pt = controllability_gramian(sys_t)
     assert_allclose(Pt, T @ P @ T.T, atol=1e-9 * (1 + np.linalg.norm(Pt)))
-
-
-# ---------------------------------------------------------------------------
-# diagonal coordinates
-# ---------------------------------------------------------------------------
-
-
-def test_diagonalize_already_diagonal():
-    sys = StateSpaceSystem(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 2.0]], [[0.0]])
-    dg = diagonalize(sys)
-    assert_allclose(sorted(dg.eigenvalues.real), [-2.0, -1.0])
-    assert_allclose(np.abs(dg.b.ravel()), [1.0, 1.0], atol=1e-14)
-
-
-def test_diagonalize_preserves_transfer_function():
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        sys = random_system(rng, 6, 2, d_scale=0.2)
-        dg = diagonalize(sys)
-        for s in (0.0, 1j * 0.3, 2.0 + 1j, 1j * 50.0):
-            G1 = transfer_eval(sys, s)
-            G2 = dg.transfer_eval(s)
-            assert_allclose(G2, G1, atol=1e-10 * (1 + np.linalg.norm(G1)))
