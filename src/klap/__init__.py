@@ -39,7 +39,6 @@ from .exceptions import (
 )
 from .linalg import (
     SpectralDecomposition,
-    kron_lyapunov_oracle,
     max_real_part,
     solve_lyapunov,
     solve_lyapunov_transposed,
@@ -113,7 +112,6 @@ __all__ = [
     "max_real_part",
     "solve_lyapunov",
     "solve_lyapunov_transposed",
-    "kron_lyapunov_oracle",
     "sqrtm_psd",
     # systems
     "StateSpaceSystem",

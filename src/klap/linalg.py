@@ -8,28 +8,38 @@ The continuous-time Lyapunov equations
     A^T X + X A + W = 0  \\qquad\\text{and}\\qquad  A X + X A^T + W = 0
 
 are the workhorses of the passivation routines; each objective/gradient
-evaluation performs exactly two of these solves.  Two strategies are
-provided:
+evaluation performs exactly two of these solves.  Both orientations run
+through one per-basis kernel (:class:`_LyapunovKernel`), built once per
+``(A, decomposition, strategy)``.  Building it picks the strategy, checks
+the eigenvector basis against :data:`DIAG_COND_LIMIT`, rejects a singular
+operator (``lam_i + lam_j ~= 0``) and stores the basis, its inverse and
+the ``lam_i + lam_j`` denominators; a solve is then arithmetic plus the
+checks of its own result.  Input validation happens at the public
+boundary (:func:`solve_lyapunov`, :func:`solve_lyapunov_transposed`),
+not in the kernel, so the optimizer's inner loop builds one kernel per
+run and skips it.  Two strategies are provided:
 
 ``"diagonalized"``
     One spectral decomposition ``A = V diag(lam) V^{-1}`` (which callers
     may precompute and reuse across many solves), then a closed-form
     entrywise division in eigenvector coordinates.  Complex intermediate
     arithmetic; the imaginary part of the back-transformed solution is
-    checked to be negligible and discarded.
+    checked to be negligible and discarded, and every solution is checked
+    against the residual bound :data:`RESIDUAL_RTOL`.
 
 ``"dense"``
     Schur-based Bartels--Stewart solve (SciPy).  Used directly, or as the
-    automatic fallback of ``"auto"`` when the eigenvector basis is too
-    ill-conditioned to trust.
-
-A brute-force Kronecker vectorization solver is included for test
-purposes only; it is exact up to the conditioning of the ``n^2 x n^2``
-system and serves as an independent oracle for the fast paths.
+    fallback of ``"auto"`` when the eigenvector basis is missing or too
+    ill-conditioned to trust (decided once per kernel), or when one
+    diagonalized solve fails its imaginary-leak or residual check
+    (decided per solve).  Each fallback is logged at debug level with its
+    reason.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +58,10 @@ __all__ = [
     "max_real_part",
     "solve_lyapunov",
     "solve_lyapunov_transposed",
-    "kron_lyapunov_oracle",
     "sqrtm_psd",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: condition-number bound above which ``"auto"`` abandons the
 #: diagonalization strategy in favour of the dense Schur solve
@@ -74,11 +85,19 @@ def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
 
 
 def _check_symmetric(W: np.ndarray, name: str = "W") -> np.ndarray:
+    """``W`` as a finite square float array, symmetric up to ``1e-10``
+    relative; the caller symmetrizes it exactly."""
     W = _as_square(W, name)
     sym_defect = np.linalg.norm(W - W.T, "fro")
     if sym_defect > 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
         raise ValueError(f"{name} must be symmetric (defect {sym_defect:.2e})")
-    return 0.5 * (W + W.T)
+    return W
+
+
+def _fro(X: np.ndarray) -> float:
+    """Frobenius norm of a real array, ``sqrt(x . x)``."""
+    x = X.ravel()
+    return math.sqrt(x.dot(x))
 
 
 def max_real_part(A: np.ndarray) -> float:
@@ -158,47 +177,6 @@ def spectral_decompose(A: np.ndarray, cond_limit: float = 1e12) -> SpectralDecom
     return decomp
 
 
-def _pairwise_sum_check(lam: np.ndarray, scale: float) -> None:
-    s = lam[:, None] + lam[None, :]
-    smin = np.abs(s).min()
-    if smin <= 1e-14 * max(1.0, scale):
-        raise SingularOperatorError(
-            f"Lyapunov operator is singular: min |lambda_i + lambda_j| = {smin:.2e}"
-        )
-
-
-def _diag_solve(
-    decomp: SpectralDecomposition, W: np.ndarray, transposed: bool
-) -> np.ndarray:
-    """Closed-form Lyapunov solve in eigenvector coordinates.
-
-    For ``A = V diag(lam) V^{-1}``:
-
-    * transposed equation ``A^T X + X A + W = 0``:
-      ``Xt = V^T X V`` satisfies ``Xt_ij = -(V^T W V)_ij / (lam_i + lam_j)``.
-    * standard equation ``A X + X A^T + W = 0``:
-      ``Xh = V^{-1} X V^{-T}`` satisfies
-      ``Xh_ij = -(V^{-1} W V^{-T})_ij / (lam_i + lam_j)``.
-    """
-    lam, V, Vinv = decomp.eigenvalues, decomp.right_vectors, decomp.inverse_vectors
-    _pairwise_sum_check(lam, float(np.abs(lam).max(initial=0.0)))
-    denom = lam[:, None] + lam[None, :]
-    if transposed:
-        Wt = V.T @ W @ V
-        Xt = -Wt / denom
-        X = Vinv.T @ Xt @ Vinv
-    else:
-        Wh = Vinv @ W @ Vinv.T
-        Xh = -Wh / denom
-        X = V @ Xh @ V.T
-    re, im = np.linalg.norm(X.real, "fro"), np.linalg.norm(X.imag, "fro")
-    if im > IMAG_LEAK_TOL * max(re, 1e-300):
-        raise IllConditionedError(
-            f"diagonalized solve left imaginary residue {im:.2e} vs real norm {re:.2e}"
-        )
-    return X.real
-
-
 def _dense_solve(A: np.ndarray, W: np.ndarray, transposed: bool) -> np.ndarray:
     # scipy solves  a x + x a^T = q;  our equations carry +W on the left.
     a = A.T if transposed else A
@@ -209,12 +187,124 @@ def _dense_solve(A: np.ndarray, W: np.ndarray, transposed: bool) -> np.ndarray:
     return X
 
 
-def _lyapunov_residual(A: np.ndarray, X: np.ndarray, W: np.ndarray, transposed: bool) -> float:
-    if transposed:
-        R = A.T @ X + X @ A + W
-    else:
-        R = A @ X + X @ A.T + W
-    return float(np.linalg.norm(R, "fro"))
+class _LyapunovKernel:
+    """Lyapunov solves for one ``A``, with the per-basis set-up done once.
+
+    Building the kernel checks ``strategy``, obtains the eigenbasis
+    (``decomp``, or :func:`spectral_decompose` of ``A``), checks its
+    condition against :data:`DIAG_COND_LIMIT`, rejects a singular operator
+    and stores ``V``, ``V^{-1}``, their transposes, the negated
+    ``lam_i + lam_j`` denominators and ``||A||_F``.  Under ``"auto"`` a
+    missing or ill-conditioned basis selects the dense solve for every
+    solve of this kernel; under ``"diagonalized"`` it raises.
+
+    ``A`` and each ``W`` are taken as valid (finite, square, matching
+    shapes): the public functions validate them, and the optimizer builds
+    one kernel per run over a validated system.
+
+    In eigenvector coordinates, for ``A = V diag(lam) V^{-1}``:
+
+    * transposed equation ``A^T X + X A + W = 0``:
+      ``Xt = V^T X V`` satisfies ``Xt_ij = -(V^T W V)_ij / (lam_i + lam_j)``.
+    * standard equation ``A X + X A^T + W = 0``:
+      ``Xh = V^{-1} X V^{-T}`` satisfies
+      ``Xh_ij = -(V^{-1} W V^{-T})_ij / (lam_i + lam_j)``.
+    """
+
+    def __init__(
+        self,
+        A: np.ndarray,
+        decomp: SpectralDecomposition | None = None,
+        strategy: str = "auto",
+        residual_rtol: float = RESIDUAL_RTOL,
+    ):
+        if strategy not in ("auto", "diagonalized", "dense"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        self.A, self.strategy, self.residual_rtol = A, strategy, residual_rtol
+        self.A_norm = _fro(A)
+        self.V = None
+        if strategy == "dense":
+            return
+        try:
+            d = decomp if decomp is not None else spectral_decompose(A)
+            if d.condition_estimate > DIAG_COND_LIMIT:
+                raise IllConditionedError(
+                    f"eigenvector condition {d.condition_estimate:.2e} exceeds "
+                    f"{DIAG_COND_LIMIT:.2e}; use the dense strategy"
+                )
+        except (DefectiveMatrixError, IllConditionedError) as exc:
+            if strategy == "diagonalized":
+                raise
+            _log.debug("auto Lyapunov strategy uses the dense solve: %s", exc)
+            return
+        lam = d.eigenvalues
+        denom = lam[:, None] + lam[None, :]
+        smin = np.abs(denom).min()
+        if smin <= 1e-14 * max(1.0, float(np.abs(lam).max(initial=0.0))):
+            raise SingularOperatorError(
+                f"Lyapunov operator is singular: min |lambda_i + lambda_j| = {smin:.2e}"
+            )
+        self.V, self.Vinv = d.right_vectors, d.inverse_vectors
+        self.V_t, self.Vinv_t = self.V.T, self.Vinv.T
+        self.neg_denom = -denom
+
+    def solve(self, W: np.ndarray, transposed: bool) -> np.ndarray:
+        """Exactly symmetric ``X`` with ``A^T X + X A + W = 0``
+        (``transposed``) or ``A X + X A^T + W = 0``.
+
+        Every solution is checked: the diagonalized one for imaginary
+        leakage and against the residual bound, the dense one against the
+        residual bound.  A diagonalized solution that fails falls back to
+        the dense solve under ``"auto"`` and raises
+        :class:`IllConditionedError` under ``"diagonalized"``; a dense one
+        that fails raises :class:`SingularOperatorError`.  A solution that
+        is not finite (the equation overflowed) is returned as is.
+        """
+        W = 0.5 * (W + W.T)
+        if self.V is not None:
+            if transposed:
+                X = self.Vinv_t @ ((self.V_t @ W @ self.V) / self.neg_denom) @ self.Vinv
+            else:
+                X = self.V @ ((self.Vinv @ W @ self.Vinv_t) / self.neg_denom) @ self.V_t
+            if X.dtype.kind == "c":
+                x = X.ravel().view(np.float64)  # real and imaginary parts interleaved
+                re, im = math.sqrt(x[0::2].dot(x[0::2])), math.sqrt(x[1::2].dot(x[1::2]))
+                X = X.real
+            else:  # real spectrum: numpy returns a real basis
+                re, im = _fro(X), 0.0
+            X = 0.5 * (X + X.T)
+            if not math.isfinite(re):
+                return X
+            if im > IMAG_LEAK_TOL * max(re, 1e-300):
+                reason = (
+                    f"diagonalized solve left imaginary residue {im:.2e} "
+                    f"vs real norm {re:.2e}"
+                )
+            else:
+                reason = self._residual_failure(X, W, transposed)
+                if reason is None:
+                    return X
+            if self.strategy == "diagonalized":
+                raise IllConditionedError(reason)
+            _log.debug("auto Lyapunov solve falls back to the dense solve: %s", reason)
+        X = _dense_solve(self.A, W, transposed)
+        X = 0.5 * (X + X.T)
+        if math.isfinite(_fro(X)) and self._residual_failure(X, W, transposed) is not None:
+            raise SingularOperatorError(
+                "Lyapunov solve residual exceeds tolerance; the operator is "
+                "singular or nearly singular"
+            )
+        return X
+
+    def _residual_failure(self, X: np.ndarray, W: np.ndarray, transposed: bool) -> str | None:
+        """Why ``X`` misses the residual bound, or ``None`` if it meets it."""
+        # X is exactly symmetric, so X A = (A^T X)^T and X A^T = (A X)^T
+        S = self.A.T @ X if transposed else self.A @ X
+        res = _fro(S + S.T + W)
+        tol = self.residual_rtol * (self.A_norm * _fro(X) + _fro(W))
+        if res <= max(tol, 1e-300):
+            return None
+        return f"residual {res:.2e} exceeds {tol:.2e}"
 
 
 def _solve(
@@ -229,45 +319,9 @@ def _solve(
     W = _check_symmetric(W)
     if A.shape != W.shape:
         raise ValueError(f"A and W must have matching shapes, got {A.shape} and {W.shape}")
-    if strategy not in ("auto", "diagonalized", "dense"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    def _accept(X: np.ndarray) -> np.ndarray | None:
-        X = 0.5 * (X + X.T)
-        res = _lyapunov_residual(A, X, W, transposed)
-        tol = residual_rtol * (
-            np.linalg.norm(A, "fro") * np.linalg.norm(X, "fro")
-            + np.linalg.norm(W, "fro")
-        )
-        return X if res <= max(tol, 1e-300) else None
-
-    if strategy in ("auto", "diagonalized"):
-        try:
-            d = decomp if decomp is not None else spectral_decompose(A)
-            if d.condition_estimate > DIAG_COND_LIMIT:
-                raise IllConditionedError(
-                    f"eigenvector condition {d.condition_estimate:.2e} exceeds "
-                    f"{DIAG_COND_LIMIT:.2e}; use the dense strategy"
-                )
-            X = _accept(_diag_solve(d, W, transposed))
-            if X is not None:
-                return X
-            if strategy == "diagonalized":
-                raise IllConditionedError(
-                    "diagonalized solve could not meet the residual bound"
-                )
-        except (DefectiveMatrixError, IllConditionedError):
-            if strategy == "diagonalized":
-                raise
-        except SingularOperatorError:
-            raise
-
-    X = _accept(_dense_solve(A, W, transposed))
-    if X is None:
-        raise SingularOperatorError(
-            "Lyapunov solve residual exceeds tolerance; the operator is "
-            "singular or nearly singular"
-        )
+    X = _LyapunovKernel(A, decomp, strategy, residual_rtol).solve(W, transposed)
+    if not np.isfinite(X).all():
+        raise SingularOperatorError("Lyapunov solution overflows")
     return X
 
 
@@ -280,6 +334,10 @@ def solve_lyapunov(
 ) -> np.ndarray:
     """Solve ``A X + X A^T + W = 0`` for symmetric ``X``.
 
+    Validates ``A`` and ``W`` (finite, square, matching shapes, ``W``
+    symmetric), then solves through the same per-basis kernel the
+    optimizer uses.
+
     Parameters
     ----------
     A : (n, n) array_like
@@ -288,9 +346,11 @@ def solve_lyapunov(
     W : (n, n) array_like
         Symmetric right-hand side.
     strategy : {"auto", "diagonalized", "dense"}, optional
-        ``"auto"`` tries the diagonalization route and silently falls back
-        to the dense Schur solve when the eigenvector basis is missing,
-        too ill-conditioned, or fails the residual bound.
+        ``"auto"`` tries the diagonalization route and falls back to the
+        dense Schur solve when the eigenvector basis is missing, too
+        ill-conditioned, or the diagonalized solution fails its
+        imaginary-leak or residual check; each fallback is logged at debug
+        level on the ``klap.linalg`` logger with its reason.
     decomp : SpectralDecomposition, optional
         Precomputed decomposition of ``A`` to amortize across many solves.
     residual_rtol : float, optional
@@ -305,7 +365,8 @@ def solve_lyapunov(
     Raises
     ------
     SingularOperatorError
-        If ``lambda_i + lambda_j ~= 0`` for some eigenvalue pair.
+        If ``lambda_i + lambda_j ~= 0`` for some eigenvalue pair, or the
+        solution overflows.
     IllConditionedError
         If ``strategy="diagonalized"`` and the eigenvector basis cannot
         deliver the residual bound.
@@ -328,25 +389,6 @@ def solve_lyapunov_transposed(
     return _solve(A, W, True, strategy, decomp, residual_rtol)
 
 
-def kron_lyapunov_oracle(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Brute-force reference solve of ``A X + X A^T + W = 0``.
-
-    Vectorizes the equation into an ``n^2 x n^2`` linear system using
-    Kronecker products.  Intended for tests only; guarded to ``n <= 50``.
-    For the transposed equation, call with ``A.T``.
-    """
-    A = _as_square(A)
-    W = _check_symmetric(W)
-    n = A.shape[0]
-    if n > 50:
-        raise ValueError(f"oracle limited to n <= 50, got n = {n}")
-    eye = np.eye(n)
-    K = np.kron(eye, A) + np.kron(A, eye)
-    x = np.linalg.solve(K, -W.reshape(-1, order="F"))
-    X = x.reshape((n, n), order="F")
-    return 0.5 * (X + X.T)
-
-
 def sqrtm_psd(S: np.ndarray, tol_psd: float = 1e-10) -> np.ndarray:
     """Symmetric square root of a symmetric positive-semidefinite matrix.
 
@@ -361,6 +403,7 @@ def sqrtm_psd(S: np.ndarray, tol_psd: float = 1e-10) -> np.ndarray:
         ``M @ M.T = S``).
     """
     S = _check_symmetric(S, "S")
+    S = 0.5 * (S + S.T)
     lam, U = np.linalg.eigh(S)
     scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
     if lam.min(initial=0.0) < -tol_psd * scale:

@@ -42,7 +42,8 @@ from .exceptions import (
 )
 from .linalg import (
     SpectralDecomposition,
-    solve_lyapunov,
+    _LyapunovKernel,
+    solve_lyapunov,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
     solve_lyapunov_transposed,
     spectral_decompose,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
     sqrtm_psd,
@@ -176,6 +177,48 @@ class ObjectiveEval:
     C_hat: np.ndarray
 
 
+class _Objective:
+    """``J`` and its gradient over one system, Gramian and ``M``.
+
+    Built once per run: the Lyapunov kernel of ``A`` and the fixed matrices
+    are set up here, so an evaluation is the arithmetic of the two solves
+    and the products around them, without validation.
+    """
+
+    def __init__(
+        self,
+        sys: StateSpaceSystem,
+        P: np.ndarray,
+        M: np.ndarray,
+        decomp: SpectralDecomposition | None,
+        strategy: str,
+    ):
+        self.lyap = _LyapunovKernel(sys.A, decomp, strategy)
+        self.B, self.B_t, self.C, self.P, self.M = sys.B, sys.B.T, sys.C, P, M
+
+    def __call__(self, L: np.ndarray) -> tuple:
+        """``(J, grad, X, X_grad, C_hat)`` at ``L``.
+
+        When ``L L^T`` or ``J`` is not finite (a trial step that
+        overflows), returns ``J = inf`` and ``None`` for the rest, so a line
+        search backs off instead of failing.
+        """
+        W = L @ L.T
+        if not np.isfinite(W).all():
+            return math.inf, None, None, None, None
+        X = self.lyap.solve(W, True)
+        C_hat = self.B_t @ X + self.M @ L.T
+        E = self.C - C_hat
+        J = float((E @ self.P @ E.T).trace())
+        if not math.isfinite(J):
+            return math.inf, None, None, None, None
+        PEt = self.P @ E.T
+        # adjoint equation A X_grad + X_grad A^T - P E^T B^T - B E P = 0
+        X_grad = self.lyap.solve(-(PEt @ self.B_t + self.B @ PEt.T), False)
+        grad = 2.0 * X_grad @ L - 2.0 * PEt @ self.M
+        return J, grad, X, X_grad, C_hat
+
+
 def objective_and_gradient(
     sys: StateSpaceSystem,
     P: np.ndarray,
@@ -186,21 +229,27 @@ def objective_and_gradient(
     """Evaluate the squared H2 error and its gradient in ``L``.
 
     Exactly two Lyapunov solves: one for ``X`` (inside the output-map
-    parameterization) and one for the adjoint variable ``X_grad``.
+    parameterization) and one for the adjoint variable ``X_grad``.  The
+    same evaluation :func:`lbfgs_minimize` runs per trial point, with the
+    Lyapunov kernel set up for this one call.
 
     Parameters
     ----------
     P : (n, n) ndarray
         Controllability Gramian of ``sys`` (precomputed once per run).
+
+    Raises
+    ------
+    ValueError
+        If the objective overflows at ``point``.
     """
-    C_hat, X = _c_and_x(sys, point, decomp=decomp, strategy=strategy)
-    E = sys.C - C_hat
-    J = float(np.trace(E @ P @ E.T))
-    PEt = P @ E.T
-    # adjoint equation A X_grad + X_grad A^T - P E^T B^T - B E P = 0
-    W = -(PEt @ sys.B.T + sys.B @ PEt.T)
-    X_grad = solve_lyapunov(sys.A, W, strategy=strategy, decomp=decomp)
-    grad = 2.0 * X_grad @ point.L - 2.0 * PEt @ point.M
+    if point.L.shape != (sys.n, sys.m):
+        raise DimensionMismatchError(
+            f"L must be {sys.n} x {sys.m}, got {point.L.shape}"
+        )
+    J, grad, X, X_grad, C_hat = _Objective(sys, P, point.M, decomp, strategy)(point.L)
+    if grad is None:
+        raise ValueError("the objective is not finite at this L")
     return ObjectiveEval(J, grad, X, X_grad, C_hat)
 
 
@@ -339,18 +388,19 @@ def lbfgs_minimize(
     """
     cfg = config or KlapConfig()
     L0 = np.asarray(L0, dtype=float).reshape(sys.n, sys.m)
-    M = np.asarray(M, dtype=float)
+    objective = _Objective(sys, P, np.asarray(M, dtype=float), decomp, strategy)
+    shape = (sys.n, sys.m)
 
-    def evaluate(flat: np.ndarray) -> tuple[float, np.ndarray]:
-        ev = objective_and_gradient(
-            sys, P, LurePoint(flat.reshape(sys.n, sys.m), M),
-            decomp=decomp, strategy=strategy,
-        )
-        return ev.J, ev.grad.ravel()
+    def evaluate(flat: np.ndarray) -> tuple[float, np.ndarray | None]:
+        J, grad = objective(flat.reshape(shape))[:2]
+        return J, grad if grad is None else grad.ravel()
 
     x = L0.ravel().copy()
     f, g = evaluate(x)
-    trace = [(f, float(np.linalg.norm(g)))]
+    if g is None:
+        raise ValueError("the objective is not finite at the starting factor")
+    g_norm = math.sqrt(g.dot(g))
+    trace = [(f, g_norm)]
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
@@ -358,7 +408,6 @@ def lbfgs_minimize(
     status, converged = "max-iterations", False
 
     for _ in range(cfg.max_iterations):
-        g_norm = float(np.linalg.norm(g))
         if g_norm <= cfg.grad_tol:
             status, converged = "gradient", True
             break
@@ -379,7 +428,7 @@ def lbfgs_minimize(
             q += (a - b) * s
         d = -q
         gd = float(g @ d)
-        if not np.isfinite(gd) or gd >= 0.0:
+        if not math.isfinite(gd) or gd >= 0.0:
             d, gd = -g, -g_norm**2  # non-descent direction: reset to steepest
 
         t = 1.0 if s_hist else 1.0 / max(1.0, g_norm)
@@ -387,7 +436,7 @@ def lbfgs_minimize(
         for _ in range(45):
             x_new = x + t * d
             f_new, g_new = evaluate(x_new)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * t * gd:
+            if math.isfinite(f_new) and f_new <= f + 1e-4 * t * gd:
                 accepted = True
                 break
             t *= 0.5
@@ -397,7 +446,7 @@ def lbfgs_minimize(
 
         s_vec, y_vec = x_new - x, g_new - g
         sy = float(s_vec @ y_vec)
-        if sy > 1e-10 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
+        if sy > 1e-10 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
@@ -407,8 +456,9 @@ def lbfgs_minimize(
                 rho_hist.pop(0)
 
         f_prev, x, f, g = f, x_new, f_new, g_new
+        g_norm = math.sqrt(g.dot(g))
         iterations += 1
-        trace.append((f, float(np.linalg.norm(g))))
+        trace.append((f, g_norm))
         if abs(f_prev - f) <= cfg.obj_rel_tol * (abs(f) + cfg.obj_rel_tol):
             status, converged = "objective-change", True
             break
@@ -416,7 +466,7 @@ def lbfgs_minimize(
     return LbfgsResult(
         L=x.reshape(sys.n, sys.m),
         value=f,
-        gradient_norm=float(np.linalg.norm(g)),
+        gradient_norm=g_norm,
         iterations=iterations,
         converged=converged,
         status=status,

@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from klap.benchmarks import acc_system, toy_system
 from klap.cli import main as cli_main
 from klap.linalg import (
-    kron_lyapunov_oracle,
     solve_lyapunov,
     solve_lyapunov_transposed,
     sqrtm_psd,
@@ -37,6 +36,8 @@ from klap.system import (
     popov_scan,
     transfer_eval,
 )
+
+from oracles import kron_lyapunov_oracle
 
 
 def random_hurwitz(rng, n, margin=0.5):

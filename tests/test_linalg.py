@@ -1,9 +1,11 @@
 """Tests for the dense Lyapunov/spectral kernels.
 
-The Kronecker-vectorization oracle is validated first against closed-form
+The Kronecker-vectorization oracle (``tests/oracles.py``) is validated first against closed-form
 hand computations; the production solvers are then measured against the
 oracle on random well-posed instances.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -16,13 +18,16 @@ from klap.exceptions import (
     SingularOperatorError,
 )
 from klap.linalg import (
-    kron_lyapunov_oracle,
+    DIAG_COND_LIMIT,
+    _LyapunovKernel,
     max_real_part,
     solve_lyapunov,
     solve_lyapunov_transposed,
     spectral_decompose,
     sqrtm_psd,
 )
+
+from oracles import kron_lyapunov_oracle
 
 
 def random_hurwitz(rng, n, margin=0.5):
@@ -165,7 +170,7 @@ def test_nonsymmetric_rhs_rejected():
 
 def test_ill_conditioned_eigenbasis_falls_back():
     # Nearly parallel eigenvectors: explicit diagonalized strategy refuses,
-    # the auto strategy silently uses the dense solve instead.
+    # the auto strategy uses the dense solve instead.
     A = np.array([[-1.0, 1e9], [0.0, -2.0]])
     W = np.eye(2)
     with pytest.raises(IllConditionedError):
@@ -173,6 +178,108 @@ def test_ill_conditioned_eigenbasis_falls_back():
     X = solve_lyapunov(A, W, strategy="auto")
     res = np.linalg.norm(A @ X + X @ A.T + W)
     assert res <= 1e-10 * (np.linalg.norm(A) * np.linalg.norm(X) + np.linalg.norm(W))
+
+
+def _dense_fallbacks(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "klap.linalg" and "dense solve" in r.getMessage()]
+
+
+def test_ill_conditioned_basis_fallback_is_logged_and_exact(caplog):
+    # basis condition 2e9 > DIAG_COND_LIMIT: decided once, when the kernel
+    # is built, and logged with the condition as the reason
+    caplog.set_level(logging.DEBUG, logger="klap.linalg")
+    A = np.array([[-1.0, 1e9], [0.0, -2.0]])
+    W = np.eye(2)
+    X = solve_lyapunov(A, W, strategy="auto")
+    (message,) = _dense_fallbacks(caplog)
+    assert "condition" in message
+    X_oracle = kron_lyapunov_oracle(A, W)
+    assert np.linalg.norm(X - X_oracle, "fro") <= 1e-10 * np.linalg.norm(X_oracle, "fro")
+
+
+def test_residual_rejection_fallback_is_logged_and_exact(caplog):
+    # basis condition 2e5 passes the limit, but the diagonalized solution
+    # misses the residual bound: that one solve goes to the dense solver
+    caplog.set_level(logging.DEBUG, logger="klap.linalg")
+    A = np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-5]])
+    assert spectral_decompose(A).condition_estimate < DIAG_COND_LIMIT
+    W = np.eye(2)
+    with pytest.raises(IllConditionedError, match="residual"):
+        solve_lyapunov(A, W, strategy="diagonalized")
+    caplog.clear()
+    for X, X_oracle in (
+        (solve_lyapunov(A, W), kron_lyapunov_oracle(A, W)),
+        (solve_lyapunov_transposed(A, W), kron_lyapunov_oracle(A.T, W)),
+    ):
+        assert np.linalg.norm(X - X_oracle, "fro") <= 1e-10 * np.linalg.norm(X_oracle, "fro")
+    messages = _dense_fallbacks(caplog)
+    assert len(messages) == 2 and all("residual" in m for m in messages)
+
+
+def test_well_conditioned_solves_do_not_fall_back(caplog):
+    caplog.set_level(logging.DEBUG, logger="klap.linalg")
+    rng = np.random.default_rng(4)
+    A = random_hurwitz(rng, 12)
+    solve_lyapunov(A, random_sym(rng, 12))
+    solve_lyapunov_transposed(A, random_sym(rng, 12))
+    assert _dense_fallbacks(caplog) == []
+
+
+# ---------------------------------------------------------------------------
+# the per-basis kernel behind the public solvers and the optimizer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", ["auto", "diagonalized", "dense"])
+def test_kernel_matches_oracle_in_both_orientations(strategy):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(2, 21))
+        A = random_hurwitz(rng, n)
+        kernel = _LyapunovKernel(A, spectral_decompose(A), strategy)
+        for _ in range(3):  # one kernel, many right-hand sides
+            W = random_sym(rng, n)
+            X_oracle = kron_lyapunov_oracle(A, W)
+            Xt_oracle = kron_lyapunov_oracle(A.T, W)
+            X, Xt = kernel.solve(W, False), kernel.solve(W, True)
+            assert np.array_equal(X, X.T) and np.array_equal(Xt, Xt.T)
+            assert np.linalg.norm(X - X_oracle) <= 1e-9 * (1.0 + np.linalg.norm(X_oracle))
+            assert np.linalg.norm(Xt - Xt_oracle) <= 1e-9 * (1.0 + np.linalg.norm(Xt_oracle))
+
+
+def test_kernel_solves_equal_the_public_solvers_bit_for_bit():
+    rng = np.random.default_rng(29)
+    A = random_hurwitz(rng, 9)
+    d = spectral_decompose(A)
+    kernel = _LyapunovKernel(A, d)
+    W = random_sym(rng, 9)
+    assert np.array_equal(kernel.solve(W, False), solve_lyapunov(A, W, decomp=d))
+    assert np.array_equal(kernel.solve(W, True), solve_lyapunov_transposed(A, W, decomp=d))
+
+
+def test_kernel_checks_strategy_and_operator_once_when_built():
+    with pytest.raises(ValueError, match="strategy"):
+        _LyapunovKernel(-np.eye(2), None, "schur")
+    with pytest.raises(SingularOperatorError):
+        _LyapunovKernel(np.diag([-1.0, 1.0]), None, "auto")
+    with pytest.raises(IllConditionedError):
+        _LyapunovKernel(np.array([[-1.0, 1e9], [0.0, -2.0]]), None, "diagonalized")
+    with pytest.raises(DefectiveMatrixError):
+        _LyapunovKernel(np.array([[-1.0, 1.0], [0.0, -1.0]]), None, "diagonalized")
+
+
+def test_overflowing_solution_is_returned_by_the_kernel_and_rejected_publicly():
+    # X = 1e300 / 2e-10 overflows: the kernel hands the non-finite solution
+    # to its caller instead of trying the dense solve; the public boundary
+    # raises
+    A = -1e-10 * np.eye(2)
+    W = 1e300 * np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _LyapunovKernel(A, None, "auto").solve(W, False)
+        assert not np.isfinite(X).all()
+        with pytest.raises(SingularOperatorError, match="overflows"):
+            solve_lyapunov(A, W)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ hand-derived closed forms; and the full driver against the frozen
 benchmark values of the two reference systems.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -230,25 +232,124 @@ def test_gradient_matches_finite_differences():
 
 
 def test_exactly_two_lyapunov_solves_per_evaluation(monkeypatch):
+    # every solve of an evaluation goes through the per-basis kernel:
+    # exactly one standard and one transposed solve per evaluation, both
+    # for a single objective_and_gradient call and for every evaluation of
+    # an L-BFGS run
+    import klap.linalg as linalg_mod
     import klap.optimizer as mod
 
     calls = {"standard": 0, "transposed": 0}
-    orig_std, orig_tr = mod.solve_lyapunov, mod.solve_lyapunov_transposed
+    evaluations = 0
+    orig_solve, orig_eval = linalg_mod._LyapunovKernel.solve, mod._Objective.__call__
 
-    def count_std(*args, **kwargs):
-        calls["standard"] += 1
-        return orig_std(*args, **kwargs)
+    def count_solve(self, W, transposed):
+        calls["transposed" if transposed else "standard"] += 1
+        return orig_solve(self, W, transposed)
 
-    def count_tr(*args, **kwargs):
-        calls["transposed"] += 1
-        return orig_tr(*args, **kwargs)
+    def count_eval(self, L):
+        nonlocal evaluations
+        evaluations += 1
+        return orig_eval(self, L)
 
-    monkeypatch.setattr(mod, "solve_lyapunov", count_std)
-    monkeypatch.setattr(mod, "solve_lyapunov_transposed", count_tr)
+    monkeypatch.setattr(linalg_mod._LyapunovKernel, "solve", count_solve)
+    monkeypatch.setattr(mod._Objective, "__call__", count_eval)
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
+    calls.update(standard=0, transposed=0)
     objective_and_gradient(sys, P, LurePoint.for_system(sys, np.ones((2, 1))))
     assert calls == {"standard": 1, "transposed": 1}
+    assert evaluations == 1
+
+    calls.update(standard=0, transposed=0)
+    evaluations = 0
+    lbfgs_minimize(sys, P, np.array([[-2.0], [0.0]]), [[0.5]])
+    assert evaluations > 1
+    assert calls == {"standard": evaluations, "transposed": evaluations}
+
+
+def rand_family_system(n, m, seed):
+    """The random family "rand n x m / seed" of the benchmark workloads."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((m, n))
+    return StateSpaceSystem(A, B, C, 0.05 * np.eye(m))
+
+
+@pytest.mark.parametrize(
+    "sys, diagonal",
+    [(rand_family_system(8, 2, 4), True), (acc_system(0.125), False)],
+    ids=["rand-8x2/4-diagonal", "acc-dense"],
+)
+def test_lbfgs_first_trace_entry_equals_objective_and_gradient(sys, diagonal):
+    # klap()'s choice of basis and strategy: the eigenbasis cached on the
+    # system when A has a usable one (rand), the dense solve otherwise (acc
+    # is defective)
+    decomp, _ = sys._modes()
+    assert (decomp is not None) == diagonal
+    strategy = "auto" if diagonal else "dense"
+    P = controllability_gramian(sys, strategy=strategy, decomp=decomp)
+    M = sqrtm_psd(sys.D + sys.D.T)
+    L0 = np.random.default_rng(1).standard_normal((sys.n, sys.m))
+    ev = objective_and_gradient(sys, P, LurePoint(L0, M), decomp=decomp, strategy=strategy)
+    run = lbfgs_minimize(
+        sys, P, L0, M, KlapConfig(max_iterations=3), decomp=decomp, strategy=strategy
+    )
+    J0, g0 = run.trace[0]
+    assert J0 == ev.J
+    assert g0 == float(np.linalg.norm(ev.grad))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_objective_is_infinite_where_it_overflows(scale):
+    # 1e100: L L^T is finite but J overflows; 1e200: L L^T itself overflows
+    import klap.optimizer as mod
+
+    sys = toy_system(0.125)
+    P = controllability_gramian(sys)
+    M = sqrtm_psd(sys.D + sys.D.T)
+    L = np.full((2, 1), scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        J, grad, *_ = mod._Objective(sys, P, M, None, "auto")(L)
+        assert J == math.inf and grad is None
+        with pytest.raises(ValueError, match="not finite"):
+            objective_and_gradient(sys, P, LurePoint(L, M))
+
+
+def test_lbfgs_backs_off_from_a_non_finite_trial(monkeypatch):
+    # The first line-search trial is moved out to 1e200 * L, where L L^T
+    # overflows.  The evaluation reports J = inf, the line search halves
+    # the step, and the run goes on: no exception, a finite best iterate.
+    import klap.optimizer as mod
+
+    orig_eval = mod._Objective.__call__
+    values = []
+
+    def first_trial_overflows(self, L):
+        if len(values) == 1:
+            L = 1e200 * L
+        out = orig_eval(self, L)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(mod._Objective, "__call__", first_trial_overflows)
+    sys = toy_system(0.125)
+    P = controllability_gramian(sys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = lbfgs_minimize(sys, P, np.array([[-2.0], [0.0]]), [[0.5]])
+        assert values[1] == math.inf
+        assert run.converged and math.isfinite(run.value)
+        assert run.value < values[0]
+        assert_allclose(run.L, [[-1.0], [0.0]], atol=0.01)
+
+        values.clear()
+        result = klap(sys)
+    assert values[1] == math.inf
+    assert not result.message.startswith("optimization aborted")
+    assert result.J_final == pytest.approx(0.1275, abs=1e-3)
+    assert result.certificate.is_global_candidate
 
 
 # ---------------------------------------------------------------------------

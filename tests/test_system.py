@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from klap.exceptions import DefectiveMatrixError, DimensionMismatchError, NotHurwitzError
-from klap.linalg import DIAG_COND_LIMIT, kron_lyapunov_oracle, spectral_decompose
+from klap.linalg import DIAG_COND_LIMIT, spectral_decompose
 from klap.system import (
     StateSpaceSystem,
     controllability_gramian,
@@ -20,6 +20,8 @@ from klap.system import (
     popov_scan,
     transfer_eval,
 )
+
+from oracles import kron_lyapunov_oracle
 
 
 def toy_system(d=0.0):
