@@ -61,9 +61,7 @@ from .passivity import (
     PassivityVerdict,
     check_passive,
     global_min_certificate,
-    kyp_residual,
     l_from_are,
-    lure_residuals,
     solve_are,
 )
 from .optimizer import (
@@ -126,10 +124,8 @@ __all__ = [
     "AreSolution",
     "PassivityVerdict",
     "GlobalMinCertificate",
-    "kyp_residual",
     "solve_are",
     "check_passive",
-    "lure_residuals",
     "l_from_are",
     "global_min_certificate",
     # optimizer

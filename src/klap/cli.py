@@ -444,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide passivity of a model file")
     p_check.add_argument("model")
-    p_check.add_argument("--method", choices=["auto", "hamiltonian", "popov-scan", "are"],
+    p_check.add_argument("--method", choices=["auto", "hamiltonian", "popov-scan"],
                          default="auto")
     p_check.add_argument("--tol", type=float, default=1e-8,
                          help="relative margin tolerance (default 1e-8)")

@@ -16,16 +16,18 @@ operator (``lam_i + lam_j ~= 0``) and stores the basis, its inverse and
 the ``lam_i + lam_j`` denominators; a solve is then arithmetic plus the
 checks of its own result.  Input validation happens at the public
 boundary (:func:`solve_lyapunov`, :func:`solve_lyapunov_transposed`),
-not in the kernel, so the optimizer's inner loop builds one kernel per
-run and skips it.  Two strategies are provided:
+not in the kernel.  A :class:`~klap.system.StateSpaceSystem` owns the
+kernel of its ``A``, built on first use from the eigenbasis it caches;
+the Gramian, the optimizer's inner loop, the restarts and the final
+output map all solve through it.  Two strategies are provided:
 
 ``"diagonalized"``
-    One spectral decomposition ``A = V diag(lam) V^{-1}`` (which callers
-    may precompute and reuse across many solves), then a closed-form
-    entrywise division in eigenvector coordinates.  Complex intermediate
-    arithmetic; the imaginary part of the back-transformed solution is
-    checked to be negligible and discarded, and every solution is checked
-    against the residual bound :data:`RESIDUAL_RTOL`.
+    One spectral decomposition ``A = V diag(lam) V^{-1}``, made once per
+    kernel, then a closed-form entrywise division in eigenvector
+    coordinates.  Complex intermediate arithmetic; the imaginary part of
+    the back-transformed solution is checked to be negligible and
+    discarded, and every solution is checked against the residual bound
+    :data:`RESIDUAL_RTOL`.
 
 ``"dense"``
     Schur-based Bartels--Stewart solve (SciPy).  Used directly, or as the
@@ -73,6 +75,14 @@ IMAG_LEAK_TOL = 1e-8
 
 #: relative residual bound guaranteed by the Lyapunov solvers
 RESIDUAL_RTOL = 1e-10
+
+#: condition-number bound on the eigenvector basis above which
+#: :func:`spectral_decompose` calls a matrix numerically defective
+DEFECTIVE_COND_LIMIT = 1e12
+
+#: relative size of the negative eigenvalues :func:`sqrtm_psd` clamps to
+#: zero as roundoff
+PSD_RTOL = 1e-10
 
 
 def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
@@ -136,16 +146,12 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def spectral_decompose(A: np.ndarray, cond_limit: float = 1e12) -> SpectralDecomposition:
+def spectral_decompose(A: np.ndarray) -> SpectralDecomposition:
     """Diagonalize a real square matrix.
 
     Parameters
     ----------
     A : (n, n) array_like
-    cond_limit : float, optional
-        Raise :class:`DefectiveMatrixError` when the eigenvector matrix has
-        a 2-norm condition number above this bound (a numerically defective
-        matrix admits no usable eigenvector basis).
 
     Returns
     -------
@@ -154,15 +160,16 @@ def spectral_decompose(A: np.ndarray, cond_limit: float = 1e12) -> SpectralDecom
     Raises
     ------
     DefectiveMatrixError
-        If the eigenvector matrix is numerically singular or its condition
-        number exceeds ``cond_limit``.
+        If the eigenvector matrix is numerically singular or its 2-norm
+        condition number exceeds :data:`DEFECTIVE_COND_LIMIT` (a numerically
+        defective matrix admits no usable eigenvector basis).
     """
     A = _as_square(A)
     lam, V = np.linalg.eig(A)
     cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > DEFECTIVE_COND_LIMIT:
         raise DefectiveMatrixError(
-            f"eigenvector basis has condition {cond:.2e} > {cond_limit:.2e}; "
+            f"eigenvector basis has condition {cond:.2e} > {DEFECTIVE_COND_LIMIT:.2e}; "
             "matrix is numerically defective"
         )
     Vinv = np.linalg.inv(V)
@@ -199,8 +206,9 @@ class _LyapunovKernel:
     solve of this kernel; under ``"diagonalized"`` it raises.
 
     ``A`` and each ``W`` are taken as valid (finite, square, matching
-    shapes): the public functions validate them, and the optimizer builds
-    one kernel per run over a validated system.
+    shapes): the public functions validate them, and a
+    :class:`~klap.system.StateSpaceSystem` builds the kernel of its
+    validated ``A`` once and keeps it.
 
     In eigenvector coordinates, for ``A = V diag(lam) V^{-1}``:
 
@@ -216,11 +224,10 @@ class _LyapunovKernel:
         A: np.ndarray,
         decomp: SpectralDecomposition | None = None,
         strategy: str = "auto",
-        residual_rtol: float = RESIDUAL_RTOL,
     ):
         if strategy not in ("auto", "diagonalized", "dense"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.A, self.strategy, self.residual_rtol = A, strategy, residual_rtol
+        self.A, self.strategy = A, strategy
         self.A_norm = _fro(A)
         self.V = None
         if strategy == "dense":
@@ -296,15 +303,34 @@ class _LyapunovKernel:
             )
         return X
 
+    def solve_finite(self, W: np.ndarray, transposed: bool) -> np.ndarray:
+        """:meth:`solve` for callers that need a finite solution: raises
+        :class:`SingularOperatorError` where ``W`` or ``X`` overflows."""
+        if np.isfinite(W).all():
+            X = self.solve(W, transposed)
+            if np.isfinite(X).all():
+                return X
+        raise SingularOperatorError("Lyapunov solution overflows")
+
     def _residual_failure(self, X: np.ndarray, W: np.ndarray, transposed: bool) -> str | None:
         """Why ``X`` misses the residual bound, or ``None`` if it meets it."""
+        res, tol = self._residual(X, W, transposed)
+        if not (math.isfinite(res) and math.isfinite(tol)):
+            # a norm overflowed; the test is invariant under scaling X and W
+            # together, so repeat it on scaled copies (non-finite ones fail)
+            s = max(np.abs(X).max(), np.abs(W).max())
+            res, tol = self._residual(X / s, W / s, transposed)
+        if math.isfinite(tol) and res <= max(tol, 1e-300):
+            return None
+        return f"residual {res:.2e} exceeds {tol:.2e}"
+
+    def _residual(self, X: np.ndarray, W: np.ndarray, transposed: bool) -> tuple[float, float]:
+        """``||A^T X + X A + W||_F`` (or of the standard equation) and its
+        bound :data:`RESIDUAL_RTOL` ``(||A|| ||X|| + ||W||)``."""
         # X is exactly symmetric, so X A = (A^T X)^T and X A^T = (A X)^T
         S = self.A.T @ X if transposed else self.A @ X
         res = _fro(S + S.T + W)
-        tol = self.residual_rtol * (self.A_norm * _fro(X) + _fro(W))
-        if res <= max(tol, 1e-300):
-            return None
-        return f"residual {res:.2e} exceeds {tol:.2e}"
+        return res, RESIDUAL_RTOL * (self.A_norm * _fro(X) + _fro(W))
 
 
 def _solve(
@@ -313,16 +339,12 @@ def _solve(
     transposed: bool,
     strategy: str,
     decomp: SpectralDecomposition | None,
-    residual_rtol: float,
 ) -> np.ndarray:
     A = _as_square(A)
     W = _check_symmetric(W)
     if A.shape != W.shape:
         raise ValueError(f"A and W must have matching shapes, got {A.shape} and {W.shape}")
-    X = _LyapunovKernel(A, decomp, strategy, residual_rtol).solve(W, transposed)
-    if not np.isfinite(X).all():
-        raise SingularOperatorError("Lyapunov solution overflows")
-    return X
+    return _LyapunovKernel(A, decomp, strategy).solve_finite(W, transposed)
 
 
 def solve_lyapunov(
@@ -330,7 +352,6 @@ def solve_lyapunov(
     W: np.ndarray,
     strategy: str = "auto",
     decomp: SpectralDecomposition | None = None,
-    residual_rtol: float = RESIDUAL_RTOL,
 ) -> np.ndarray:
     """Solve ``A X + X A^T + W = 0`` for symmetric ``X``.
 
@@ -352,10 +373,9 @@ def solve_lyapunov(
         imaginary-leak or residual check; each fallback is logged at debug
         level on the ``klap.linalg`` logger with its reason.
     decomp : SpectralDecomposition, optional
-        Precomputed decomposition of ``A`` to amortize across many solves.
-    residual_rtol : float, optional
-        Accept only solutions with
-        ``||A X + X A^T + W||_F <= residual_rtol * (||A|| ||X|| + ||W||)``.
+        Decomposition of ``A`` to use instead of computing one.  Solutions
+        are accepted only with
+        ``||A X + X A^T + W||_F <= RESIDUAL_RTOL * (||A|| ||X|| + ||W||)``.
 
     Returns
     -------
@@ -371,7 +391,7 @@ def solve_lyapunov(
         If ``strategy="diagonalized"`` and the eigenvector basis cannot
         deliver the residual bound.
     """
-    return _solve(A, W, False, strategy, decomp, residual_rtol)
+    return _solve(A, W, False, strategy, decomp)
 
 
 def solve_lyapunov_transposed(
@@ -379,20 +399,19 @@ def solve_lyapunov_transposed(
     W: np.ndarray,
     strategy: str = "auto",
     decomp: SpectralDecomposition | None = None,
-    residual_rtol: float = RESIDUAL_RTOL,
 ) -> np.ndarray:
     """Solve ``A^T X + X A + W = 0`` for symmetric ``X``.
 
     See :func:`solve_lyapunov` for parameters and error behaviour; the
     same ``decomp`` of ``A`` serves both equation orientations.
     """
-    return _solve(A, W, True, strategy, decomp, residual_rtol)
+    return _solve(A, W, True, strategy, decomp)
 
 
-def sqrtm_psd(S: np.ndarray, tol_psd: float = 1e-10) -> np.ndarray:
+def sqrtm_psd(S: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric positive-semidefinite matrix.
 
-    Eigenvalues in ``[-tol_psd * scale, 0)`` are treated as roundoff and
+    Eigenvalues in ``[-PSD_RTOL * scale, 0)`` are treated as roundoff and
     clamped to zero, where ``scale = max(1, ||S||_2)``; anything more
     negative raises :class:`NotPsdError`.
 
@@ -406,9 +425,9 @@ def sqrtm_psd(S: np.ndarray, tol_psd: float = 1e-10) -> np.ndarray:
     S = 0.5 * (S + S.T)
     lam, U = np.linalg.eigh(S)
     scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if lam.min(initial=0.0) < -tol_psd * scale:
+    if lam.min(initial=0.0) < -PSD_RTOL * scale:
         raise NotPsdError(
-            f"matrix has eigenvalue {lam.min():.3e} below -{tol_psd:.1e} * {scale:.3e}"
+            f"matrix has eigenvalue {lam.min():.3e} below -{PSD_RTOL:.1e} * {scale:.3e}"
         )
     M = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.T
     return 0.5 * (M + M.T)

@@ -44,7 +44,7 @@ from .linalg import (
     SpectralDecomposition,
     _LyapunovKernel,
     solve_lyapunov,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
-    solve_lyapunov_transposed,
+    solve_lyapunov_transposed,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
     spectral_decompose,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
     sqrtm_psd,
 )
@@ -116,39 +116,25 @@ class LurePoint:
         return cls(L, sqrtm_psd(sys.D + sys.D.T))
 
 
-def _c_and_x(
-    sys: StateSpaceSystem,
-    point: LurePoint,
-    decomp: SpectralDecomposition | None = None,
-    strategy: str = "auto",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output map and Lyapunov solution for ``point`` (one solve)."""
-    if point.L.shape != (sys.n, sys.m):
-        raise DimensionMismatchError(
-            f"L must be {sys.n} x {sys.m}, got {point.L.shape}"
-        )
-    X = solve_lyapunov_transposed(
-        sys.A, point.L @ point.L.T, strategy=strategy, decomp=decomp
-    )
-    C_hat = sys.B.T @ X + point.M @ point.L.T
-    return C_hat, X
-
-
-def c_of_l(
-    sys: StateSpaceSystem,
-    point: LurePoint,
-    decomp: SpectralDecomposition | None = None,
-    strategy: str = "auto",
-) -> np.ndarray:
+def c_of_l(sys: StateSpaceSystem, point: LurePoint) -> np.ndarray:
     """Passive output map ``C_hat(L) = B^T X + M L^T`` with
-    ``A^T X + X A + L L^T = 0``.
+    ``A^T X + X A + L L^T = 0``, solved by the system's Lyapunov kernel.
 
     The returned map makes ``(A, B, C_hat, D)`` passive for any ``L``: the
     triple ``(X, L, M)`` satisfies that system's Lur'e equations by
     construction.
+
+    Raises
+    ------
+    SingularOperatorError
+        If ``X`` overflows.
     """
-    C_hat, _ = _c_and_x(sys, point, decomp=decomp, strategy=strategy)
-    return C_hat
+    if point.L.shape != (sys.n, sys.m):
+        raise DimensionMismatchError(
+            f"L must be {sys.n} x {sys.m}, got {point.L.shape}"
+        )
+    X = sys._lyapunov().solve_finite(point.L @ point.L.T, True)
+    return sys.B.T @ X + point.M @ point.L.T
 
 
 @dataclass(frozen=True)
@@ -180,9 +166,9 @@ class ObjectiveEval:
 class _Objective:
     """``J`` and its gradient over one system, Gramian and ``M``.
 
-    Built once per run: the Lyapunov kernel of ``A`` and the fixed matrices
-    are set up here, so an evaluation is the arithmetic of the two solves
-    and the products around them, without validation.
+    Built once per run over a Lyapunov kernel of ``A`` and the fixed
+    matrices, so an evaluation is the arithmetic of the two solves and the
+    products around them, without validation.
     """
 
     def __init__(
@@ -190,10 +176,9 @@ class _Objective:
         sys: StateSpaceSystem,
         P: np.ndarray,
         M: np.ndarray,
-        decomp: SpectralDecomposition | None,
-        strategy: str,
+        lyap: _LyapunovKernel,
     ):
-        self.lyap = _LyapunovKernel(sys.A, decomp, strategy)
+        self.lyap = lyap
         self.B, self.B_t, self.C, self.P, self.M = sys.B, sys.B.T, sys.C, P, M
 
     def __call__(self, L: np.ndarray) -> tuple:
@@ -230,13 +215,17 @@ def objective_and_gradient(
 
     Exactly two Lyapunov solves: one for ``X`` (inside the output-map
     parameterization) and one for the adjoint variable ``X_grad``.  The
-    same evaluation :func:`lbfgs_minimize` runs per trial point, with the
-    Lyapunov kernel set up for this one call.
+    same evaluation :func:`lbfgs_minimize` runs per trial point.
 
     Parameters
     ----------
     P : (n, n) ndarray
         Controllability Gramian of ``sys`` (precomputed once per run).
+    decomp, strategy
+        By default the solves use the system's own Lyapunov kernel; another
+        ``strategy`` or an explicit ``decomp`` sets up a kernel with those
+        arguments for this one call, as :func:`~klap.linalg.solve_lyapunov`
+        would.
 
     Raises
     ------
@@ -247,7 +236,11 @@ def objective_and_gradient(
         raise DimensionMismatchError(
             f"L must be {sys.n} x {sys.m}, got {point.L.shape}"
         )
-    J, grad, X, X_grad, C_hat = _Objective(sys, P, point.M, decomp, strategy)(point.L)
+    if decomp is None and strategy == "auto":
+        lyap = sys._lyapunov()
+    else:
+        lyap = _LyapunovKernel(sys.A, decomp, strategy)
+    J, grad, X, X_grad, C_hat = _Objective(sys, P, point.M, lyap)(point.L)
     if grad is None:
         raise ValueError("the objective is not finite at this L")
     return ObjectiveEval(J, grad, X, X_grad, C_hat)
@@ -370,8 +363,6 @@ def lbfgs_minimize(
     L0: np.ndarray,
     M: np.ndarray,
     config: KlapConfig | None = None,
-    decomp: SpectralDecomposition | None = None,
-    strategy: str = "auto",
 ) -> LbfgsResult:
     """Minimize the squared H2 error over ``L`` by limited-memory BFGS.
 
@@ -388,7 +379,7 @@ def lbfgs_minimize(
     """
     cfg = config or KlapConfig()
     L0 = np.asarray(L0, dtype=float).reshape(sys.n, sys.m)
-    objective = _Objective(sys, P, np.asarray(M, dtype=float), decomp, strategy)
+    objective = _Objective(sys, P, np.asarray(M, dtype=float), sys._lyapunov())
     shape = (sys.n, sys.m)
 
     def evaluate(flat: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -556,11 +547,11 @@ def initialize(
 class RestartDecision:
     """Outcome of one escape attempt from a stationary point.
 
-    ``kind`` is ``"new-point"`` (continue from ``L``), ``"reinitialize"``
-    (caller should draw a fresh start), or ``"stop"`` (budget exhausted;
-    keep ``L`` = the current iterate).  ``alpha`` is the output-space step
-    that produced a passive system (``None`` if none did) and ``margin``
-    the passivity margin of the last candidate examined.
+    ``kind`` is ``"new-point"`` (continue from ``L``) or ``"reinitialize"``
+    (caller should draw a fresh start; ``L`` is ``None``).  ``alpha`` is
+    the output-space step that produced a passive system (``None`` if none
+    did) and ``margin`` the passivity margin of the last candidate
+    examined.
     """
 
     kind: str
@@ -574,9 +565,6 @@ def restart_step(
     P: np.ndarray,
     L_star: np.ndarray,
     config: KlapConfig | None = None,
-    allow_reinitialize: bool = True,
-    decomp: SpectralDecomposition | None = None,
-    strategy: str = "auto",
 ) -> RestartDecision:
     """Escape a stationary point that the certificate rejected.
 
@@ -587,8 +575,7 @@ def restart_step(
     passive set's boundary along the descent direction: recover a factor
     from the stepped system's minimal Riccati solution and continue from
     it (``"new-point"``).  Otherwise retry with ``alpha / 10``; if both
-    steps exit the passive set, report ``"reinitialize"`` (or ``"stop"``
-    when the caller has no restart budget left).
+    steps exit the passive set, report ``"reinitialize"``.
 
     The Riccati recovery runs with a relaxed residual tolerance: the
     stepped system sits near the passive boundary, where the Riccati
@@ -596,12 +583,11 @@ def restart_step(
     """
     cfg = config or KlapConfig()
     L_star = np.asarray(L_star, dtype=float).reshape(sys.n, sys.m)
-    stop_kind = "reinitialize" if allow_reinitialize else "stop"
     try:
         M = sqrtm_psd(sys.D + sys.D.T)
-        C_star, _ = _c_and_x(sys, LurePoint(L_star, M), decomp=decomp, strategy=strategy)
+        C_star = c_of_l(sys, LurePoint(L_star, M))
     except (NotPsdError, DimensionMismatchError):
-        return RestartDecision(stop_kind, None if allow_reinitialize else L_star, None, -np.inf)
+        return RestartDecision("reinitialize", None, None, -np.inf)
     grad_c = 2.0 * (C_star - sys.C) @ P
     grid = _grid(sys, cfg)
     margin = -np.inf
@@ -618,7 +604,7 @@ def restart_step(
             _log.debug("factor recovery failed at alpha=%.1e: %s", alpha, exc)
             continue
         return RestartDecision("new-point", L_new, alpha, margin)
-    return RestartDecision(stop_kind, None if allow_reinitialize else L_star, None, margin)
+    return RestartDecision("reinitialize", None, None, margin)
 
 
 @dataclass(frozen=True)
@@ -722,11 +708,7 @@ def klap(
             "system shares this feedthrough and passivation cannot succeed"
         ) from exc
 
-    # the eigenbasis cached on sys, which its Popov scans and those of the
-    # systems derived from it share
-    decomp, _ = sys._modes()
-    strategy = "auto" if decomp is not None else "dense"
-    P = controllability_gramian(sys, strategy=strategy, decomp=decomp)
+    P = controllability_gramian(sys)
 
     scan = popov_scan(sys, grid=_grid(sys, cfg))
     verdict = scan_verdict(scan, cfg.passive_tol)
@@ -779,9 +761,7 @@ def klap(
 
     try:
         for round_index in range(cfg.max_restarts + 1):
-            run = lbfgs_minimize(
-                sys, P, L_start, M, cfg, decomp=decomp, strategy=strategy
-            )
+            run = lbfgs_minimize(sys, P, L_start, M, cfg)
             trace.extend(run.trace)
             if np.isnan(initial_J):
                 initial_J = run.trace[0][0]
@@ -798,9 +778,7 @@ def klap(
                 # the stationarity the spectral certificate measures; polish
                 # to gradient precision before judging or restarting.
                 polish = lbfgs_minimize(
-                    sys, P, run.L, M,
-                    replace(cfg, obj_rel_tol=1e-14, L0=None),
-                    decomp=decomp, strategy=strategy,
+                    sys, P, run.L, M, replace(cfg, obj_rel_tol=1e-14, L0=None)
                 )
                 trace.extend(polish.trace[1:])
                 total_iterations += polish.iterations
@@ -820,10 +798,7 @@ def klap(
                 break
             if round_index == cfg.max_restarts:
                 break
-            decision = restart_step(
-                sys, P, run.L, cfg,
-                allow_reinitialize=True, decomp=decomp, strategy=strategy,
-            )
+            decision = restart_step(sys, P, run.L, cfg)
             if decision.kind == "new-point":
                 L_next = decision.L
             else:
@@ -841,8 +816,7 @@ def klap(
         message = f"optimization aborted: {exc}"
         best_converged = False
 
-    point = LurePoint(best_L, M)
-    C_hat, _ = _c_and_x(sys, point, decomp=decomp, strategy=strategy)
+    C_hat = c_of_l(sys, LurePoint(best_L, M))
     J_final = h2_error_sq(sys, C_hat, P=P)
     if np.isnan(initial_J):
         initial_J = J_final

@@ -45,10 +45,8 @@ __all__ = [
     "AreSolution",
     "PassivityVerdict",
     "GlobalMinCertificate",
-    "kyp_residual",
     "solve_are",
     "check_passive",
-    "lure_residuals",
     "l_from_are",
     "global_min_certificate",
 ]
@@ -65,23 +63,6 @@ def _feedthrough_gram(sys: StateSpaceSystem) -> tuple[np.ndarray, bool]:
     lam = np.linalg.eigvalsh(R)
     definite = bool(lam.min() > FEEDTHROUGH_RTOL * max(1.0, float(lam.max())))
     return R, definite
-
-
-def kyp_residual(sys: StateSpaceSystem, X: np.ndarray) -> np.ndarray:
-    """KYP block matrix
-
-    ``W(X) = [[-A^T X - X A, C^T - X B], [C - B^T X, D + D^T]]``,
-
-    symmetric of size ``(n + m, n + m)``.  The system is passive iff
-    ``W(X) >= 0`` for some symmetric ``X >= 0``.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.shape != (sys.n, sys.n):
-        raise ValueError(f"X must be {sys.n} x {sys.n}, got {X.shape}")
-    top_left = -(sys.A.T @ X + X @ sys.A)
-    top_right = sys.C.T - X @ sys.B
-    W = np.block([[top_left, top_right], [top_right.T, sys.D + sys.D.T]])
-    return 0.5 * (W + W.T)
 
 
 @dataclass(frozen=True)
@@ -342,8 +323,8 @@ class PassivityVerdict:
 
     ``margin`` is signed: the smallest Popov eigenvalue found (grid scan or
     deciding sample), negative when the system is not passive.  ``method``
-    records which route produced the verdict: ``"hamiltonian"``,
-    ``"popov-scan"`` or ``"are"``.
+    records which route produced the verdict: ``"hamiltonian"`` or
+    ``"popov-scan"``.
     """
 
     passive: bool
@@ -376,7 +357,7 @@ def check_passive(
 ) -> PassivityVerdict:
     """Decide whether a stable system is passive.
 
-    Three routes are available:
+    Two routes are available:
 
     ``"hamiltonian"`` (default when ``D + D^T`` is positive definite)
         Singular frequencies of the Popov function are exactly the purely
@@ -393,30 +374,15 @@ def check_passive(
         grid minimum is ``>= -tol * scale``.  Sole route when ``D + D^T``
         is singular.
 
-    ``"are"``
-        Feasibility probe: passive iff the minimal Riccati solution exists.
-
     Parameters
     ----------
     tol : float
         Relative tolerance on the signed margin: boundary systems produced
         by passivation land within ``-tol * scale`` of zero.
     """
-    if method not in ("auto", "hamiltonian", "popov-scan", "are"):
+    if method not in ("auto", "hamiltonian", "popov-scan"):
         raise ValueError(f"unknown method {method!r}")
     R, definite = _feedthrough_gram(sys)
-
-    if method == "are":
-        if not definite:
-            raise SingularFeedthroughError(
-                "the ARE feasibility probe needs D + D^T positive definite"
-            )
-        try:
-            sol = solve_are(sys, "minimal", tol=1e-8)
-            return PassivityVerdict(True, -sol.closed_loop_max_real, "are")
-        except NoSolutionError:
-            scan = popov_scan(sys, grid=grid)
-            return PassivityVerdict(False, scan.global_min, "are")
 
     if method in ("auto", "hamiltonian") and definite:
         H = _hamiltonian_matrix(sys, R)
@@ -436,23 +402,6 @@ def check_passive(
         )
 
     return scan_verdict(popov_scan(sys, grid=grid), tol)
-
-
-def lure_residuals(
-    sys: StateSpaceSystem,
-    X: np.ndarray,
-    L: np.ndarray,
-    M: np.ndarray,
-) -> tuple[float, float, float]:
-    """Frobenius norms of the three Lur'e equation defects
-    ``(A^T X + X A + L L^T, X B - C^T + L M^T, D + D^T - M M^T)``."""
-    X = np.asarray(X, dtype=float)
-    L = np.asarray(L, dtype=float)
-    M = np.asarray(M, dtype=float)
-    r_state = np.linalg.norm(sys.A.T @ X + X @ sys.A + L @ L.T, "fro")
-    r_output = np.linalg.norm(X @ sys.B - sys.C.T + L @ M.T, "fro")
-    r_feed = np.linalg.norm(sys.D + sys.D.T - M @ M.T, "fro")
-    return float(r_state), float(r_output), float(r_feed)
 
 
 def l_from_are(sys: StateSpaceSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,17 +12,20 @@ Popov-function evaluation, frequency sweeps of the Popov function's
 smallest eigenvalue, controllability Gramians, and the squared H2 distance
 between two output maps sharing the same state dynamics.
 
-A system computes the eigenbasis of ``A`` (and ``V^{-1} B``) once, on first
-use, and shares it with every system derived from it by
-:meth:`StateSpaceSystem.with_output` or
-:meth:`StateSpaceSystem.with_feedthrough`.  :func:`popov_scan` evaluates
-the whole frequency grid in that basis as one matrix product and decides
-its minimum by direct solves; without a trusted basis it solves the whole
-grid directly, in batches.
+A system computes the eigenbasis of ``A`` (and ``V^{-1} B``) and the
+Lyapunov kernel of ``A`` once each, on first use, and shares them with
+every system derived from it by :meth:`StateSpaceSystem.with_output` or
+:meth:`StateSpaceSystem.with_feedthrough`.  The kernel is the one place
+that decides how Lyapunov equations in ``A`` are solved: ``"auto"`` on the
+cached basis, the dense solve when ``A`` has none.  :func:`popov_scan`
+evaluates the whole frequency grid in that basis as one matrix product
+and decides its minimum by direct solves; without a trusted basis it
+solves the whole grid directly, in batches.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,8 @@ __all__ = [
     "controllability_gramian",
     "h2_error_sq",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: complex entries per block of ``(i w I - A)`` matrices in the direct
 #: scan: 512 KB of workspace, two frequencies per block at n = 128
@@ -106,7 +111,8 @@ class StateSpaceSystem:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
-        # eigenbasis cache, shared by reference with derived systems
+        # eigenbasis and Lyapunov kernel cache, shared by reference with
+        # derived systems
         object.__setattr__(self, "_eigen", {})
 
     @property
@@ -121,12 +127,12 @@ class StateSpaceSystem:
 
     def with_output(self, C: np.ndarray) -> "StateSpaceSystem":
         """Same dynamics and feedthrough, different output matrix; shares
-        the eigenbasis of ``A``."""
+        the eigenbasis and the Lyapunov kernel of ``A``."""
         return self._sharing_eigenbasis(StateSpaceSystem(self.A, self.B, C, self.D))
 
     def with_feedthrough(self, D: np.ndarray) -> "StateSpaceSystem":
         """Same dynamics and output map, different feedthrough; shares the
-        eigenbasis of ``A``."""
+        eigenbasis and the Lyapunov kernel of ``A``."""
         return self._sharing_eigenbasis(StateSpaceSystem(self.A, self.B, self.C, D))
 
     def _sharing_eigenbasis(self, other: "StateSpaceSystem") -> "StateSpaceSystem":
@@ -140,11 +146,23 @@ class StateSpaceSystem:
             try:
                 # through the module attribute, which perfbench/tracing.py wraps
                 decomp = linalg.spectral_decompose(self.A)
-            except DefectiveMatrixError:
+            except DefectiveMatrixError as exc:
+                _log.debug("no eigenbasis of A, so dense Lyapunov solves and "
+                           "direct Popov scans: %s", exc)
                 self._eigen["modes"] = (None, None)
             else:
                 self._eigen["modes"] = (decomp, decomp.inverse_vectors @ self.B)
         return self._eigen["modes"]
+
+    def _lyapunov(self) -> linalg._LyapunovKernel:
+        """The Lyapunov kernel of ``A``, built on first use from the cached
+        eigenbasis: ``"auto"`` when ``A`` has a basis, ``"dense"`` when it
+        has none."""
+        if "lyapunov" not in self._eigen:
+            decomp, _ = self._modes()
+            strategy = "auto" if decomp is not None else "dense"
+            self._eigen["lyapunov"] = linalg._LyapunovKernel(self.A, decomp, strategy)
+        return self._eigen["lyapunov"]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StateSpaceSystem(n={self.n}, m={self.m})"
@@ -328,8 +346,16 @@ def controllability_gramian(
     decomp: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Controllability Gramian: the symmetric PSD solution of
-    ``A P + P A^T + B B^T = 0``."""
-    return solve_lyapunov(sys.A, sys.B @ sys.B.T, strategy=strategy, decomp=decomp)
+    ``A P + P A^T + B B^T = 0``.
+
+    By default solved by the system's own Lyapunov kernel; another
+    ``strategy`` or an explicit ``decomp`` solves it through
+    :func:`~klap.linalg.solve_lyapunov` with those arguments instead.
+    """
+    W = sys.B @ sys.B.T
+    if strategy == "auto" and decomp is None:
+        return sys._lyapunov().solve_finite(W, False)
+    return solve_lyapunov(sys.A, W, strategy=strategy, decomp=decomp)
 
 
 def h2_error_sq(

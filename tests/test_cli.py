@@ -90,6 +90,12 @@ def test_check_malformed_file_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_check_method_are_is_usage_error(toy_m1_path, capsys):
+    code, _, err = run_cli(["check", toy_m1_path, "--method", "are"], capsys)
+    assert code == 2
+    assert "invalid choice" in err
+
+
 def test_check_csv_to_stdout_moves_verdict_to_stderr(toy_m1_path, capsys):
     code, out, err = run_cli(
         ["check", toy_m1_path, "--csv", "-", "--points", "16"], capsys

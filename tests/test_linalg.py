@@ -282,6 +282,31 @@ def test_overflowing_solution_is_returned_by_the_kernel_and_rejected_publicly():
             solve_lyapunov(A, W)
 
 
+def test_dense_solve_rejects_a_rescaled_solution_of_an_overflowing_equation():
+    # SciPy's Bartels-Stewart scales X down to avoid the overflow and returns
+    # a finite 5e-291 I; ||W|| and its residual bound both overflow, so the
+    # residual test repeats on scaled copies, where it fails
+    A = -1e-10 * np.eye(2)
+    W = 1e300 * np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for solve in (solve_lyapunov, solve_lyapunov_transposed):
+            with pytest.raises(SingularOperatorError):
+                solve(A, W, strategy="dense")
+
+
+def test_residual_test_is_scale_invariant_where_norms_overflow():
+    # W = 1e200 W0 overflows ||W||^2 but the equation does not: the dense
+    # solution passes the residual test on scaled copies and equals 1e200
+    # times that of W0 to rounding
+    rng = np.random.default_rng(5)
+    A = random_hurwitz(rng, 6)
+    W0 = random_sym(rng, 6)
+    with np.errstate(over="ignore"):
+        X = solve_lyapunov(A, 1e200 * W0, strategy="dense")
+    X0 = solve_lyapunov(A, W0, strategy="dense")
+    assert np.linalg.norm(X / 1e200 - X0) <= 1e-12 * np.linalg.norm(X0)
+
+
 # ---------------------------------------------------------------------------
 # spectral decomposition
 # ---------------------------------------------------------------------------

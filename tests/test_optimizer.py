@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from klap.exceptions import DimensionMismatchError
+from klap.exceptions import DimensionMismatchError, SingularOperatorError
 from klap.linalg import sqrtm_psd
 from klap.optimizer import (
     Initialization,
@@ -126,6 +126,16 @@ def test_c_of_l_shape_mismatch():
     sys = toy_system(0.125)
     with pytest.raises(DimensionMismatchError):
         c_of_l(sys, LurePoint(np.ones((3, 1)), [[0.5]]))
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e200])
+def test_c_of_l_raises_where_the_solution_overflows(scale):
+    # 1e153: L L^T = 1e306 is finite but X = 1e306 / 2e-3 is not;
+    # 1e200: L L^T itself overflows
+    sys = StateSpaceSystem([[-1e-3]], [[1.0]], [[1.0]], [[0.5]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularOperatorError, match="overflows"):
+            c_of_l(sys, LurePoint.for_system(sys, [[scale]]))
 
 
 def test_feasibility_by_construction():
@@ -284,19 +294,14 @@ def rand_family_system(n, m, seed):
     ids=["rand-8x2/4-diagonal", "acc-dense"],
 )
 def test_lbfgs_first_trace_entry_equals_objective_and_gradient(sys, diagonal):
-    # klap()'s choice of basis and strategy: the eigenbasis cached on the
-    # system when A has a usable one (rand), the dense solve otherwise (acc
-    # is defective)
-    decomp, _ = sys._modes()
-    assert (decomp is not None) == diagonal
-    strategy = "auto" if diagonal else "dense"
-    P = controllability_gramian(sys, strategy=strategy, decomp=decomp)
+    # both solve through the system's own kernel: diagonalized on the
+    # cached eigenbasis (rand), dense where A has none (acc is defective)
+    assert (sys._lyapunov().V is not None) == diagonal
+    P = controllability_gramian(sys)
     M = sqrtm_psd(sys.D + sys.D.T)
     L0 = np.random.default_rng(1).standard_normal((sys.n, sys.m))
-    ev = objective_and_gradient(sys, P, LurePoint(L0, M), decomp=decomp, strategy=strategy)
-    run = lbfgs_minimize(
-        sys, P, L0, M, KlapConfig(max_iterations=3), decomp=decomp, strategy=strategy
-    )
+    ev = objective_and_gradient(sys, P, LurePoint(L0, M))
+    run = lbfgs_minimize(sys, P, L0, M, KlapConfig(max_iterations=3))
     J0, g0 = run.trace[0]
     assert J0 == ev.J
     assert g0 == float(np.linalg.norm(ev.grad))
@@ -312,7 +317,7 @@ def test_objective_is_infinite_where_it_overflows(scale):
     M = sqrtm_psd(sys.D + sys.D.T)
     L = np.full((2, 1), scale)
     with np.errstate(over="ignore", invalid="ignore"):
-        J, grad, *_ = mod._Objective(sys, P, M, None, "auto")(L)
+        J, grad, *_ = mod._Objective(sys, P, M, sys._lyapunov())(L)
         assert J == math.inf and grad is None
         with pytest.raises(ValueError, match="not finite"):
             objective_and_gradient(sys, P, LurePoint(L, M))
@@ -492,11 +497,6 @@ def test_restart_step_reinitialize_when_step_leaves_passive_set():
     cfg = KlapConfig(restart_alpha=10.0)
     decision = restart_step(sys, P, np.array([[-1.0], [0.0]]), cfg)
     assert decision.kind == "reinitialize" and decision.L is None
-    stop = restart_step(
-        sys, P, np.array([[-1.0], [0.0]]), cfg, allow_reinitialize=False
-    )
-    assert stop.kind == "stop"
-    assert_allclose(stop.L, [[-1.0], [0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +578,26 @@ def test_klap_scans_non_passive_input_once(monkeypatch):
     res = klap(sys)
     assert not res.passive_input
     assert sum(s is sys for s in scanned) == 1
+
+
+def test_klap_builds_one_lyapunov_kernel_per_run(monkeypatch):
+    # the Gramian, every L-BFGS run, every restart step and the final C_hat
+    # solve through the kernel the system owns
+    import klap.linalg as linalg_mod
+
+    kernels = []
+    orig_init = linalg_mod._LyapunovKernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        kernels.append(self)
+        orig_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod._LyapunovKernel, "__init__", counting_init)
+    sys = rand_family_system(6, 1, 2)
+    res = klap(sys)
+    assert res.restarts == 5
+    assert len(kernels) == 1
+    assert sys._lyapunov() is kernels[0] and res.system._lyapunov() is kernels[0]
 
 
 def test_klap_deterministic_given_seed():

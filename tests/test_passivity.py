@@ -16,12 +16,11 @@ from klap.linalg import solve_lyapunov_transposed
 from klap.passivity import (
     check_passive,
     global_min_certificate,
-    kyp_residual,
     l_from_are,
-    lure_residuals,
     solve_are,
 )
 from klap.system import StateSpaceSystem, popov_scan
+from oracles import kyp_residual, lure_residuals
 
 
 def scalar_system():
@@ -250,7 +249,7 @@ def test_check_passive_strict_construction():
     margin = 0.25
     for _ in range(5):
         sys = random_passive_system(rng, int(rng.integers(2, 7)), int(rng.integers(1, 3)), margin)
-        for method in ("hamiltonian", "popov-scan", "are"):
+        for method in ("hamiltonian", "popov-scan"):
             verdict = check_passive(sys, method=method)
             assert verdict.passive, method
     # the scan margin reflects the feedthrough enlargement
@@ -296,20 +295,12 @@ def test_check_passive_hamiltonian_agrees_with_scan():
     assert checked >= 45
 
 
-def test_check_passive_are_route():
-    assert check_passive(scalar_system(), method="are").passive
-    verdict = check_passive(toy_system(0.125), method="are")
-    assert not verdict.passive
-    assert verdict.margin == pytest.approx(-0.339481, abs=2e-4)
-
-
 def test_check_passive_method_validation():
-    with pytest.raises(ValueError):
-        check_passive(scalar_system(), method="magic")
+    for method in ("magic", "are"):
+        with pytest.raises(ValueError, match="unknown method"):
+            check_passive(scalar_system(), method=method)
     with pytest.raises(SingularFeedthroughError):
         check_passive(toy_system(0.0), method="hamiltonian")
-    with pytest.raises(SingularFeedthroughError):
-        check_passive(toy_system(0.0), method="are")
 
 
 def test_check_passive_singular_feedthrough_auto_falls_back():

@@ -5,6 +5,8 @@ trapezoidal frequency-quadrature oracle, and the Gramian solves against
 hand-derived closed forms.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -277,6 +279,44 @@ def test_derived_systems_share_the_eigenbasis(monkeypatch):
 # ---------------------------------------------------------------------------
 # Gramian and H2 distance
 # ---------------------------------------------------------------------------
+
+
+def test_gramian_and_h2_use_the_system_kernel(monkeypatch):
+    import klap.linalg as mod
+
+    sys = rand_family_system(6, 1, 2)
+    decomp, _ = sys._modes()
+    calls = []
+    orig = mod.spectral_decompose
+
+    def counting(A, *args, **kwargs):
+        calls.append(A)
+        return orig(A, *args, **kwargs)
+
+    monkeypatch.setattr(mod, "spectral_decompose", counting)
+    P = controllability_gramian(sys)
+    h2_error_sq(sys, np.ones((1, 6)))
+    h2_error_sq(sys.with_output(np.ones((1, 6))), sys.C)
+    assert calls == []
+    # the same solve as the public solver on the cached basis, bit for bit
+    assert np.array_equal(P, mod.solve_lyapunov(sys.A, sys.B @ sys.B.T, decomp=decomp))
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [(lambda: nearly_defective_system(1e-10, seed=3), "uses the dense solve"),
+     (acc_system, "no eigenbasis of A")],
+    ids=["ill-conditioned", "defective"],
+)
+def test_system_kernel_logs_its_dense_route_once(make, reason, caplog):
+    caplog.set_level(logging.DEBUG, logger="klap")
+    sys = make()
+    for s in (sys, sys, sys.with_output(np.zeros((sys.m, sys.n)))):
+        controllability_gramian(s)
+        h2_error_sq(s, np.zeros((s.m, s.n)))
+    P_dense = controllability_gramian(sys, strategy="dense")
+    assert np.array_equal(controllability_gramian(sys), P_dense)
+    assert sum(reason in r.getMessage() for r in caplog.records) == 1
 
 
 def test_gramian_scalar_closed_form():
