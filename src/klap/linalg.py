@@ -7,16 +7,17 @@ The continuous-time Lyapunov equations
 
     A^T X + X A + W = 0  \\qquad\\text{and}\\qquad  A X + X A^T + W = 0
 
-are the workhorses of the passivation routines; each objective/gradient
-evaluation performs exactly two of these solves.  Both orientations run
-through one per-basis kernel (:class:`_LyapunovKernel`), built once per
-``(A, decomposition, strategy)``.  Building it picks the strategy, checks
-the eigenvector basis against :data:`DIAG_COND_LIMIT`, rejects a singular
-operator (``lam_i + lam_j ~= 0``) and stores the basis, its inverse and
-the ``lam_i + lam_j`` denominators; a solve is then arithmetic plus the
-checks of its own result.  Input validation happens at the public
-boundary (:func:`solve_lyapunov`, :func:`solve_lyapunov_transposed`),
-not in the kernel.  A :class:`~klap.system.StateSpaceSystem` owns the
+are the workhorses of the passivation routines: an L-BFGS run performs
+two of these solves per accepted step (the value and the adjoint of its
+gradient) and one per rejected line-search trial (the value only).  Both
+orientations run through one per-basis kernel (:class:`_LyapunovKernel`),
+built once per ``(A, decomposition, strategy)``.  Building it picks the
+strategy, checks the eigenvector basis against :data:`DIAG_COND_LIMIT`,
+rejects a singular operator (``lam_i + lam_j ~= 0``) and stores the
+basis, its inverse and the ``lam_i + lam_j`` denominators; a solve is then
+arithmetic plus the checks of its own result.  Input validation happens at
+the public boundary (:func:`solve_lyapunov`,
+:func:`solve_lyapunov_transposed`), not in the kernel.  A :class:`~klap.system.StateSpaceSystem` owns the
 kernel of its ``A``, built on first use from the eigenbasis it caches;
 the Gramian, the optimizer's inner loop, the restarts and the final
 output map all solve through it.  Two strategies are provided:
@@ -32,10 +33,10 @@ output map all solve through it.  Two strategies are provided:
 ``"dense"``
     Schur-based Bartels--Stewart solve (SciPy).  Used directly, or as the
     fallback of ``"auto"`` when the eigenvector basis is missing or too
-    ill-conditioned to trust (decided once per kernel), or when one
-    diagonalized solve fails its imaginary-leak or residual check
-    (decided per solve).  Each fallback is logged at debug level with its
-    reason.
+    ill-conditioned to trust (decided when the kernel is built), or when a
+    diagonalized solve fails its imaginary-leak or residual check: that
+    solve and every later one of the kernel are then dense.  Each fallback
+    is logged once, at debug level, with its reason.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ class _LyapunovKernel:
     and stores ``V``, ``V^{-1}``, their transposes, the negated
     ``lam_i + lam_j`` denominators and ``||A||_F``.  Under ``"auto"`` a
     missing or ill-conditioned basis selects the dense solve for every
-    solve of this kernel; under ``"diagonalized"`` it raises.
+    solve of this kernel, and so does the first diagonalized solve that
+    fails its checks for every solve after it; under ``"diagonalized"``
+    both raise.
 
     ``A`` and each ``W`` are taken as valid (finite, square, matching
     shapes): the public functions validate them, and a
@@ -229,7 +232,10 @@ class _LyapunovKernel:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.A, self.strategy = A, strategy
         self.A_norm = _fro(A)
-        self.V = None
+        # diagonal: solve in the eigenbasis V; cleared for good by the first
+        # diagonalized solve that fails its checks (V itself is kept, so a
+        # solve already under way in another thread can finish)
+        self.V, self.diagonal = None, False
         if strategy == "dense":
             return
         try:
@@ -254,6 +260,7 @@ class _LyapunovKernel:
         self.V, self.Vinv = d.right_vectors, d.inverse_vectors
         self.V_t, self.Vinv_t = self.V.T, self.Vinv.T
         self.neg_denom = -denom
+        self.diagonal = True
 
     def solve(self, W: np.ndarray, transposed: bool) -> np.ndarray:
         """Exactly symmetric ``X`` with ``A^T X + X A + W = 0``
@@ -261,39 +268,24 @@ class _LyapunovKernel:
 
         Every solution is checked: the diagonalized one for imaginary
         leakage and against the residual bound, the dense one against the
-        residual bound.  A diagonalized solution that fails falls back to
-        the dense solve under ``"auto"`` and raises
-        :class:`IllConditionedError` under ``"diagonalized"``; a dense one
-        that fails raises :class:`SingularOperatorError`.  A solution that
-        is not finite (the equation overflowed) is returned as is.
+        residual bound.  A diagonalized solution that fails raises
+        :class:`IllConditionedError` under ``"diagonalized"``; under
+        ``"auto"`` it is replaced by the dense solve, and the kernel uses
+        the dense solve for good from then on (logged once).  A dense
+        solution that fails raises :class:`SingularOperatorError`.  A
+        solution that is not finite (the equation overflowed) is returned
+        as is.
         """
         W = 0.5 * (W + W.T)
-        if self.V is not None:
-            if transposed:
-                X = self.Vinv_t @ ((self.V_t @ W @ self.V) / self.neg_denom) @ self.Vinv
-            else:
-                X = self.V @ ((self.Vinv @ W @ self.Vinv_t) / self.neg_denom) @ self.V_t
-            if X.dtype.kind == "c":
-                x = X.ravel().view(np.float64)  # real and imaginary parts interleaved
-                re, im = math.sqrt(x[0::2].dot(x[0::2])), math.sqrt(x[1::2].dot(x[1::2]))
-                X = X.real
-            else:  # real spectrum: numpy returns a real basis
-                re, im = _fro(X), 0.0
-            X = 0.5 * (X + X.T)
-            if not math.isfinite(re):
+        if self.diagonal:
+            X, reason = self._diagonal_solve(W, transposed)
+            if reason is None:
                 return X
-            if im > IMAG_LEAK_TOL * max(re, 1e-300):
-                reason = (
-                    f"diagonalized solve left imaginary residue {im:.2e} "
-                    f"vs real norm {re:.2e}"
-                )
-            else:
-                reason = self._residual_failure(X, W, transposed)
-                if reason is None:
-                    return X
             if self.strategy == "diagonalized":
                 raise IllConditionedError(reason)
-            _log.debug("auto Lyapunov solve falls back to the dense solve: %s", reason)
+            _log.debug("auto Lyapunov strategy switches to the dense solve "
+                       "for every later solve: %s", reason)
+            self.diagonal = False
         X = _dense_solve(self.A, W, transposed)
         X = 0.5 * (X + X.T)
         if math.isfinite(_fro(X)) and self._residual_failure(X, W, transposed) is not None:
@@ -302,6 +294,28 @@ class _LyapunovKernel:
                 "singular or nearly singular"
             )
         return X
+
+    def _diagonal_solve(self, W: np.ndarray, transposed: bool) -> tuple[np.ndarray, str | None]:
+        """The solution in eigenvector coordinates of symmetric ``W``, and
+        why it fails its checks (``None`` if it passes them, or if it is
+        not finite)."""
+        if transposed:
+            X = self.Vinv_t @ ((self.V_t @ W @ self.V) / self.neg_denom) @ self.Vinv
+        else:
+            X = self.V @ ((self.Vinv @ W @ self.Vinv_t) / self.neg_denom) @ self.V_t
+        if X.dtype.kind == "c":
+            x = X.ravel().view(np.float64)  # real and imaginary parts interleaved
+            re, im = math.sqrt(x[0::2].dot(x[0::2])), math.sqrt(x[1::2].dot(x[1::2]))
+            X = X.real
+        else:  # real spectrum: numpy returns a real basis
+            re, im = _fro(X), 0.0
+        X = 0.5 * (X + X.T)
+        if not math.isfinite(re):
+            return X, None
+        if im > IMAG_LEAK_TOL * max(re, 1e-300):
+            return X, (f"diagonalized solve left imaginary residue {im:.2e} "
+                       f"vs real norm {re:.2e}")
+        return X, self._residual_failure(X, W, transposed)
 
     def solve_finite(self, W: np.ndarray, transposed: bool) -> np.ndarray:
         """:meth:`solve` for callers that need a finite solution: raises

@@ -19,10 +19,10 @@ problem
 
 whose value is the squared H2 distance to the original system (``P`` is the
 controllability Gramian).  This module provides the parameterization, the
-objective/gradient pair (two Lyapunov solves per evaluation), a quasi-Newton
-minimizer, Riccati-based initialization, a spectral certificate of global
-optimality, and a restart strategy that escapes non-global stationary
-points, all orchestrated by :func:`klap`.
+objective and its gradient (one Lyapunov solve for the value, one more for
+the gradient), a quasi-Newton minimizer, Riccati-based initialization, a
+spectral certificate of global optimality, and a restart strategy that
+escapes non-global stationary points, all orchestrated by :func:`klap`.
 """
 
 from __future__ import annotations
@@ -168,7 +168,10 @@ class _Objective:
 
     Built once per run over a Lyapunov kernel of ``A`` and the fixed
     matrices, so an evaluation is the arithmetic of the two solves and the
-    products around them, without validation.
+    products around them, without validation.  The value and the gradient
+    are separate calls: :meth:`value` does the solve for ``X`` and returns
+    what :meth:`gradient` needs for the adjoint solve, so a caller that
+    rejects a point never pays for its adjoint.
     """
 
     def __init__(
@@ -181,27 +184,33 @@ class _Objective:
         self.lyap = lyap
         self.B, self.B_t, self.C, self.P, self.M = sys.B, sys.B.T, sys.C, P, M
 
-    def __call__(self, L: np.ndarray) -> tuple:
-        """``(J, grad, X, X_grad, C_hat)`` at ``L``.
+    def value(self, L: np.ndarray) -> tuple:
+        """``(J, state)`` at ``L``, with ``state = (L, X, C_hat, E)`` and
+        ``E = C - C_hat``.
 
         When ``L L^T`` or ``J`` is not finite (a trial step that
-        overflows), returns ``J = inf`` and ``None`` for the rest, so a line
-        search backs off instead of failing.
+        overflows), returns ``(inf, None)``, so a line search backs off
+        instead of failing.
         """
         W = L @ L.T
         if not np.isfinite(W).all():
-            return math.inf, None, None, None, None
+            return math.inf, None
         X = self.lyap.solve(W, True)
         C_hat = self.B_t @ X + self.M @ L.T
         E = self.C - C_hat
         J = float((E @ self.P @ E.T).trace())
         if not math.isfinite(J):
-            return math.inf, None, None, None, None
+            return math.inf, None
+        return J, (L, X, C_hat, E)
+
+    def gradient(self, state: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``(grad, X_grad)`` at the point :meth:`value` returned ``state`` for."""
+        L, _, _, E = state
         PEt = self.P @ E.T
         # adjoint equation A X_grad + X_grad A^T - P E^T B^T - B E P = 0
         X_grad = self.lyap.solve(-(PEt @ self.B_t + self.B @ PEt.T), False)
         grad = 2.0 * X_grad @ L - 2.0 * PEt @ self.M
-        return J, grad, X, X_grad, C_hat
+        return grad, X_grad
 
 
 def objective_and_gradient(
@@ -215,7 +224,8 @@ def objective_and_gradient(
 
     Exactly two Lyapunov solves: one for ``X`` (inside the output-map
     parameterization) and one for the adjoint variable ``X_grad``.  The
-    same evaluation :func:`lbfgs_minimize` runs per trial point.
+    same arithmetic :func:`lbfgs_minimize` runs at its start and at every
+    accepted step; its rejected trials stop after the first solve.
 
     Parameters
     ----------
@@ -240,10 +250,12 @@ def objective_and_gradient(
         lyap = sys._lyapunov()
     else:
         lyap = _LyapunovKernel(sys.A, decomp, strategy)
-    J, grad, X, X_grad, C_hat = _Objective(sys, P, point.M, lyap)(point.L)
-    if grad is None:
+    objective = _Objective(sys, P, point.M, lyap)
+    J, state = objective.value(point.L)
+    if state is None:
         raise ValueError("the objective is not finite at this L")
-    return ObjectiveEval(J, grad, X, X_grad, C_hat)
+    grad, X_grad = objective.gradient(state)
+    return ObjectiveEval(J, grad, state[1], X_grad, state[2])
 
 
 @dataclass(frozen=True)
@@ -371,7 +383,10 @@ def lbfgs_minimize(
     line search (sufficient decrease ``1e-4``, step halving), which makes
     the objective strictly decreasing across accepted steps.  The first
     trial step is ``1 / max(1, ||grad||)`` until curvature information
-    exists.
+    exists.  The line search needs only ``J`` at a trial point, so the
+    gradient (the adjoint Lyapunov solve) is evaluated only at the start
+    and at accepted steps: two solves per accepted step, one per rejected
+    trial.
 
     Stops when ``||grad|| <= grad_tol``, when the relative objective change
     drops below ``obj_rel_tol``, or at the iteration cap.  A failed line
@@ -382,19 +397,20 @@ def lbfgs_minimize(
     objective = _Objective(sys, P, np.asarray(M, dtype=float), sys._lyapunov())
     shape = (sys.n, sys.m)
 
-    def evaluate(flat: np.ndarray) -> tuple[float, np.ndarray | None]:
-        J, grad = objective(flat.reshape(shape))[:2]
-        return J, grad if grad is None else grad.ravel()
+    def gradient(state: tuple) -> np.ndarray:
+        return objective.gradient(state)[0].ravel()
 
     x = L0.ravel().copy()
-    f, g = evaluate(x)
-    if g is None:
+    f, state = objective.value(x.reshape(shape))
+    if state is None:
         raise ValueError("the objective is not finite at the starting factor")
+    g = gradient(state)
     g_norm = math.sqrt(g.dot(g))
     trace = [(f, g_norm)]
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
+    gamma = 1.0  # s.y / y.y of the newest pair
     iterations = 0
     status, converged = "max-iterations", False
 
@@ -405,42 +421,43 @@ def lbfgs_minimize(
 
         # two-loop recursion: d = -H g
         q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * float(s @ q)
-            q -= a * y
-            alphas.append(a)
-        if y_hist:
-            q *= float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-        for (s, y, rho), a in zip(
-            zip(s_hist, y_hist, rho_hist), reversed(alphas)
-        ):
-            b = rho * float(y @ q)
-            q += (a - b) * s
+        k = len(s_hist)
+        alphas = [0.0] * k
+        for i in range(k - 1, -1, -1):
+            a = rho_hist[i] * s_hist[i].dot(q)
+            q -= a * y_hist[i]
+            alphas[i] = a
+        if k:
+            q *= gamma
+        for i in range(k):
+            b = rho_hist[i] * y_hist[i].dot(q)
+            q += (alphas[i] - b) * s_hist[i]
         d = -q
-        gd = float(g @ d)
+        gd = g.dot(d)
         if not math.isfinite(gd) or gd >= 0.0:
             d, gd = -g, -g_norm**2  # non-descent direction: reset to steepest
 
+        # Armijo backtracking needs only J at a trial point; the gradient
+        # is evaluated once, at the accepted one
         t = 1.0 if s_hist else 1.0 / max(1.0, g_norm)
-        accepted = False
         for _ in range(45):
             x_new = x + t * d
-            f_new, g_new = evaluate(x_new)
+            f_new, state = objective.value(x_new.reshape(shape))
             if math.isfinite(f_new) and f_new <= f + 1e-4 * t * gd:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             status, converged = "line-search", False
             break
+        g_new = gradient(state)
 
         s_vec, y_vec = x_new - x, g_new - g
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-10 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
+        sy, yy = s_vec.dot(y_vec), y_vec.dot(y_vec)
+        if sy > 1e-10 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(yy):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
+            gamma = sy / yy
             if len(s_hist) > cfg.lbfgs_memory:
                 s_hist.pop(0)
                 y_hist.pop(0)
@@ -749,6 +766,7 @@ def klap(
     best_value = np.inf
     best_L = L_start
     best_converged = False
+    best_certificate = None
     initial_J = np.nan
     message = "restart budget exhausted without certificate"
 
@@ -789,6 +807,7 @@ def klap(
                     )
             if run.value < best_value:
                 best_value, best_L, best_converged = run.value, run.L, run.converged
+                best_certificate = certificate
             if certificate.is_global_candidate:
                 message = (
                     "every stationary point is a global optimum (M = 0)"
@@ -820,7 +839,10 @@ def klap(
     J_final = h2_error_sq(sys, C_hat, P=P)
     if np.isnan(initial_J):
         initial_J = J_final
-    certificate = global_min_certificate(sys, M, best_L, tol=cfg.restart_axis_tol)
+    if best_certificate is None:  # no inner run finished
+        best_certificate = global_min_certificate(
+            sys, M, best_L, tol=cfg.restart_axis_tol
+        )
     return KlapResult(
         C_hat=C_hat,
         L_final=best_L,
@@ -829,7 +851,7 @@ def klap(
         h2_error=math.sqrt(max(J_final, 0.0)),
         iterations=total_iterations,
         restarts=restarts_used,
-        certificate=certificate,
+        certificate=best_certificate,
         converged=best_converged,
         trace=tuple(trace),
         passive_input=False,

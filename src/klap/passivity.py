@@ -135,7 +135,7 @@ def _newton_minimal(
     tol: float,
     max_iterations: int,
     K0: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int, float, float]:
     """Damped Newton iteration for the minimal Riccati solution.
 
     Each accepted step solves one Lyapunov equation with the current
@@ -143,20 +143,26 @@ def _newton_minimal(
     Hurwitz and the residual non-increasing.  When the iteration stalls
     above tolerance (near-marginal problems), a Hamiltonian-Schur solve
     refines the iterate.  ``K0`` optionally supplies the stabilizing
-    initial gain (it must make ``A - B K0`` Hurwitz).  Raises
-    :class:`NoSolutionError` if no acceptable solution is found.
+    initial gain (it must make ``A - B K0`` Hurwitz).  Returns ``X``, the
+    accepted steps, the residual norm and the largest real part of the
+    closed-loop spectrum at ``X``.  Raises :class:`NoSolutionError` if no
+    acceptable solution is found.
+
+    Every closed loop is tested once: the gain construction (or the
+    caller, for ``K0``) tests the first, and after an accepted step
+    ``Y_{k+1} = A - B R^{-1} (C - B^T X)`` is the damped iterate's closed
+    loop, whose spectrum the damping has just computed.
     """
     n = A.shape[0]
     K = _shift_stabilizing_gain(A, B) if K0 is None else K0
     X = np.zeros((n, n))
     res_norm = np.linalg.norm(_are_residual(A, B, C, R, X), "fro")
-    best: tuple[np.ndarray, int, float] | None = None
+    # (X, accepted steps, residual, closed-loop max real part or None)
+    best: tuple[np.ndarray, int, float, float | None] | None = None
     iterations = 0
     stalls = 0
     for _ in range(max_iterations):
         Y = A - B @ K
-        if np.linalg.eigvals(Y).real.max() >= 0:
-            break
         Q = C.T @ K + K.T @ C - K.T @ R @ K
         try:
             X_full = scipy.linalg.solve_continuous_lyapunov(Y.T, -Q)
@@ -170,7 +176,8 @@ def _newton_minimal(
         for _ in range(25):
             X_t = X + t * (X_full - X)
             Y_t = _closed_loop(A, B, C, R, X_t)
-            if np.linalg.eigvals(Y_t).real.max() < 0:
+            abscissa = float(np.linalg.eigvals(Y_t).real.max())
+            if abscissa < 0:
                 r_t = np.linalg.norm(_are_residual(A, B, C, R, X_t), "fro")
                 if r_t <= res_norm or iterations == 0:
                     stalls = stalls + 1 if r_t > 0.5 * res_norm else 0
@@ -183,16 +190,16 @@ def _newton_minimal(
         K = np.linalg.solve(R, C - B.T @ X)
         scale = max(1.0, float(np.linalg.norm(X, "fro")))
         if res_norm <= tol * scale:
-            return X, iterations, res_norm
+            return X, iterations, res_norm, abscissa
         if best is None or res_norm < best[2]:
-            best = (X, iterations, res_norm)
+            best = (X, iterations, res_norm, abscissa)
         if stalls >= 5:
             break
 
     # Hamiltonian-Schur refinement for near-marginal problems where the
     # Newton basin collapses against the imaginary axis.
     if best is None:
-        best = (X, iterations, res_norm)
+        best = (X, iterations, res_norm, None)
     try:
         X_schur = scipy.linalg.solve_continuous_are(
             A, B, np.zeros_like(A), -R, s=-C.T
@@ -200,17 +207,17 @@ def _newton_minimal(
         X_schur = 0.5 * (X_schur + X_schur.T)
         r_schur = np.linalg.norm(_are_residual(A, B, C, R, X_schur), "fro")
         if r_schur < best[2]:
-            best = (X_schur, iterations, r_schur)
+            best = (X_schur, iterations, r_schur, None)
     except (np.linalg.LinAlgError, ValueError) as exc:
         _log.debug("Hamiltonian-Schur refinement unavailable: %s", exc)
 
-    X, iterations, res_norm = best
+    X, iterations, res_norm, abscissa = best
     scale = max(1.0, float(np.linalg.norm(X, "fro")))
-    axis_slack = 1e-8 * max(1.0, float(np.linalg.norm(A, "fro")))
-    if res_norm <= tol * scale and np.linalg.eigvals(
-        _closed_loop(A, B, C, R, X)
-    ).real.max() <= axis_slack:
-        return X, iterations, res_norm
+    if res_norm <= tol * scale:
+        if abscissa is None:
+            abscissa = float(np.linalg.eigvals(_closed_loop(A, B, C, R, X)).real.max())
+        if abscissa <= 1e-8 * max(1.0, float(np.linalg.norm(A, "fro"))):
+            return X, iterations, res_norm, abscissa
     raise NoSolutionError(
         f"Riccati iteration did not converge (residual {res_norm:.3e} vs "
         f"tolerance {tol * scale:.3e}); the system is likely not strictly passive"
@@ -241,7 +248,7 @@ def _newton_maximal(
     problems with a singular minimal solution (non-minimal realizations).
     """
     try:
-        Y, iters, _ = _newton_minimal(A.T, C.T, B.T, R, tol, max_iterations)
+        Y, iters, *_ = _newton_minimal(A.T, C.T, B.T, R, tol, max_iterations)
         lam = np.linalg.eigvalsh(Y)
         if lam.min() > 1e3 * np.finfo(float).eps * max(1.0, float(lam.max())):
             X = np.linalg.inv(Y)
@@ -252,7 +259,7 @@ def _newton_maximal(
                 return X, iters, res
             K_seed = np.linalg.solve(R, -C + B.T @ X)
             if np.linalg.eigvals(-A - B @ K_seed).real.max() < 0:
-                X_rev, polish, _ = _newton_minimal(
+                X_rev, polish, *_ = _newton_minimal(
                     -A, B, -C, R, tol, max_iterations, K0=K_seed
                 )
                 X = -0.5 * (X_rev + X_rev.T)
@@ -260,7 +267,7 @@ def _newton_maximal(
                 return X, iters + polish, res
     except NoSolutionError as exc:
         _log.debug("adjoint route for the maximal solution failed: %s", exc)
-    X_rev, iters, _ = _newton_minimal(-A, B, -C, R, tol, max_iterations)
+    X_rev, iters, *_ = _newton_minimal(-A, B, -C, R, tol, max_iterations)
     X = -0.5 * (X_rev + X_rev.T)
     res = float(np.linalg.norm(_are_residual(A, B, C, R, X), "fro"))
     return X, iters, res
@@ -310,11 +317,11 @@ def solve_are(
         )
     A, B, C = sys.A, sys.B, sys.C
     if kind == "minimal":
-        X, iters, res = _newton_minimal(A, B, C, R, tol, max_iterations)
+        X, iters, res, abscissa = _newton_minimal(A, B, C, R, tol, max_iterations)
     else:
         X, iters, res = _newton_maximal(A, B, C, R, tol, max_iterations)
-    closed_loop_max_real = float(np.linalg.eigvals(_closed_loop(A, B, C, R, X)).real.max())
-    return AreSolution(0.5 * (X + X.T), closed_loop_max_real, kind, iters, res)
+        abscissa = float(np.linalg.eigvals(_closed_loop(A, B, C, R, X)).real.max())
+    return AreSolution(0.5 * (X + X.T), abscissa, kind, iters, res)
 
 
 @dataclass(frozen=True)
@@ -391,7 +398,7 @@ def check_passive(
         axis_tol = 1e-9 * max(1.0, float(np.linalg.norm(H, "fro")))
         if axis_dist > axis_tol:
             # no definiteness crossings anywhere: one sample decides
-            rho = max(1.0, float(np.abs(np.linalg.eigvals(sys.A)).max()))
+            rho = max(1.0, sys._spectral_radius())
             sample = float(np.linalg.eigvalsh(popov_eval(sys, rho)).min())
             return PassivityVerdict(sample > 0.0, sample, "hamiltonian")
         # near-axis eigenvalues: definiteness crossings or a boundary-touching

@@ -12,10 +12,13 @@ Popov-function evaluation, frequency sweeps of the Popov function's
 smallest eigenvalue, controllability Gramians, and the squared H2 distance
 between two output maps sharing the same state dynamics.
 
-A system computes the eigenbasis of ``A`` (and ``V^{-1} B``) and the
-Lyapunov kernel of ``A`` once each, on first use, and shares them with
-every system derived from it by :meth:`StateSpaceSystem.with_output` or
-:meth:`StateSpaceSystem.with_feedthrough`.  The kernel is the one place
+A system checks that ``A`` is Hurwitz once, keeping the spectral radius
+from the same eigenvalues, computes the eigenbasis of ``A`` (and
+``V^{-1} B``) and the Lyapunov kernel of ``A`` once each, on first use,
+and shares all of them with every system derived from it by
+:meth:`StateSpaceSystem.with_output` or
+:meth:`StateSpaceSystem.with_feedthrough`, which check only the new
+``C`` or ``D``.  The kernel is the one place
 that decides how Lyapunov equations in ``A`` are solved: ``"auto"`` on the
 cached basis, the dense solve when ``A`` has none.  :func:`popov_scan`
 evaluates the whole frequency grid in that basis as one matrix product
@@ -35,7 +38,6 @@ from .exceptions import DefectiveMatrixError, DimensionMismatchError, NotHurwitz
 from .linalg import (
     DIAG_COND_LIMIT,
     SpectralDecomposition,
-    max_real_part,
     solve_lyapunov,
 )
 
@@ -99,21 +101,22 @@ class StateSpaceSystem:
         if m > n:
             raise DimensionMismatchError(f"need m <= n, got m = {m}, n = {n}")
         tol_stab = 1e-12 * np.linalg.norm(A, "fro")
-        abscissa = max_real_part(A)
+        eigenvalues = np.linalg.eigvals(A)
+        abscissa = float(eigenvalues.real.max())
         if abscissa >= -tol_stab:
             raise NotHurwitzError(
                 f"A must be Hurwitz: largest eigenvalue real part {abscissa:.3e} "
                 f">= -{tol_stab:.3e}"
             )
+        # spectral radius, eigenbasis and Lyapunov kernel of A, shared by
+        # reference with derived systems
+        self._set(A, B, C, D, {"radius": float(np.abs(eigenvalues).max())})
+
+    def _set(self, A, B, C, D, eigen: dict) -> None:
         for M in (A, B, C, D):
             M.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        # eigenbasis and Lyapunov kernel cache, shared by reference with
-        # derived systems
-        object.__setattr__(self, "_eigen", {})
+        for name, value in (("A", A), ("B", B), ("C", C), ("D", D), ("_eigen", eigen)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -127,17 +130,27 @@ class StateSpaceSystem:
 
     def with_output(self, C: np.ndarray) -> "StateSpaceSystem":
         """Same dynamics and feedthrough, different output matrix; shares
-        the eigenbasis and the Lyapunov kernel of ``A``."""
-        return self._sharing_eigenbasis(StateSpaceSystem(self.A, self.B, C, self.D))
+        ``A``, its checked stability, its eigenbasis and its Lyapunov
+        kernel."""
+        return self._sharing_dynamics(C, self.D)
 
     def with_feedthrough(self, D: np.ndarray) -> "StateSpaceSystem":
-        """Same dynamics and output map, different feedthrough; shares the
-        eigenbasis and the Lyapunov kernel of ``A``."""
-        return self._sharing_eigenbasis(StateSpaceSystem(self.A, self.B, self.C, D))
+        """Same dynamics and output map, different feedthrough; shares
+        ``A``, its checked stability, its eigenbasis and its Lyapunov
+        kernel."""
+        return self._sharing_dynamics(self.C, D)
 
-    def _sharing_eigenbasis(self, other: "StateSpaceSystem") -> "StateSpaceSystem":
-        object.__setattr__(other, "_eigen", self._eigen)
+    def _sharing_dynamics(self, C: np.ndarray, D: np.ndarray) -> "StateSpaceSystem":
+        """A system on the validated ``(A, B)`` of this one: only ``C`` and
+        ``D`` are checked."""
+        m, n = self.m, self.n
+        other = object.__new__(StateSpaceSystem)
+        other._set(self.A, self.B, _matrix(C, m, n, "C"), _matrix(D, m, m, "D"), self._eigen)
         return other
+
+    def _spectral_radius(self) -> float:
+        """Spectral radius of ``A``, kept from the stability check."""
+        return self._eigen["radius"]
 
     def _modes(self) -> tuple[SpectralDecomposition | None, np.ndarray | None]:
         """The eigenbasis of ``A`` and ``V^{-1} B``, computed on first use
@@ -208,7 +221,7 @@ def default_popov_grid(
     """
     if points < 2:
         raise ValueError("need at least 2 grid points")
-    rho = max(1.0, float(np.abs(np.linalg.eigvals(sys.A)).max()))
+    rho = max(1.0, sys._spectral_radius())
     lo = 1e-4 * rho if wmin is None else float(wmin)
     hi = 1e4 * rho if wmax is None else float(wmax)
     if not (0.0 < lo < hi):

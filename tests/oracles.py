@@ -1,6 +1,10 @@
 """Independent reference solvers shared by the tests."""
 
+import math
+
 import numpy as np
+
+from klap.optimizer import KlapConfig, LbfgsResult, _Objective
 
 
 def kron_lyapunov_oracle(A: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -54,3 +58,84 @@ def lure_residuals(sys, X: np.ndarray, L: np.ndarray, M: np.ndarray) -> tuple[fl
     r_output = np.linalg.norm(X @ sys.B - sys.C.T + L @ M.T, "fro")
     r_feed = np.linalg.norm(sys.D + sys.D.T - M @ M.T, "fro")
     return float(r_state), float(r_output), float(r_feed)
+
+
+def eager_lbfgs(sys, P, L0, M, config=None) -> LbfgsResult:
+    """Reference L-BFGS that evaluates ``J`` and the gradient at every
+    line-search trial, accepted or not.
+
+    The iteration of :func:`klap.optimizer.lbfgs_minimize`, written
+    independently (``@`` and ``zip`` in the two-loop recursion, the metric
+    scaling recomputed every step).  A rejected trial's gradient is never
+    used, so the two must agree bit for bit.
+    """
+    cfg = config or KlapConfig()
+    objective = _Objective(sys, P, np.asarray(M, dtype=float), sys._lyapunov())
+    shape = (sys.n, sys.m)
+
+    def evaluate(flat):
+        J, state = objective.value(flat.reshape(shape))
+        return J, None if state is None else objective.gradient(state)[0].ravel()
+
+    x = np.asarray(L0, dtype=float).reshape(shape).ravel().copy()
+    f, g = evaluate(x)
+    g_norm = math.sqrt(g.dot(g))
+    trace = [(f, g_norm)]
+    s_hist, y_hist, rho_hist = [], [], []
+    iterations = 0
+    status, converged = "max-iterations", False
+
+    for _ in range(cfg.max_iterations):
+        if g_norm <= cfg.grad_tol:
+            status, converged = "gradient", True
+            break
+
+        q = g.copy()
+        alphas = []
+        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+            a = rho * float(s @ q)
+            q -= a * y
+            alphas.append(a)
+        if y_hist:
+            q *= float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
+        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+            b = rho * float(y @ q)
+            q += (a - b) * s
+        d = -q
+        gd = float(g @ d)
+        if not math.isfinite(gd) or gd >= 0.0:
+            d, gd = -g, -g_norm**2
+
+        t = 1.0 if s_hist else 1.0 / max(1.0, g_norm)
+        accepted = False
+        for _ in range(45):
+            x_new = x + t * d
+            f_new, g_new = evaluate(x_new)
+            if math.isfinite(f_new) and f_new <= f + 1e-4 * t * gd:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            status, converged = "line-search", False
+            break
+
+        s_vec, y_vec = x_new - x, g_new - g
+        sy = float(s_vec @ y_vec)
+        if sy > 1e-10 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
+            s_hist.append(s_vec)
+            y_hist.append(y_vec)
+            rho_hist.append(1.0 / sy)
+            if len(s_hist) > cfg.lbfgs_memory:
+                s_hist.pop(0)
+                y_hist.pop(0)
+                rho_hist.pop(0)
+
+        f_prev, x, f, g = f, x_new, f_new, g_new
+        g_norm = math.sqrt(g.dot(g))
+        iterations += 1
+        trace.append((f, g_norm))
+        if abs(f_prev - f) <= cfg.obj_rel_tol * (abs(f) + cfg.obj_rel_tol):
+            status, converged = "objective-change", True
+            break
+
+    return LbfgsResult(x.reshape(shape), f, g_norm, iterations, converged, status, tuple(trace))

@@ -243,39 +243,50 @@ def test_gradient_matches_finite_differences():
 
 def test_exactly_two_lyapunov_solves_per_evaluation(monkeypatch):
     # every solve of an evaluation goes through the per-basis kernel:
-    # exactly one standard and one transposed solve per evaluation, both
-    # for a single objective_and_gradient call and for every evaluation of
-    # an L-BFGS run
+    # exactly one standard and one transposed solve for a single
+    # objective_and_gradient call; in an L-BFGS run one transposed solve
+    # per value (the start and every line-search trial) and one standard
+    # solve per gradient (the start and every accepted step)
     import klap.linalg as linalg_mod
     import klap.optimizer as mod
 
     calls = {"standard": 0, "transposed": 0}
-    evaluations = 0
-    orig_solve, orig_eval = linalg_mod._LyapunovKernel.solve, mod._Objective.__call__
+    values = gradients = 0
+    orig_solve = linalg_mod._LyapunovKernel.solve
+    orig_value, orig_gradient = mod._Objective.value, mod._Objective.gradient
 
     def count_solve(self, W, transposed):
         calls["transposed" if transposed else "standard"] += 1
         return orig_solve(self, W, transposed)
 
-    def count_eval(self, L):
-        nonlocal evaluations
-        evaluations += 1
-        return orig_eval(self, L)
+    def count_value(self, L):
+        nonlocal values
+        values += 1
+        return orig_value(self, L)
+
+    def count_gradient(self, state):
+        nonlocal gradients
+        gradients += 1
+        return orig_gradient(self, state)
 
     monkeypatch.setattr(linalg_mod._LyapunovKernel, "solve", count_solve)
-    monkeypatch.setattr(mod._Objective, "__call__", count_eval)
+    monkeypatch.setattr(mod._Objective, "value", count_value)
+    monkeypatch.setattr(mod._Objective, "gradient", count_gradient)
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
     calls.update(standard=0, transposed=0)
     objective_and_gradient(sys, P, LurePoint.for_system(sys, np.ones((2, 1))))
     assert calls == {"standard": 1, "transposed": 1}
-    assert evaluations == 1
+    assert values == gradients == 1
 
+    sys = acc_system(0.125)  # its line search rejects trials from this start
+    P = controllability_gramian(sys)
     calls.update(standard=0, transposed=0)
-    evaluations = 0
-    lbfgs_minimize(sys, P, np.array([[-2.0], [0.0]]), [[0.5]])
-    assert evaluations > 1
-    assert calls == {"standard": evaluations, "transposed": evaluations}
+    values = gradients = 0
+    run = lbfgs_minimize(sys, P, np.random.default_rng(1).standard_normal((4, 1)), [[0.5]])
+    assert gradients == run.iterations + 1
+    assert values > gradients
+    assert calls == {"standard": gradients, "transposed": values}
 
 
 def rand_family_system(n, m, seed):
@@ -307,6 +318,35 @@ def test_lbfgs_first_trace_entry_equals_objective_and_gradient(sys, diagonal):
     assert g0 == float(np.linalg.norm(ev.grad))
 
 
+@pytest.mark.parametrize(
+    "sys, L0",
+    [
+        (rand_family_system(8, 2, 4), None),
+        (acc_system(0.125), None),
+        (toy_system(0.125), np.array([[-2.0], [0.0]])),
+    ],
+    ids=["rand-8x2/4-diagonal", "acc/d=0.125-dense", "toy-m1/l0=-2,0"],
+)
+def test_lbfgs_matches_the_eager_oracle_bit_for_bit(sys, L0):
+    # the gradient is evaluated only at accepted steps; a rejected trial's
+    # gradient was never used, so the run is the eager loop's, bit for bit.
+    # The polish pass's objective tolerance makes the runs long (3,289
+    # iterations on rand 8x2/4 from the Riccati start).
+    from oracles import eager_lbfgs
+
+    P = controllability_gramian(sys)
+    M = sqrtm_psd(sys.D + sys.D.T)
+    if L0 is None:
+        L0 = initialize(sys).L0
+    cfg = KlapConfig(obj_rel_tol=1e-14)
+    run = lbfgs_minimize(sys, P, L0, M, cfg)
+    ref = eager_lbfgs(sys, P, L0, M, cfg)
+    assert run.iterations >= 10
+    assert run.trace == ref.trace
+    assert_array_equal(run.L, ref.L)
+    assert (run.iterations, run.status) == (ref.iterations, ref.status)
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e200])
 def test_objective_is_infinite_where_it_overflows(scale):
     # 1e100: L L^T is finite but J overflows; 1e200: L L^T itself overflows
@@ -317,8 +357,8 @@ def test_objective_is_infinite_where_it_overflows(scale):
     M = sqrtm_psd(sys.D + sys.D.T)
     L = np.full((2, 1), scale)
     with np.errstate(over="ignore", invalid="ignore"):
-        J, grad, *_ = mod._Objective(sys, P, M, sys._lyapunov())(L)
-        assert J == math.inf and grad is None
+        J, state = mod._Objective(sys, P, M, sys._lyapunov()).value(L)
+        assert J == math.inf and state is None
         with pytest.raises(ValueError, match="not finite"):
             objective_and_gradient(sys, P, LurePoint(L, M))
 
@@ -329,17 +369,17 @@ def test_lbfgs_backs_off_from_a_non_finite_trial(monkeypatch):
     # the step, and the run goes on: no exception, a finite best iterate.
     import klap.optimizer as mod
 
-    orig_eval = mod._Objective.__call__
+    orig_value = mod._Objective.value
     values = []
 
     def first_trial_overflows(self, L):
         if len(values) == 1:
             L = 1e200 * L
-        out = orig_eval(self, L)
+        out = orig_value(self, L)
         values.append(out[0])
         return out
 
-    monkeypatch.setattr(mod._Objective, "__call__", first_trial_overflows)
+    monkeypatch.setattr(mod._Objective, "value", first_trial_overflows)
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
     with np.errstate(over="ignore", invalid="ignore"):

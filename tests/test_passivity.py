@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from klap.exceptions import NoSolutionError, SingularFeedthroughError
 from klap.linalg import solve_lyapunov_transposed
 from klap.passivity import (
+    _closed_loop,
     check_passive,
     global_min_certificate,
     l_from_are,
@@ -144,6 +145,28 @@ def test_are_minimal_random_passive_systems():
         # minimal solution of a passive system is PSD with stable closed loop
         assert np.linalg.eigvalsh(sol.X).min() >= -1e-9 * scale
         assert sol.closed_loop_max_real <= 1e-8 * (1 + np.linalg.norm(sys.A))
+
+
+@pytest.mark.parametrize("n, m, seed", [(8, 2, 3), (16, 3, 4)])
+def test_solve_are_computes_each_closed_loop_spectrum_once(monkeypatch, n, m, seed):
+    # the gain construction tests the first closed loop and the damping of
+    # each step the next; the stability test at the top of a Newton step
+    # and the returned closed_loop_max_real reuse those spectra
+    sys = random_passive_system(np.random.default_rng(seed), n, m)
+    calls = 0
+    orig = np.linalg.eigvals
+
+    def counting(a):
+        nonlocal calls
+        calls += 1
+        return orig(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    sol = solve_are(sys, "minimal")
+    assert sol.newton_iterations >= 5
+    assert calls == sol.newton_iterations + 1
+    Y = _closed_loop(sys.A, sys.B, sys.C, sys.D + sys.D.T, sol.X)
+    assert sol.closed_loop_max_real == float(orig(Y).real.max())
 
 
 def test_are_extremal_ordering():

@@ -319,6 +319,63 @@ def test_system_kernel_logs_its_dense_route_once(make, reason, caplog):
     assert sum(reason in r.getMessage() for r in caplog.records) == 1
 
 
+def test_a_failed_diagonalized_solve_makes_the_kernel_dense_for_good(monkeypatch, caplog):
+    # basis condition 8.6e7, under DIAG_COND_LIMIT: the kernel is built on
+    # the basis, but the Gramian's diagonalized solve fails its imaginary-
+    # leak check; from then on every solve of the kernel is dense
+    import klap.linalg as mod
+    from klap.linalg import sqrtm_psd
+    from klap.optimizer import KlapConfig, lbfgs_minimize
+
+    caplog.set_level(logging.DEBUG, logger="klap.linalg")
+    sys = nearly_defective_system(1e-9, seed=3)
+    attempts = 0
+    orig = mod._LyapunovKernel._diagonal_solve
+
+    def counting(self, W, transposed):
+        nonlocal attempts
+        attempts += 1
+        return orig(self, W, transposed)
+
+    monkeypatch.setattr(mod._LyapunovKernel, "_diagonal_solve", counting)
+    P = controllability_gramian(sys)
+    assert attempts == 1 and not sys._lyapunov().diagonal
+    assert np.array_equal(P, controllability_gramian(sys, strategy="dense"))
+    M = sqrtm_psd(sys.D + sys.D.T)
+    L0 = np.random.default_rng(0).standard_normal((sys.n, sys.m))
+    run = lbfgs_minimize(sys, P, L0, M, KlapConfig(max_iterations=20))
+    assert run.iterations == 20
+    assert attempts == 1
+    assert sum("dense solve for every later" in r.getMessage() for r in caplog.records) == 1
+
+
+def test_derived_systems_reuse_the_stability_check(monkeypatch):
+    # with_output / with_feedthrough validate only the new C / D; the
+    # Hurwitz test and the spectral radius of the shared A are not redone
+    sys = rand_family_system(6, 1, 2)
+    calls = 0
+    orig = np.linalg.eigvals
+
+    def counting(a):
+        nonlocal calls
+        calls += 1
+        return orig(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    derived = [sys.with_output(np.ones((1, 6))), sys.with_feedthrough([[1.0]])]
+    grids = [default_popov_grid(s) for s in derived]
+    assert calls == 0
+    fresh = StateSpaceSystem(sys.A, sys.B, np.ones((1, 6)), sys.D)
+    assert calls == 1
+    for grid in grids:
+        assert np.array_equal(grid, default_popov_grid(fresh))
+    with pytest.raises(DimensionMismatchError):
+        sys.with_output(np.ones((2, 6)))
+    with pytest.raises(DimensionMismatchError):
+        sys.with_feedthrough([[np.nan]])
+    assert derived[0].C.flags.writeable is False
+
+
 def test_gramian_scalar_closed_form():
     # a = -3, b = 2: P = b^2 / (2|a|) = 2/3
     sys = StateSpaceSystem([[-3.0]], [[2.0]], [[1.0]], [[0.0]])
