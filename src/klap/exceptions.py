@@ -31,7 +31,12 @@ class DimensionMismatchError(KlapError, ValueError):
 
 class NotHurwitzError(KlapError, ValueError):
     """A matrix required to be Hurwitz has an eigenvalue with
-    non-negative real part (within tolerance)."""
+    non-negative real part (within tolerance).  ``abscissa`` is its largest
+    eigenvalue real part, when the raiser computed it."""
+
+    def __init__(self, message: str, abscissa: float | None = None):
+        super().__init__(message)
+        self.abscissa = abscissa
 
 
 class IllConditionedError(KlapError, ArithmeticError):

@@ -31,22 +31,32 @@ output map all solve through it.  Two strategies are provided:
     :data:`RESIDUAL_RTOL`.
 
 ``"dense"``
-    Schur-based Bartels--Stewart solve (SciPy).  Used directly, or as the
-    fallback of ``"auto"`` when the eigenvector basis is missing or too
-    ill-conditioned to trust (decided when the kernel is built), or when a
-    diagonalized solve fails its imaginary-leak or residual check: that
-    solve and every later one of the kernel are then dense.  Each fallback
-    is logged once, at debug level, with its reason.
+    Bartels--Stewart solve on the real Schur form ``A = Z T Z^T``
+    (:func:`_real_schur`, :func:`_bartels_stewart`: SciPy's
+    ``solve_continuous_lyapunov`` arithmetic, bit for bit).  The kernel
+    factors ``A`` (or ``A^T``) once per equation orientation, on its first
+    dense solve of that orientation, and keeps the Schur form; every later
+    solve is two products, one ``trsyl`` and two more products.  Used
+    directly, or as the fallback of ``"auto"`` when the eigenvector basis
+    is missing or too ill-conditioned to trust (decided when the kernel is
+    built), or when a diagonalized solve fails its imaginary-leak or
+    residual check: that solve and every later one of the kernel are then
+    dense.  Each fallback is logged once, at debug level, with its reason.
+
+The Newton--Riccati iteration of :mod:`klap.passivity` solves its
+Lyapunov equations through the same pair, on the Schur form of each
+closed loop, which also gives that closed loop's stability test.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .exceptions import (
     DefectiveMatrixError,
@@ -185,14 +195,66 @@ def spectral_decompose(A: np.ndarray) -> SpectralDecomposition:
     return decomp
 
 
-def _dense_solve(A: np.ndarray, W: np.ndarray, transposed: bool) -> np.ndarray:
-    # scipy solves  a x + x a^T = q;  our equations carry +W on the left.
-    a = A.T if transposed else A
-    try:
-        X = scipy.linalg.solve_continuous_lyapunov(a, -W)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy detail
-        raise SingularOperatorError(f"dense Lyapunov solve failed: {exc}") from exc
-    return X
+_GEES, _TRSYL = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+
+
+def _no_sort(re, im):  # pragma: no cover - gees calls it only when sorting
+    return None
+
+
+def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real Schur form ``a = Z T Z^T`` of a real square matrix, as
+    ``(T, Z, re)`` with ``re`` the real parts of the eigenvalues.
+
+    SciPy's ``schur(a, output="real")`` call of LAPACK ``gees``, with the
+    same queried workspace and no sorting, so ``T`` and ``Z`` are SciPy's
+    bit for bit; the eigenvalues come from the same factorization.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If ``a`` is not finite (as :func:`numpy.linalg.eigvals`) or the QR
+        algorithm fails.
+    """
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    lwork = int(_GEES(_no_sort, a, lwork=-1)[-2][0])
+    T, _, re, _, Z, _, info = _GEES(_no_sort, a, lwork=lwork)
+    if info < 0:  # pragma: no cover - argument error
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Z, re
+
+
+def _bartels_stewart(schur: tuple, q: np.ndarray) -> np.ndarray:
+    """``x`` with ``a x + x a^T = q``, given ``schur = _real_schur(a)``.
+
+    SciPy's ``solve_continuous_lyapunov(a, q)`` after its Schur step, bit
+    for bit: ``f = Z^T q Z``, ``trsyl(T, T, f, tranb="T")``, ``y *= scale``
+    and ``x = Z y Z^T``, with SciPy's checks: a non-finite ``q`` raises
+    :class:`ValueError`, and so does an argument error of ``trsyl``; an
+    eigenvalue pair summing to (nearly) zero warns.  Like SciPy, the
+    result is multiplied by ``trsyl``'s ``scale``, so an equation that
+    ``trsyl`` rescales to avoid overflow comes back wrongly scaled; the
+    kernel's residual check rejects it.
+    """
+    if not np.isfinite(q).all():
+        raise ValueError("array must not contain infs or NaNs")
+    T, Z, _ = schur
+    f = Z.T.dot(q.dot(Z))
+    y, scale, info = _TRSYL(T, T, f, tranb="T")
+    if info < 0:
+        raise ValueError("?TRSYL exited with the internal error "
+                         f'"illegal value in argument number {-info}.". See '
+                         "LAPACK documentation for the ?TRSYL error codes.")
+    if info == 1:
+        warnings.warn('Input "a" has an eigenvalue pair whose sum is '
+                      "very close to or exactly zero. The solution is "
+                      "obtained via perturbing the coefficients.",
+                      RuntimeWarning, stacklevel=2)
+    y *= scale
+    return Z.dot(y).dot(Z.T)
 
 
 class _LyapunovKernel:
@@ -206,7 +268,10 @@ class _LyapunovKernel:
     missing or ill-conditioned basis selects the dense solve for every
     solve of this kernel, and so does the first diagonalized solve that
     fails its checks for every solve after it; under ``"diagonalized"``
-    both raise.
+    both raise.  The dense solve factors ``A`` (standard equation) or
+    ``A^T`` (transposed equation) into real Schur form on its first solve
+    of that orientation and keeps the form, so a kernel makes at most two
+    Schur factorizations however many dense solves it runs.
 
     ``A`` and each ``W`` are taken as valid (finite, square, matching
     shapes): the public functions validate them, and a
@@ -232,6 +297,8 @@ class _LyapunovKernel:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.A, self.strategy = A, strategy
         self.A_norm = _fro(A)
+        # real Schur forms of A (False) and A^T (True), made on first use
+        self._schur: dict[bool, tuple] = {}
         # diagonal: solve in the eigenbasis V; cleared for good by the first
         # diagonalized solve that fails its checks (V itself is kept, so a
         # solve already under way in another thread can finish)
@@ -286,7 +353,7 @@ class _LyapunovKernel:
             _log.debug("auto Lyapunov strategy switches to the dense solve "
                        "for every later solve: %s", reason)
             self.diagonal = False
-        X = _dense_solve(self.A, W, transposed)
+        X = self._dense_solve(W, transposed)
         X = 0.5 * (X + X.T)
         if math.isfinite(_fro(X)) and self._residual_failure(X, W, transposed) is not None:
             raise SingularOperatorError(
@@ -294,6 +361,19 @@ class _LyapunovKernel:
                 "singular or nearly singular"
             )
         return X
+
+    def _dense_solve(self, W: np.ndarray, transposed: bool) -> np.ndarray:
+        """Bartels--Stewart solve on the kept Schur form of ``A^T``
+        (``transposed``) or ``A``, factored on the first call."""
+        schur = self._schur.get(transposed)
+        if schur is None:
+            try:
+                schur = _real_schur(self.A.T if transposed else self.A)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK detail
+                raise SingularOperatorError(f"dense Lyapunov solve failed: {exc}") from exc
+            self._schur[transposed] = schur
+        # the pair solves  a x + x a^T = q;  our equations carry +W on the left
+        return _bartels_stewart(schur, -W)
 
     def _diagonal_solve(self, W: np.ndarray, transposed: bool) -> tuple[np.ndarray, str | None]:
         """The solution in eigenvector coordinates of symmetric ``W``, and

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NotHurwitzError, ParseError
-from .linalg import max_real_part
 from .system import StateSpaceSystem
 
 __all__ = ["ModelFile", "load_model", "load_model_file", "write_model", "dumps_model"]
@@ -51,21 +50,27 @@ class ModelFile:
     metadata: dict = field(default_factory=dict)
 
 
-def _check_stability(A: np.ndarray, source: str) -> None:
-    scale = max(1.0, float(np.linalg.norm(A, "fro")))
-    abscissa = max_real_part(A)
-    if abscissa >= -1e-12 * np.linalg.norm(A, "fro"):
+def _stable_system(A, B, C, D, source: str) -> StateSpaceSystem:
+    """The model's system.  Its constructor's Hurwitz check decides
+    stability, and the spectral abscissa it keeps words the ``source``
+    messages, so the eigenvalues of ``A`` are computed once per file."""
+    try:
+        sys = StateSpaceSystem(A, B, C, D)
+    except NotHurwitzError as exc:
         raise NotHurwitzError(
             f"{source}: A is not Hurwitz (largest eigenvalue real part "
-            f"{abscissa:.3e}); every algorithm here assumes asymptotic stability"
-        )
-    if abscissa > -_BORDERLINE_RTOL * scale:
+            f"{exc.abscissa:.3e}); every algorithm here assumes asymptotic stability",
+            exc.abscissa,
+        ) from None
+    abscissa = sys._spectral_abscissa()
+    if abscissa > -_BORDERLINE_RTOL * max(1.0, float(np.linalg.norm(A, "fro"))):
         warnings.warn(
             f"{source}: A is barely Hurwitz (largest eigenvalue real part "
             f"{abscissa:.3e}); Gramian computations may be inaccurate",
             RuntimeWarning,
             stacklevel=3,
         )
+    return sys
 
 
 def _as_number(value, where: str) -> float:
@@ -136,8 +141,7 @@ def _parse_json(text: str, source: str) -> ModelFile:
     if not isinstance(metadata, dict):
         raise ParseError(f"{source}: field 'metadata' must be an object")
 
-    _check_stability(A, source)
-    return ModelFile(StateSpaceSystem(A, B, C, D), name, dict(metadata))
+    return ModelFile(_stable_system(A, B, C, D, source), name, dict(metadata))
 
 
 def _parse_text(text: str, source: str) -> ModelFile:
@@ -206,8 +210,7 @@ def _parse_text(text: str, source: str) -> ModelFile:
     C = matrix("C", m, n)
     D = matrix("D", m, m)
 
-    _check_stability(A, source)
-    return ModelFile(StateSpaceSystem(A, B, C, D), None, {})
+    return ModelFile(_stable_system(A, B, C, D, source), None, {})
 
 
 def load_model_file(path: str | os.PathLike) -> ModelFile:

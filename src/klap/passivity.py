@@ -38,7 +38,7 @@ from .exceptions import (
     NoSolutionError,
     SingularFeedthroughError,
 )
-from .linalg import sqrtm_psd
+from .linalg import _bartels_stewart, _real_schur, sqrtm_psd
 from .system import PopovScan, StateSpaceSystem, popov_eval, popov_scan
 
 __all__ = [
@@ -74,9 +74,11 @@ class AreSolution:
     X : (n, n) ndarray
         Symmetric solution.
     closed_loop_max_real : float
-        Largest eigenvalue real part of ``Y(X) = A - B R^{-1} (C - B^T X)``;
-        approximately ``<= 0`` for the minimal solution and ``>= 0`` for the
-        maximal one.
+        Largest eigenvalue real part of ``Y(X) = A - B R^{-1} (C - B^T X)``,
+        read off the real Schur form of ``Y(X)^T`` (for the minimal
+        solution, the one the Newton iteration's last stability test
+        computed); approximately ``<= 0`` for the minimal solution and
+        ``>= 0`` for the maximal one.
     kind : str
         ``"minimal"`` or ``"maximal"``.
     newton_iterations : int
@@ -92,29 +94,43 @@ class AreSolution:
     residual: float
 
 
-def _are_residual(A, B, C, R, X) -> np.ndarray:
-    F = np.linalg.solve(R, C - B.T @ X)
+def _gain(B, C, R, X) -> np.ndarray:
+    """``F = R^{-1} (C - B^T X)``, the gain of the closed loop ``A - B F``."""
+    return np.linalg.solve(R, C - B.T @ X)
+
+
+def _are_residual(A, B, C, X, F) -> np.ndarray:
+    """Riccati residual at ``X``, given its gain ``F = _gain(B, C, R, X)``."""
     return A.T @ X + X @ A + (C.T - X @ B) @ F
 
 
+def _residual_norm(A, B, C, R, X) -> np.floating:
+    """Frobenius norm of the Riccati residual at ``X``."""
+    return np.linalg.norm(_are_residual(A, B, C, X, _gain(B, C, R, X)), "fro")
+
+
 def _closed_loop(A, B, C, R, X) -> np.ndarray:
-    return A - B @ np.linalg.solve(R, C - B.T @ X)
+    return A - B @ _gain(B, C, R, X)
 
 
-def _shift_stabilizing_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Gain ``K`` with ``A - B K`` Hurwitz, via an eigenvalue shift.
+def _max_real(schur: tuple) -> float:
+    """Largest eigenvalue real part, read off a :func:`_real_schur` form."""
+    return float(schur[2].max())
 
-    If ``A`` is already Hurwitz the zero gain works.  Otherwise shift by
-    ``beta > spectral abscissa`` so that ``A + beta I`` is anti-stable,
-    solve ``(A + beta I) P + P (A + beta I)^T = 2 B B^T`` and take
-    ``K = B^T P^{-1}``; then ``(A - BK) P + P (A - BK)^T = -2 beta P`` is a
-    Lyapunov stability certificate.
+
+def _shift_stabilizing_gain(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Gain ``K`` with ``A - B K`` Hurwitz for an anti-stable ``A``, via an
+    eigenvalue shift, and the real Schur form of ``(A - B K)^T``.
+
+    Shift by ``beta > spectral abscissa`` so that ``A + beta I`` is
+    anti-stable, solve ``(A + beta I) P + P (A + beta I)^T = 2 B B^T`` and
+    take ``K = B^T P^{-1}``; then ``(A - BK) P + P (A - BK)^T = -2 beta P``
+    is a Lyapunov stability certificate.  The Schur form that tests the
+    closed loop is the one the first Newton step solves with.
     """
     n = A.shape[0]
-    if np.linalg.eigvals(A).real.max() < 0:
-        return np.zeros((B.shape[1], n))
     beta = 1.0 + np.linalg.norm(A, "fro")
-    P = scipy.linalg.solve_continuous_lyapunov(A + beta * np.eye(n), 2.0 * B @ B.T)
+    P = _bartels_stewart(_real_schur(A + beta * np.eye(n)), 2.0 * B @ B.T)
     P = 0.5 * (P + P.T)
     lam = np.linalg.eigvalsh(P)
     if lam.min() <= 1e-12 * max(1.0, lam.max()):
@@ -122,9 +138,10 @@ def _shift_stabilizing_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             "cannot construct a stabilizing initial gain: shifted Gramian is singular"
         )
     K = np.linalg.solve(P, B).T
-    if np.linalg.eigvals(A - B @ K).real.max() >= 0:
+    schur = _real_schur((A - B @ K).T)
+    if _max_real(schur) >= 0:
         raise NoSolutionError("eigenvalue-shift stabilization failed")
-    return K
+    return K, schur
 
 
 def _newton_minimal(
@@ -134,7 +151,7 @@ def _newton_minimal(
     R: np.ndarray,
     tol: float,
     max_iterations: int,
-    K0: np.ndarray | None = None,
+    start: tuple[np.ndarray, tuple] | None = None,
 ) -> tuple[np.ndarray, int, float, float]:
     """Damped Newton iteration for the minimal Riccati solution.
 
@@ -142,30 +159,39 @@ def _newton_minimal(
     closed loop ``Y_k = A - B K_k``; step damping keeps the closed loop
     Hurwitz and the residual non-increasing.  When the iteration stalls
     above tolerance (near-marginal problems), a Hamiltonian-Schur solve
-    refines the iterate.  ``K0`` optionally supplies the stabilizing
-    initial gain (it must make ``A - B K0`` Hurwitz).  Returns ``X``, the
-    accepted steps, the residual norm and the largest real part of the
+    refines the iterate.  By default the iteration starts from the zero
+    gain, which needs ``A`` Hurwitz; ``start = (K0, schur)`` supplies
+    another stabilizing initial gain ``K0`` with the form its caller
+    tested it on, ``schur = _real_schur((A - B K0)^T)``.  Returns ``X``,
+    the accepted steps, the residual norm and the largest real part of the
     closed-loop spectrum at ``X``.  Raises :class:`NoSolutionError` if no
     acceptable solution is found.
 
-    Every closed loop is tested once: the gain construction (or the
-    caller, for ``K0``) tests the first, and after an accepted step
-    ``Y_{k+1} = A - B R^{-1} (C - B^T X)`` is the damped iterate's closed
-    loop, whose spectrum the damping has just computed.
+    Every closed loop is factored once, into the real Schur form of
+    ``Y^T``: each damping trial computes its gain ``F_t = R^{-1} (C - B^T
+    X_t)`` once, and the Schur form of ``(A - B F_t)^T`` gives the trial's
+    stability test; the accepted trial's gain and Schur form are the next
+    step's ``K`` and Lyapunov factorization (the closed loop of that step
+    is the same matrix).  Only the zero-gain start factors ``A^T`` at the
+    first step.
     """
     n = A.shape[0]
-    K = _shift_stabilizing_gain(A, B) if K0 is None else K0
+    if start is None:
+        K, schur = np.zeros((B.shape[1], n)), None
+    else:
+        K, schur = start
     X = np.zeros((n, n))
-    res_norm = np.linalg.norm(_are_residual(A, B, C, R, X), "fro")
+    res_norm = _residual_norm(A, B, C, R, X)
     # (X, accepted steps, residual, closed-loop max real part or None)
     best: tuple[np.ndarray, int, float, float | None] | None = None
     iterations = 0
     stalls = 0
     for _ in range(max_iterations):
-        Y = A - B @ K
         Q = C.T @ K + K.T @ C - K.T @ R @ K
         try:
-            X_full = scipy.linalg.solve_continuous_lyapunov(Y.T, -Q)
+            if schur is None:
+                schur = _real_schur((A - B @ K).T)
+            X_full = _bartels_stewart(schur, -Q)
         except np.linalg.LinAlgError:
             break
         X_full = 0.5 * (X_full + X_full.T)
@@ -175,10 +201,11 @@ def _newton_minimal(
         t = 1.0
         for _ in range(25):
             X_t = X + t * (X_full - X)
-            Y_t = _closed_loop(A, B, C, R, X_t)
-            abscissa = float(np.linalg.eigvals(Y_t).real.max())
+            F_t = _gain(B, C, R, X_t)
+            schur_t = _real_schur((A - B @ F_t).T)
+            abscissa = _max_real(schur_t)
             if abscissa < 0:
-                r_t = np.linalg.norm(_are_residual(A, B, C, R, X_t), "fro")
+                r_t = np.linalg.norm(_are_residual(A, B, C, X_t, F_t), "fro")
                 if r_t <= res_norm or iterations == 0:
                     stalls = stalls + 1 if r_t > 0.5 * res_norm else 0
                     X, res_norm, accepted = X_t, r_t, True
@@ -187,7 +214,7 @@ def _newton_minimal(
         if not accepted:
             break
         iterations += 1
-        K = np.linalg.solve(R, C - B.T @ X)
+        K, schur = F_t, schur_t
         scale = max(1.0, float(np.linalg.norm(X, "fro")))
         if res_norm <= tol * scale:
             return X, iterations, res_norm, abscissa
@@ -205,7 +232,7 @@ def _newton_minimal(
             A, B, np.zeros_like(A), -R, s=-C.T
         )
         X_schur = 0.5 * (X_schur + X_schur.T)
-        r_schur = np.linalg.norm(_are_residual(A, B, C, R, X_schur), "fro")
+        r_schur = _residual_norm(A, B, C, R, X_schur)
         if r_schur < best[2]:
             best = (X_schur, iterations, r_schur, None)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -215,7 +242,7 @@ def _newton_minimal(
     scale = max(1.0, float(np.linalg.norm(X, "fro")))
     if res_norm <= tol * scale:
         if abscissa is None:
-            abscissa = float(np.linalg.eigvals(_closed_loop(A, B, C, R, X)).real.max())
+            abscissa = _max_real(_real_schur(_closed_loop(A, B, C, R, X).T))
         if abscissa <= 1e-8 * max(1.0, float(np.linalg.norm(A, "fro"))):
             return X, iterations, res_norm, abscissa
     raise NoSolutionError(
@@ -253,23 +280,26 @@ def _newton_maximal(
         if lam.min() > 1e3 * np.finfo(float).eps * max(1.0, float(lam.max())):
             X = np.linalg.inv(Y)
             X = 0.5 * (X + X.T)
-            res = float(np.linalg.norm(_are_residual(A, B, C, R, X), "fro"))
+            res = float(_residual_norm(A, B, C, R, X))
             scale = max(1.0, float(np.linalg.norm(X, "fro")))
             if res <= tol * scale:
                 return X, iters, res
             K_seed = np.linalg.solve(R, -C + B.T @ X)
-            if np.linalg.eigvals(-A - B @ K_seed).real.max() < 0:
+            schur = _real_schur((-A - B @ K_seed).T)
+            if _max_real(schur) < 0:
                 X_rev, polish, *_ = _newton_minimal(
-                    -A, B, -C, R, tol, max_iterations, K0=K_seed
+                    -A, B, -C, R, tol, max_iterations, start=(K_seed, schur)
                 )
                 X = -0.5 * (X_rev + X_rev.T)
-                res = float(np.linalg.norm(_are_residual(A, B, C, R, X), "fro"))
+                res = float(_residual_norm(A, B, C, R, X))
                 return X, iters + polish, res
     except NoSolutionError as exc:
         _log.debug("adjoint route for the maximal solution failed: %s", exc)
-    X_rev, iters, *_ = _newton_minimal(-A, B, -C, R, tol, max_iterations)
+    X_rev, iters, *_ = _newton_minimal(
+        -A, B, -C, R, tol, max_iterations, start=_shift_stabilizing_gain(-A, B)
+    )
     X = -0.5 * (X_rev + X_rev.T)
-    res = float(np.linalg.norm(_are_residual(A, B, C, R, X), "fro"))
+    res = float(_residual_norm(A, B, C, R, X))
     return X, iters, res
 
 
@@ -286,8 +316,12 @@ def solve_are(
     sys : StateSpaceSystem
         Must have ``D + D^T`` positive definite.
     kind : {"minimal", "maximal"}
-        Which extremal solution to compute.  The maximal one is obtained as
-        the inverse of the adjoint data's minimal solution (with a
+        Which extremal solution to compute.  The minimal one is the damped
+        Newton iteration of :func:`_newton_minimal`, started from the zero
+        gain since ``A`` is Hurwitz; each of its closed loops is factored
+        once, into the real Schur form that tests its stability and serves
+        the next Lyapunov solve.  The maximal one is obtained as the
+        inverse of the adjoint data's minimal solution (with a
         sign-reversed fallback, see :func:`_newton_maximal`); it exists
         chiefly for lattice-ordering diagnostics.
     tol : float
@@ -317,10 +351,11 @@ def solve_are(
         )
     A, B, C = sys.A, sys.B, sys.C
     if kind == "minimal":
+        # A is Hurwitz (checked when sys was built): Newton starts at K = 0
         X, iters, res, abscissa = _newton_minimal(A, B, C, R, tol, max_iterations)
     else:
         X, iters, res = _newton_maximal(A, B, C, R, tol, max_iterations)
-        abscissa = float(np.linalg.eigvals(_closed_loop(A, B, C, R, X)).real.max())
+        abscissa = _max_real(_real_schur(_closed_loop(A, B, C, R, X).T))
     return AreSolution(0.5 * (X + X.T), abscissa, kind, iters, res)
 
 

@@ -12,8 +12,8 @@ Popov-function evaluation, frequency sweeps of the Popov function's
 smallest eigenvalue, controllability Gramians, and the squared H2 distance
 between two output maps sharing the same state dynamics.
 
-A system checks that ``A`` is Hurwitz once, keeping the spectral radius
-from the same eigenvalues, computes the eigenbasis of ``A`` (and
+A system checks that ``A`` is Hurwitz once, keeping the spectral abscissa
+and radius from the same eigenvalues, computes the eigenbasis of ``A`` (and
 ``V^{-1} B``) and the Lyapunov kernel of ``A`` once each, on first use,
 and shares all of them with every system derived from it by
 :meth:`StateSpaceSystem.with_output` or
@@ -106,11 +106,13 @@ class StateSpaceSystem:
         if abscissa >= -tol_stab:
             raise NotHurwitzError(
                 f"A must be Hurwitz: largest eigenvalue real part {abscissa:.3e} "
-                f">= -{tol_stab:.3e}"
+                f">= -{tol_stab:.3e}",
+                abscissa,
             )
-        # spectral radius, eigenbasis and Lyapunov kernel of A, shared by
-        # reference with derived systems
-        self._set(A, B, C, D, {"radius": float(np.abs(eigenvalues).max())})
+        # spectral abscissa and radius, eigenbasis and Lyapunov kernel of A,
+        # shared by reference with derived systems
+        eigen = {"abscissa": abscissa, "radius": float(np.abs(eigenvalues).max())}
+        self._set(A, B, C, D, eigen)
 
     def _set(self, A, B, C, D, eigen: dict) -> None:
         for M in (A, B, C, D):
@@ -147,6 +149,11 @@ class StateSpaceSystem:
         other = object.__new__(StateSpaceSystem)
         other._set(self.A, self.B, _matrix(C, m, n, "C"), _matrix(D, m, m, "D"), self._eigen)
         return other
+
+    def _spectral_abscissa(self) -> float:
+        """Largest eigenvalue real part of ``A``, kept from the stability
+        check."""
+        return self._eigen["abscissa"]
 
     def _spectral_radius(self) -> float:
         """Spectral radius of ``A``, kept from the stability check."""

@@ -3,7 +3,9 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
+from klap.exceptions import NoSolutionError
 from klap.optimizer import KlapConfig, LbfgsResult, _Objective
 
 
@@ -139,3 +141,85 @@ def eager_lbfgs(sys, P, L0, M, config=None) -> LbfgsResult:
             break
 
     return LbfgsResult(x.reshape(shape), f, g_norm, iterations, converged, status, tuple(trace))
+
+
+def newton_riccati_oracle(sys, tol: float = 1e-10, max_iterations: int = 100):
+    """Reference minimal Riccati solve: ``(X, newton_iterations, residual)``.
+
+    The damped Newton iteration of :func:`klap.passivity.solve_are`
+    (``kind="minimal"``) written with SciPy's ``solve_continuous_lyapunov``
+    for every step and ``numpy.linalg.eigvals`` for every stability test,
+    recomputing ``F = R^{-1} (C - B^T X)`` wherever it is used and starting
+    from the gain the eigenvalue test of ``A`` selects.  The library factors
+    each closed loop once and reuses the factorization; the Lyapunov
+    arithmetic is the same, so ``X``, the step count and the residual must
+    agree bit for bit.  Raises :class:`NoSolutionError` where the library
+    does, with the same message.
+    """
+    A, B, C = sys.A, sys.B, sys.C
+    R = sys.D + sys.D.T
+    n = A.shape[0]
+
+    def gain(X):
+        return np.linalg.solve(R, C - B.T @ X)
+
+    def residual(X):
+        return np.linalg.norm(A.T @ X + X @ A + (C.T - X @ B) @ gain(X), "fro")
+
+    def abscissa(X):
+        return float(np.linalg.eigvals(A - B @ gain(X)).real.max())
+
+    if np.linalg.eigvals(A).real.max() >= 0:
+        raise ValueError("the oracle starts from the zero gain; A must be Hurwitz")
+    K = np.zeros((B.shape[1], n))
+    X = np.zeros((n, n))
+    res_norm = residual(X)
+    best = None
+    iterations = stalls = 0
+    for _ in range(max_iterations):
+        Y = A - B @ K
+        Q = C.T @ K + K.T @ C - K.T @ R @ K
+        try:
+            X_full = scipy.linalg.solve_continuous_lyapunov(Y.T, -Q)
+        except np.linalg.LinAlgError:
+            break
+        X_full = 0.5 * (X_full + X_full.T)
+        accepted, t = False, 1.0
+        for _ in range(25):
+            X_t = X + t * (X_full - X)
+            if abscissa(X_t) < 0:
+                r_t = residual(X_t)
+                if r_t <= res_norm or iterations == 0:
+                    stalls = stalls + 1 if r_t > 0.5 * res_norm else 0
+                    X, res_norm, accepted = X_t, r_t, True
+                    break
+            t *= 0.5
+        if not accepted:
+            break
+        iterations += 1
+        K = gain(X)
+        scale = max(1.0, float(np.linalg.norm(X, "fro")))
+        if res_norm <= tol * scale:
+            return 0.5 * (X + X.T), iterations, res_norm
+        if best is None or res_norm < best[2]:
+            best = (X, iterations, res_norm)
+        if stalls >= 5:
+            break
+    if best is None:
+        best = (X, iterations, res_norm)
+    try:
+        X_schur = scipy.linalg.solve_continuous_are(A, B, np.zeros_like(A), -R, s=-C.T)
+        X_schur = 0.5 * (X_schur + X_schur.T)
+        r_schur = residual(X_schur)
+        if r_schur < best[2]:
+            best = (X_schur, iterations, r_schur)
+    except (np.linalg.LinAlgError, ValueError):
+        pass
+    X, iterations, res_norm = best
+    scale = max(1.0, float(np.linalg.norm(X, "fro")))
+    if res_norm <= tol * scale and abscissa(X) <= 1e-8 * max(1.0, float(np.linalg.norm(A, "fro"))):
+        return 0.5 * (X + X.T), iterations, res_norm
+    raise NoSolutionError(
+        f"Riccati iteration did not converge (residual {res_norm:.3e} vs "
+        f"tolerance {tol * scale:.3e}); the system is likely not strictly passive"
+    )

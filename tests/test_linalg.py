@@ -9,6 +9,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from klap.exceptions import (
@@ -19,7 +20,9 @@ from klap.exceptions import (
 )
 from klap.linalg import (
     DIAG_COND_LIMIT,
+    _bartels_stewart,
     _LyapunovKernel,
+    _real_schur,
     max_real_part,
     solve_lyapunov,
     solve_lyapunov_transposed,
@@ -280,6 +283,42 @@ def test_overflowing_solution_is_returned_by_the_kernel_and_rejected_publicly():
         assert not np.isfinite(X).all()
         with pytest.raises(SingularOperatorError, match="overflows"):
             solve_lyapunov(A, W)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
+def test_bartels_stewart_pair_equals_scipy_bit_for_bit(n):
+    # the kernel's dense route and the Newton-Riccati steps: SciPy's
+    # solve_continuous_lyapunov split at its Schur step, in both orientations
+    rng = np.random.default_rng(n)
+    A = random_hurwitz(rng, n)
+    A[0, -1] += 10.0  # non-normal
+    Q = random_sym(rng, n)
+    for a in (A, A.T):
+        T, Z, re = _real_schur(a)
+        T_ref, Z_ref = scipy.linalg.schur(a, output="real")
+        assert np.array_equal(T, T_ref) and np.array_equal(Z, Z_ref)
+        assert_allclose(np.sort(re), np.sort(np.linalg.eigvals(a).real), atol=1e-9)
+        X = _bartels_stewart((T, Z, re), Q)
+        assert np.array_equal(X, scipy.linalg.solve_continuous_lyapunov(a, Q))
+
+
+def test_bartels_stewart_pair_keeps_scipys_rescaled_result_and_checks():
+    # trsyl scales this equation by 1e-300 to avoid overflow; the pair, like
+    # SciPy, multiplies by the scale (the kernel's residual test rejects it)
+    a = -1e-10 * np.eye(2)
+    q = 1e300 * np.eye(2)
+    schur = _real_schur(a)
+    _, scale, _ = scipy.linalg.lapack.dtrsyl(schur[0], schur[0], q, tranb="T")
+    assert scale < 1.0
+    for m in (a, a.T):
+        assert np.array_equal(_bartels_stewart(_real_schur(m), q),
+                              scipy.linalg.solve_continuous_lyapunov(m, q))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _bartels_stewart(schur, np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        _real_schur(np.array([[np.nan, 0.0], [0.0, -1.0]]))
+    with pytest.warns(RuntimeWarning, match="eigenvalue pair"):
+        _bartels_stewart(_real_schur(np.zeros((2, 2))), np.eye(2))
 
 
 def test_dense_solve_rejects_a_rescaled_solution_of_an_overflowing_equation():

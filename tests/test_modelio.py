@@ -216,6 +216,35 @@ def test_unstable_model_rejected(tmp_path):
         load_model(path)
 
 
+def test_unstable_model_error_names_the_file_and_abscissa(tmp_path):
+    path = _write(
+        tmp_path, '{"n": 1, "m": 1, "A": [1.0], "B": [1.0], "C": [1.0], "D": [0.0]}'
+    )
+    with pytest.raises(NotHurwitzError) as info:
+        load_model(path)
+    assert str(info.value) == (
+        f"{path}: A is not Hurwitz (largest eigenvalue real part 1.000e+00); "
+        "every algorithm here assumes asymptotic stability"
+    )
+    assert info.value.abscissa == 1.0
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_loading_a_model_computes_its_eigenvalues_once(monkeypatch, name):
+    # the system's Hurwitz check is the file's stability check
+    calls = 0
+    orig = np.linalg.eigvals
+
+    def counting(a):
+        nonlocal calls
+        calls += 1
+        return orig(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    load_model_file(benchmark_path(name))
+    assert calls == 1
+
+
 def test_borderline_stable_model_warns_but_loads(tmp_path):
     path = _write(
         tmp_path, '{"n": 1, "m": 1, "A": [-1e-08], "B": [1.0], "C": [1.0], "D": [1.0]}'

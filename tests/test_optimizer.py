@@ -289,6 +289,29 @@ def test_exactly_two_lyapunov_solves_per_evaluation(monkeypatch):
     assert calls == {"standard": gradients, "transposed": values}
 
 
+def test_dense_kernel_factors_each_orientation_once(monkeypatch):
+    # acc's A is defective, so its kernel solves densely: the Gramian
+    # (standard orientation) factors A, the first value (transposed) A^T,
+    # and every later solve of the run reuses those two Schur forms
+    import klap.linalg as linalg_mod
+
+    factored = []
+    orig = linalg_mod._real_schur
+
+    def counting(a):
+        factored.append(a.copy())
+        return orig(a)
+
+    monkeypatch.setattr(linalg_mod, "_real_schur", counting)
+    sys = acc_system(0.125)
+    assert not sys._lyapunov().diagonal
+    P = controllability_gramian(sys)
+    run = lbfgs_minimize(sys, P, np.random.default_rng(1).standard_normal((4, 1)), [[0.5]])
+    assert run.iterations >= 10
+    assert len(factored) == 2
+    assert np.array_equal(factored[0], sys.A) and np.array_equal(factored[1], sys.A.T)
+
+
 def rand_family_system(n, m, seed):
     """The random family "rand n x m / seed" of the benchmark workloads."""
     rng = np.random.default_rng(seed)

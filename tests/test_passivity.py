@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from klap import passivity
+from klap.benchmarks import benchmark_system
 from klap.exceptions import NoSolutionError, SingularFeedthroughError
 from klap.linalg import solve_lyapunov_transposed
 from klap.passivity import (
@@ -21,7 +23,7 @@ from klap.passivity import (
     solve_are,
 )
 from klap.system import StateSpaceSystem, popov_scan
-from oracles import kyp_residual, lure_residuals
+from oracles import kyp_residual, lure_residuals, newton_riccati_oracle
 
 
 def scalar_system():
@@ -149,24 +151,93 @@ def test_are_minimal_random_passive_systems():
 
 @pytest.mark.parametrize("n, m, seed", [(8, 2, 3), (16, 3, 4)])
 def test_solve_are_computes_each_closed_loop_spectrum_once(monkeypatch, n, m, seed):
-    # the gain construction tests the first closed loop and the damping of
-    # each step the next; the stability test at the top of a Newton step
-    # and the returned closed_loop_max_real reuse those spectra
+    # each closed loop is factored once, into the real Schur form of its
+    # transpose: A^T for the zero-gain start, then one form per damping
+    # trial, whose eigenvalues test the trial and, once it is accepted,
+    # whose factorization the next Lyapunov solve uses; no eigvals call
     sys = random_passive_system(np.random.default_rng(seed), n, m)
-    calls = 0
-    orig = np.linalg.eigvals
+    real_schur, bartels_stewart = passivity._real_schur, passivity._bartels_stewart
+    factored, forms, solved_with = [], [], []
 
-    def counting(a):
-        nonlocal calls
-        calls += 1
-        return orig(a)
+    def counting_schur(a):
+        factored.append(a.copy())
+        forms.append(real_schur(a))
+        return forms[-1]
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    def recording_solve(schur, q):
+        solved_with.append(schur)
+        return bartels_stewart(schur, q)
+
+    def no_eigvals(a):
+        raise AssertionError("eigvals called inside the Newton iteration")
+
+    monkeypatch.setattr(passivity, "_real_schur", counting_schur)
+    monkeypatch.setattr(passivity, "_bartels_stewart", recording_solve)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     sol = solve_are(sys, "minimal")
+    monkeypatch.undo()
     assert sol.newton_iterations >= 5
-    assert calls == sol.newton_iterations + 1
+    assert len({a.tobytes() for a in factored}) == len(factored) > sol.newton_iterations
+    assert np.array_equal(factored[0], sys.A.T)
+    assert len(solved_with) == sol.newton_iterations
+    assert all(any(s is f for f in forms) for s in solved_with)
     Y = _closed_loop(sys.A, sys.B, sys.C, sys.D + sys.D.T, sol.X)
-    assert sol.closed_loop_max_real == float(orig(Y).real.max())
+    assert np.array_equal(factored[-1], Y.T)
+    assert sol.closed_loop_max_real == float(real_schur(Y.T)[2].max())
+
+
+# (n, m) of the seeded random inputs of the Riccati sweep below
+RICCATI_SWEEP_SHAPES = (
+    (2, 1), (2, 2), (3, 1), (4, 3), (5, 2), (6, 4), (8, 1), (8, 2),
+    (12, 3), (16, 4), (24, 2), (32, 1), (48, 3), (64, 2), (64, 4),
+)
+
+
+def _riccati_sweep_input(name):
+    """A stable input of the sweep: a bundled model, or a random system
+    ``n x m / seed`` with spectral abscissa -0.5 and ``D = 0.05 I``."""
+    if not name.startswith("rand"):
+        return benchmark_system(name)
+    shape, seed = name[5:].split("/")
+    n, m = map(int, shape.split("x"))
+    rng = np.random.default_rng(int(seed))
+    A = rng.standard_normal((n, n))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+    return StateSpaceSystem(A, rng.standard_normal((n, m)), rng.standard_normal((m, n)),
+                            0.05 * np.eye(m))
+
+
+@pytest.mark.parametrize("attempt", [0, 1])
+@pytest.mark.parametrize(
+    "name",
+    ["toy-m0", "toy-m1", "acc"]
+    + [f"rand-{n}x{m}/{seed}" for seed, (n, m) in enumerate(RICCATI_SWEEP_SHAPES)],
+)
+def test_solve_are_matches_the_newton_oracle_bit_for_bit(name, attempt):
+    # the feedthrough shifts of optimizer.initialize: both attempts, so the
+    # sweep includes toy-m0's and toy-m1's failing first shift
+    sys = _riccati_sweep_input(name)
+    popov_min = popov_scan(sys).global_min
+    eps = 1e-3 * abs(popov_min) * (1.0, 10.0)[attempt]
+    delta = max(eps, -popov_min / 2.0 + eps)
+    shifted = sys.with_feedthrough(sys.D + delta * np.eye(sys.m))
+
+    def outcome(solve):
+        try:
+            return solve()
+        except NoSolutionError as exc:
+            return str(exc)
+
+    got = outcome(lambda: solve_are(shifted, "minimal"))
+    want = outcome(lambda: newton_riccati_oracle(shifted))
+    if name in ("toy-m0", "toy-m1") and attempt == 0:
+        assert isinstance(want, str)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        X, iterations, residual = want
+        assert np.array_equal(got.X, X)
+        assert (got.newton_iterations, got.residual) == (iterations, residual)
 
 
 def test_are_extremal_ordering():
