@@ -25,7 +25,6 @@ command-line tool.
 """
 
 from .exceptions import (
-    AreFailureError,
     DefectiveMatrixError,
     DimensionMismatchError,
     IllConditionedError,
@@ -39,7 +38,6 @@ from .exceptions import (
 )
 from .linalg import (
     SpectralDecomposition,
-    max_real_part,
     solve_lyapunov,
     solve_lyapunov_transposed,
     spectral_decompose,
@@ -102,12 +100,10 @@ __all__ = [
     "DefectiveMatrixError",
     "NoSolutionError",
     "SingularFeedthroughError",
-    "AreFailureError",
     "ParseError",
     # linear algebra
     "SpectralDecomposition",
     "spectral_decompose",
-    "max_real_part",
     "solve_lyapunov",
     "solve_lyapunov_transposed",
     "sqrtm_psd",

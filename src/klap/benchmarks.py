@@ -1,7 +1,7 @@
 """Bundled benchmark systems.
 
 Three small non-passive models used throughout the test suite, the
-documentation, and the ``klap bench`` command:
+documentation and the benchmark harness:
 
 * ``acc`` — the 4-state, single-input ACC benchmark system.  Natively
   feedthrough-free; adding ``D = 1/8`` creates a non-global local
@@ -16,8 +16,9 @@ documentation, and the ``klap bench`` command:
   point) is known in closed form.
 
 Each benchmark also ships as a JSON model file (see
-:func:`benchmark_path`) so the file-based command-line workflow can be
-exercised end to end.
+:func:`benchmark_path`), which the command-line tool passivates like any
+other model file, e.g.
+``klap passivate src/klap/data/models/acc.json --feedthrough 0.125 --out acc.passive.json``.
 """
 
 from __future__ import annotations

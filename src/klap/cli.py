@@ -1,12 +1,14 @@
 """Command-line front end.
 
-``klap`` exposes five subcommands::
+``klap`` exposes four subcommands::
 
     klap check MODEL         passivity verdict (exit 0 passive, 1 not)
     klap passivate MODEL     H2-optimal passivation; writes model + report
     klap popov MODEL         Popov-function frequency sweep as CSV
     klap h2 MODEL MODEL      H2 distance between two models
-    klap bench NAME          run a bundled benchmark end to end
+
+The bundled benchmark models are ordinary model files
+(:func:`klap.benchmarks.benchmark_path`), run with ``klap passivate``.
 
 Exit codes follow a scripting-friendly contract: 0 success (for
 ``check``: passive), 1 not passive, 2 any error (including a passivation
@@ -27,12 +29,10 @@ import re
 import sys
 import time
 from dataclasses import replace
-from importlib.resources import as_file
 
 import numpy as np
 
 from . import __version__
-from .benchmarks import BENCHMARK_NAMES, benchmark_path
 from .exceptions import KlapError
 from .modelio import load_model_file, write_model
 from .optimizer import KlapConfig, KlapResult, klap
@@ -128,13 +128,11 @@ def _config_from_args(args: argparse.Namespace) -> KlapConfig:
         ("points", "popov_points"),
         ("wmin", "popov_wmin"),
         ("wmax", "popov_wmax"),
+        ("l0", "L0"),
     ):
-        value = getattr(args, attr, None)
+        value = getattr(args, attr)
         if value is not None:
             overrides[field_name] = value
-    L0 = getattr(args, "l0", None)
-    if L0 is not None:
-        overrides["L0"] = L0
     try:
         return replace(cfg, **overrides)
     except ValueError as exc:
@@ -146,10 +144,10 @@ def _parse_factor(text: str, n: int, m: int) -> np.ndarray:
     try:
         values = [float(t) for t in tokens]
     except ValueError as exc:
-        raise _UsageError(f"--init: invalid number in {text!r}") from exc
+        raise _UsageError(f"--l0: invalid number in {text!r}") from exc
     if len(values) != n * m:
         raise _UsageError(
-            f"--init: expected {n * m} values for an {n}x{m} factor, got {len(values)}"
+            f"--l0: expected {n * m} values for an {n}x{m} factor, got {len(values)}"
         )
     return np.array(values).reshape(n, m)
 
@@ -186,11 +184,9 @@ def _report_dict(
             "grad_tol": cfg.grad_tol,
             "obj_rel_tol": cfg.obj_rel_tol,
             "restart_alpha": cfg.restart_alpha,
-            "restart_axis_tol": cfg.restart_axis_tol,
             "init_margin": cfg.init_margin,
             "max_iterations": cfg.max_iterations,
             "max_restarts": cfg.max_restarts,
-            "lbfgs_memory": cfg.lbfgs_memory,
             "popov_points": cfg.popov_points,
             "init": "given" if cfg.L0 is not None else cfg.init,
             "rng_seed": cfg.rng_seed,
@@ -369,49 +365,6 @@ def _cmd_h2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    with as_file(benchmark_path(args.name)) as path:
-        mf, sys_ = _load(os.fspath(path), args.feedthrough)
-    if args.init_factor is not None:
-        args.l0 = _parse_factor(args.init_factor, sys_.n, sys_.m)
-    cfg = _config_from_args(args)
-
-    start = time.perf_counter()
-    result = klap(sys_, cfg)
-    wall = time.perf_counter() - start
-    per_iter = wall / result.iterations if result.iterations else float("nan")
-
-    header = f"{'model':<8} {'iterations':>10} {'time (s)':>10} {'time/iter (s)':>13} {'h2-error':>12} {'restarts':>8}  certificate"
-    row = (
-        f"{args.name:<8} {result.iterations:>10d} {wall:>10.2e} {per_iter:>13.2e} "
-        f"{result.h2_error:>12.4e} {result.restarts:>8d}  {_certificate_status(result)}"
-    )
-    print(header)
-    print(row)
-    print(f"J (squared h2 error) = {result.J_final!r}")
-    if result.C_hat.size <= 16:
-        with np.printoptions(precision=6, suppress=True):
-            print(f"C_hat = {result.C_hat}")
-
-    if args.out is not None:
-        write_model(result.system, args.out, name=f"{args.name}-passive")
-    if args.report is not None:
-        margin_after = popov_scan(result.system).global_min
-        report = _report_dict(
-            f"bench:{args.name}", args.out, mf.name, sys_, cfg, result,
-            margin_after, wall,
-        )
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            json.dump(report, fh, indent=2, allow_nan=False)
-            fh.write("\n")
-    if args.trace is not None:
-        _write_trace(args.trace, result)
-    if not result.converged:
-        print(f"error: run did not converge: {result.message}", file=sys.stderr)
-        return 2
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -424,23 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_seed(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-
-    def add_optimizer_flags(p):
-        p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None,
-                       help="gradient-norm stopping tolerance")
-        p.add_argument("--obj-tol", dest="obj_tol", type=float, default=None,
-                       help="relative objective-change stopping tolerance")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="restart gradient-step size")
-        p.add_argument("--eps", type=float, default=None,
-                       help="strict-passivation margin of the initialization")
-        p.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
-        p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
-        p.add_argument("--trace", default=None, metavar="CSV",
-                       help="write the per-iteration (J, grad-norm) log as CSV")
 
     p_check = sub.add_parser("check", help="decide passivity of a model file")
     p_check.add_argument("model")
@@ -466,8 +402,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="initialization mode (default: are)")
     p_pass.add_argument("--l0", default=None, metavar="VALUES",
                         help="explicit starting factor, comma-separated row-major values")
-    add_seed(p_pass)
-    add_optimizer_flags(p_pass)
+    p_pass.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_pass.add_argument("--grad-tol", dest="grad_tol", type=float, default=None,
+                        help="gradient-norm stopping tolerance")
+    p_pass.add_argument("--obj-tol", dest="obj_tol", type=float, default=None,
+                        help="relative objective-change stopping tolerance")
+    p_pass.add_argument("--alpha", type=float, default=None,
+                        help="restart gradient-step size")
+    p_pass.add_argument("--eps", type=float, default=None,
+                        help="strict-passivation margin of the initialization")
+    p_pass.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
+    p_pass.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
+    p_pass.add_argument("--trace", default=None, metavar="CSV",
+                        help="write the per-iteration (J, grad-norm) log as CSV")
     _add_grid_arguments(p_pass)
     p_pass.set_defaults(func=_cmd_passivate)
 
@@ -488,35 +435,21 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="allow different realizations (A, B may differ)")
     p_h2.set_defaults(func=_cmd_h2)
 
-    p_bench = sub.add_parser("bench", help="run a bundled benchmark end to end")
-    p_bench.add_argument("name", choices=list(BENCHMARK_NAMES))
-    p_bench.add_argument("--feedthrough", type=float, default=None,
-                         help="replace D by this scalar times the identity")
-    p_bench.add_argument("--init", dest="init_factor", default=None, metavar="VALUES",
-                         help="explicit starting factor, comma-separated row-major values")
-    p_bench.add_argument("--out", default=None, help="write the passivated model here")
-    p_bench.add_argument("--report", default=None, help="write the run-report JSON here")
-    add_seed(p_bench)
-    add_optimizer_flags(p_bench)
-    _add_grid_arguments(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
-
     return parser
 
 
 # a factor value such as "-2,0" would otherwise be mistaken for an option
 _NUMBER_LIST = re.compile(r"^-[\d.,+\-eE ]+$")
-_FACTOR_FLAGS = ("--init", "--l0")
 
 
 def _merge_factor_values(argv: list[str]) -> list[str]:
-    """Turn ``--init -2,0`` into ``--init=-2,0`` so argparse accepts
+    """Turn ``--l0 -2,0`` into ``--l0=-2,0`` so argparse accepts
     leading-minus value lists."""
     merged, i = [], 0
     while i < len(argv):
         tok = argv[i]
         if (
-            tok in _FACTOR_FLAGS
+            tok == "--l0"
             and i + 1 < len(argv)
             and _NUMBER_LIST.match(argv[i + 1])
         ):

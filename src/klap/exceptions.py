@@ -16,7 +16,6 @@ __all__ = [
     "DefectiveMatrixError",
     "NoSolutionError",
     "SingularFeedthroughError",
-    "AreFailureError",
     "ParseError",
 ]
 
@@ -68,10 +67,6 @@ class NoSolutionError(KlapError, ArithmeticError):
 class SingularFeedthroughError(KlapError, ValueError):
     """``D + D^T`` is singular at working precision but the requested
     operation needs its inverse (or inverse square root)."""
-
-
-class AreFailureError(KlapError, ArithmeticError):
-    """Riccati-based recovery of a Lur'e factor failed."""
 
 
 class ParseError(KlapError, ValueError):

@@ -68,7 +68,6 @@ from .exceptions import (
 __all__ = [
     "SpectralDecomposition",
     "spectral_decompose",
-    "max_real_part",
     "solve_lyapunov",
     "solve_lyapunov_transposed",
     "sqrtm_psd",
@@ -121,16 +120,6 @@ def _fro(X: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def max_real_part(A: np.ndarray) -> float:
-    """Largest real part among the eigenvalues of ``A``.
-
-    >>> max_real_part(np.array([[1.0, 4.0], [2.0, -1.0]]))
-    3.0
-    """
-    A = _as_square(A)
-    return float(np.linalg.eigvals(A).real.max())
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition ``A = V diag(eigenvalues) V^{-1}`` of a real matrix.
@@ -151,10 +140,6 @@ class SpectralDecomposition:
     right_vectors: np.ndarray
     inverse_vectors: np.ndarray
     condition_estimate: float
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def spectral_decompose(A: np.ndarray) -> SpectralDecomposition:

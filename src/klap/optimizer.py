@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import (
-    AreFailureError,
     DimensionMismatchError,
     NoSolutionError,
     NotPsdError,
@@ -85,6 +84,13 @@ _log = logging.getLogger(__name__)
 
 #: two restart points closer than this (relative) count as the same start
 _DUPLICATE_RTOL = 1e-12
+
+#: curvature pairs kept by the L-BFGS two-loop recursion
+_LBFGS_MEMORY = 10
+
+#: margin tolerance deciding whether a system is passive (the default of
+#: :func:`~klap.passivity.check_passive`)
+_PASSIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,6 @@ def objective_and_gradient(
     P: np.ndarray,
     point: LurePoint,
     decomp: SpectralDecomposition | None = None,
-    strategy: str = "auto",
 ) -> ObjectiveEval:
     """Evaluate the squared H2 error and its gradient in ``L``.
 
@@ -231,11 +236,10 @@ def objective_and_gradient(
     ----------
     P : (n, n) ndarray
         Controllability Gramian of ``sys`` (precomputed once per run).
-    decomp, strategy
-        By default the solves use the system's own Lyapunov kernel; another
-        ``strategy`` or an explicit ``decomp`` sets up a kernel with those
-        arguments for this one call, as :func:`~klap.linalg.solve_lyapunov`
-        would.
+    decomp : SpectralDecomposition, optional
+        By default the solves use the system's own Lyapunov kernel; an
+        explicit ``decomp`` sets up a kernel on that basis for this one
+        call, as :func:`~klap.linalg.solve_lyapunov` would.
 
     Raises
     ------
@@ -246,10 +250,7 @@ def objective_and_gradient(
         raise DimensionMismatchError(
             f"L must be {sys.n} x {sys.m}, got {point.L.shape}"
         )
-    if decomp is None and strategy == "auto":
-        lyap = sys._lyapunov()
-    else:
-        lyap = _LyapunovKernel(sys.A, decomp, strategy)
+    lyap = sys._lyapunov() if decomp is None else _LyapunovKernel(sys.A, decomp)
     objective = _Objective(sys, P, point.M, lyap)
     J, state = objective.value(point.L)
     if state is None:
@@ -272,9 +273,6 @@ class KlapConfig:
     restart_alpha : float
         Step size of the output-space gradient step used to escape a
         non-global stationary point (retried once with ``alpha / 10``).
-    restart_axis_tol : float, optional
-        Imaginary-axis tolerance of the global-optimality certificate;
-        ``None`` means ``1e-6 * ||A||_F``.
     init_margin : float, optional
         Strict-passivation margin of the initialization; ``None`` means
         ``1e-3 * |popov_min|``.
@@ -282,8 +280,6 @@ class KlapConfig:
         Inner-iteration cap per minimization.
     max_restarts : int
         Certificate-failed restarts before returning the best iterate.
-    lbfgs_memory : int
-        Number of curvature pairs kept by the two-loop recursion.
     popov_points, popov_wmin, popov_wmax
         Frequency-grid specification for Popov scans.
     rng_seed : int or None
@@ -292,43 +288,34 @@ class KlapConfig:
         Initialization mode (ignored when ``L0`` is given).
     L0 : ndarray, optional
         Explicit starting factor (n x m).
-    passive_tol : float
-        Margin tolerance used to decide whether the *input* system is
-        already passive.
     """
 
     grad_tol: float = 1e-8
     obj_rel_tol: float = 1e-6
     restart_alpha: float = 1e-8
-    restart_axis_tol: float | None = None
     init_margin: float | None = None
     max_iterations: int = 50_000
     max_restarts: int = 5
-    lbfgs_memory: int = 10
     popov_points: int = 500
     popov_wmin: float | None = None
     popov_wmax: float | None = None
     rng_seed: int | None = 0
     init: str = "are"
     L0: np.ndarray | None = None
-    passive_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("grad_tol", "obj_rel_tol", "restart_alpha", "passive_tol"):
+        for name in ("grad_tol", "obj_rel_tol", "restart_alpha"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name, low in (
             ("max_iterations", 1),
             ("max_restarts", 0),
-            ("lbfgs_memory", 1),
             ("popov_points", 2),
         ):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        for name in ("restart_axis_tol", "init_margin"):
-            val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise ValueError(f"{name} must be positive when given")
+        if self.init_margin is not None and not self.init_margin > 0:
+            raise ValueError("init_margin must be positive when given")
         if self.init not in ("are", "random"):
             raise ValueError(f"init must be 'are' or 'random', got {self.init!r}")
 
@@ -378,7 +365,7 @@ def lbfgs_minimize(
 ) -> LbfgsResult:
     """Minimize the squared H2 error over ``L`` by limited-memory BFGS.
 
-    Two-loop recursion over the last ``lbfgs_memory`` curvature pairs with
+    Two-loop recursion over the last 10 curvature pairs with
     the standard ``s.y / y.y`` metric scaling, and an Armijo backtracking
     line search (sufficient decrease ``1e-4``, step halving), which makes
     the objective strictly decreasing across accepted steps.  The first
@@ -458,7 +445,7 @@ def lbfgs_minimize(
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
             gamma = sy / yy
-            if len(s_hist) > cfg.lbfgs_memory:
+            if len(s_hist) > _LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
@@ -498,21 +485,6 @@ class Initialization:
     source: str
 
 
-def _l0_from_perturbed_are(sys: StateSpaceSystem, delta: float) -> np.ndarray:
-    """Lur'e factor of the minimal Riccati solution after enlarging the
-    feedthrough by ``delta * I``; raises :class:`AreFailureError` when that
-    perturbed equation is not solvable."""
-    perturbed = sys.with_feedthrough(sys.D + delta * np.eye(sys.m))
-    try:
-        sol = solve_are(perturbed, "minimal")
-        L0, _ = l_from_are(perturbed, sol.X)
-    except (NoSolutionError, SingularFeedthroughError, NotPsdError) as exc:
-        raise AreFailureError(
-            f"perturbed Riccati equation unsolvable at delta={delta:.3e}: {exc}"
-        ) from exc
-    return L0
-
-
 def initialize(
     sys: StateSpaceSystem,
     config: KlapConfig | None = None,
@@ -545,10 +517,13 @@ def initialize(
         delta = max(eps_k, -popov_min / 2.0 + eps_k)
         if delta <= 0.0:
             break
+        perturbed = sys.with_feedthrough(sys.D + delta * np.eye(sys.m))
         try:
-            L0 = _l0_from_perturbed_are(sys, delta)
-        except AreFailureError as exc:
-            _log.debug("initialization attempt %d failed: %s", attempt + 1, exc)
+            L0, _ = l_from_are(perturbed, solve_are(perturbed, "minimal").X)
+        except (NoSolutionError, SingularFeedthroughError, NotPsdError) as exc:
+            _log.debug(
+                "initialization attempt %d failed at delta=%.3e: %s", attempt + 1, delta, exc
+            )
             continue
         return Initialization(
             L0, delta, popov_min, "are" if attempt == 0 else "are-retry"
@@ -610,7 +585,7 @@ def restart_step(
     margin = -np.inf
     for alpha in (cfg.restart_alpha, cfg.restart_alpha / 10.0):
         candidate = sys.with_output(C_star - alpha * grad_c)
-        verdict = check_passive(candidate, tol=cfg.passive_tol, grid=grid)
+        verdict = check_passive(candidate, tol=_PASSIVE_TOL, grid=grid)
         margin = verdict.margin
         if not verdict.passive:
             continue
@@ -700,8 +675,7 @@ def klap(
     plus Riccati factor recovery when the step stays passive, a fresh
     random start otherwise — until the certificate passes or the restart
     budget is spent.  A repeated starting point is replaced by a random
-    one; repeating again ends the run.  The best iterate across all
-    restarts is returned.
+    one.  The best iterate across all restarts is returned.
 
     A passive input short-circuits: the result carries ``C_hat = C``,
     zero error, and no certificate.
@@ -728,7 +702,7 @@ def klap(
     P = controllability_gramian(sys)
 
     scan = popov_scan(sys, grid=_grid(sys, cfg))
-    verdict = scan_verdict(scan, cfg.passive_tol)
+    verdict = scan_verdict(scan, _PASSIVE_TOL)
     if verdict.passive:
         return KlapResult(
             C_hat=sys.C,
@@ -784,9 +758,7 @@ def klap(
             if np.isnan(initial_J):
                 initial_J = run.trace[0][0]
             total_iterations += run.iterations
-            certificate = global_min_certificate(
-                sys, M, run.L, tol=cfg.restart_axis_tol
-            )
+            certificate = global_min_certificate(sys, M, run.L)
             if (
                 not certificate.is_global_candidate
                 and run.status == "objective-change"
@@ -802,9 +774,7 @@ def klap(
                 total_iterations += polish.iterations
                 if polish.value < run.value or polish.status == "gradient":
                     run = polish
-                    certificate = global_min_certificate(
-                        sys, M, run.L, tol=cfg.restart_axis_tol
-                    )
+                    certificate = global_min_certificate(sys, M, run.L)
             if run.value < best_value:
                 best_value, best_L, best_converged = run.value, run.L, run.converged
                 best_certificate = certificate
@@ -824,9 +794,6 @@ def klap(
                 L_next = _random_factor(rng, sys, M)
             if is_duplicate(L_next):
                 L_next = _random_factor(rng, sys, M)
-                if is_duplicate(L_next):
-                    message = "stopped on a repeated restart point"
-                    break
             starts.append(L_next)
             L_start = L_next
             restarts_used += 1
@@ -840,9 +807,7 @@ def klap(
     if np.isnan(initial_J):
         initial_J = J_final
     if best_certificate is None:  # no inner run finished
-        best_certificate = global_min_certificate(
-            sys, M, best_L, tol=cfg.restart_axis_tol
-        )
+        best_certificate = global_min_certificate(sys, M, best_L)
     return KlapResult(
         C_hat=C_hat,
         L_final=best_L,

@@ -127,7 +127,7 @@ def eager_lbfgs(sys, P, L0, M, config=None) -> LbfgsResult:
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.lbfgs_memory:
+            if len(s_hist) > 10:  # the memory of lbfgs_minimize
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from klap.benchmarks import acc_system, toy_system
+from klap.benchmarks import acc_system, benchmark_path, toy_system
 from klap.cli import main
 from klap.modelio import load_model, write_model
 from klap.system import StateSpaceSystem
@@ -400,58 +401,55 @@ def test_h2_general_agrees_with_gramian_path(toy_m0_path, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bench
+# bundled benchmarks, through passivate
 # ---------------------------------------------------------------------------
 
 
-def test_bench_acc_with_feedthrough(capsys):
-    code, out, _ = run_cli(["bench", "acc", "--feedthrough", "0.125"], capsys)
-    assert code == 0
-    row = out.splitlines()[1].split()
-    assert row[0] == "acc"
-    h2 = float(row[4])
-    assert h2 == pytest.approx(0.871, abs=0.005)
-
-
-def test_bench_toy_m0_squared_error(capsys):
-    code, out, _ = run_cli(["bench", "toy-m0"], capsys)
-    assert code == 0
-    j_line = next(line for line in out.splitlines() if line.startswith("J ("))
-    assert float(j_line.split("=")[1]) == pytest.approx(0.94, abs=0.01)
-
-
-def test_bench_toy_m1_restart_from_local_basin(capsys):
-    code, out, _ = run_cli(["bench", "toy-m1", "--init", "-2,0"], capsys)
-    assert code == 0
-    row = out.splitlines()[1].split()
-    restarts = int(row[5])
-    assert restarts == 1
-    c_line = next(line for line in out.splitlines() if line.startswith("C_hat"))
-    assert "0.83" in c_line and "0.34" in c_line
-
-
-def test_bench_unknown_name_is_usage_error(capsys):
-    code, _, err = run_cli(["bench", "cd-player"], capsys)
-    assert code == 2
-    assert "invalid choice" in err
-
-
-def test_bench_bad_init_length_is_usage_error(capsys):
-    code, _, err = run_cli(["bench", "toy-m1", "--init", "1,2,3"], capsys)
-    assert code == 2
-    assert "expected 2 values" in err
-
-
-def test_bench_writes_optional_outputs(tmp_path, capsys):
-    out_path = str(tmp_path / "bench-out.json")
-    report_path = str(tmp_path / "bench-report.json")
-    code, _, _ = run_cli(
-        ["bench", "toy-m1", "--out", out_path, "--report", report_path], capsys
+def passivate_bundled(name, flags, tmp_path, capsys):
+    """Passivate the shipped model file ``name``; returns (exit code,
+    stderr, report or None, output model path)."""
+    out_path = str(tmp_path / f"{name}.out.json")
+    report_path = tmp_path / f"{name}.report.json"
+    code, _, err = run_cli(
+        ["passivate", os.fspath(benchmark_path(name)), "--out", out_path,
+         "--report", str(report_path), *flags],
+        capsys,
     )
+    report = json.loads(report_path.read_text()) if report_path.exists() else None
+    return code, err, report, out_path
+
+
+def test_bench_acc_with_feedthrough(tmp_path, capsys):
+    code, _, report, _ = passivate_bundled("acc", ["--feedthrough", "0.125"], tmp_path, capsys)
     assert code == 0
-    assert load_model(out_path).n == 2
-    report = json.load(open(report_path))
-    assert report["input"] == "bench:toy-m1"
+    assert report["name"] == "acc"
+    assert report["h2_error"] == pytest.approx(0.871, abs=0.005)
+
+
+def test_bench_toy_m0_squared_error(tmp_path, capsys):
+    code, _, report, _ = passivate_bundled("toy-m0", [], tmp_path, capsys)
+    assert code == 0
+    assert report["j_final"] == pytest.approx(0.94, abs=0.01)
+
+
+def test_bench_toy_m1_restart_from_local_basin(tmp_path, capsys):
+    code, _, report, out_path = passivate_bundled("toy-m1", ["--l0", "-2,0"], tmp_path, capsys)
+    assert code == 0
+    assert report["restarts"] == 1
+    assert_allclose(load_model(out_path).C, [[0.836, 0.34]], atol=0.005)
+
+
+def test_bench_bad_init_length_is_usage_error(tmp_path, capsys):
+    code, err, report, _ = passivate_bundled("toy-m1", ["--l0", "1,2,3"], tmp_path, capsys)
+    assert code == 2
+    assert "--l0: expected 2 values" in err
+    assert report is None
+
+
+def test_bench_subcommand_is_usage_error(capsys):
+    code, _, err = run_cli(["bench", "acc"], capsys)
+    assert code == 2
+    assert "invalid choice: 'bench'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from klap.linalg import (
     _bartels_stewart,
     _LyapunovKernel,
     _real_schur,
-    max_real_part,
     solve_lyapunov,
     solve_lyapunov_transposed,
     spectral_decompose,
@@ -36,7 +35,7 @@ from oracles import kron_lyapunov_oracle
 def random_hurwitz(rng, n, margin=0.5):
     """Random dense Hurwitz matrix with spectral abscissa <= -margin."""
     A = rng.standard_normal((n, n))
-    shift = max_real_part(A) + margin
+    shift = np.linalg.eigvals(A).real.max() + margin
     return A - shift * np.eye(n)
 
 
@@ -372,12 +371,6 @@ def test_spectral_decompose_reconstruction():
 def test_spectral_decompose_defective_matrix_raises():
     with pytest.raises(DefectiveMatrixError):
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_max_real_part_examples():
-    assert max_real_part(np.array([[1.0, 4.0], [2.0, -1.0]])) == pytest.approx(3.0, abs=1e-12)
-    # complex pair: -1 +/- 2*sqrt(2) i
-    assert max_real_part(np.array([[-1.0, 4.0], [-2.0, -1.0]])) == pytest.approx(-1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,34 @@ def test_objective_is_infinite_where_it_overflows(scale):
             objective_and_gradient(sys, P, LurePoint(L, M))
 
 
+def test_lbfgs_stops_when_the_line_search_fails(monkeypatch):
+    # Every trial after the start reports a J above the starting one, so
+    # all 45 step halvings fail the Armijo test: the run ends on the
+    # "line-search" stop with the starting iterate and no accepted step.
+    import klap.optimizer as mod
+
+    orig_value = mod._Objective.value
+    values = []
+
+    def every_trial_worse(self, L):
+        J, state = orig_value(self, L)
+        values.append(J)
+        return (J if len(values) == 1 else values[0] + 1.0), state
+
+    monkeypatch.setattr(mod._Objective, "value", every_trial_worse)
+    sys = toy_system(0.125)
+    P = controllability_gramian(sys)
+    L0 = np.array([[-2.0], [0.0]])
+    run = lbfgs_minimize(sys, P, L0, [[0.5]])
+    assert run.status == "line-search"
+    assert run.converged is False
+    assert run.iterations == 0
+    assert len(values) == 1 + 45
+    assert_array_equal(run.L, L0)
+    assert run.value == values[0]
+    assert run.trace == ((values[0], run.gradient_norm),)
+
+
 def test_lbfgs_backs_off_from_a_non_finite_trial(monkeypatch):
     # The first line-search trial is moved out to 1e200 * L, where L L^T
     # overflows.  The evaluation reports J = inf, the line search halves
@@ -702,7 +730,5 @@ def test_config_validation():
         KlapConfig(max_restarts=-1)
     with pytest.raises(ValueError):
         KlapConfig(init="magic")
-    with pytest.raises(ValueError):
-        KlapConfig(restart_axis_tol=-1.0)
     with pytest.raises(TypeError):
         klap(toy_system(0.125), no_such_option=1)
