@@ -17,7 +17,12 @@ rejects a singular operator (``lam_i + lam_j ~= 0``) and stores the
 basis, its inverse and the ``lam_i + lam_j`` denominators; a solve is then
 arithmetic plus the checks of its own result.  Input validation happens at
 the public boundary (:func:`solve_lyapunov`,
-:func:`solve_lyapunov_transposed`), not in the kernel.  A :class:`~klap.system.StateSpaceSystem` owns the
+:func:`solve_lyapunov_transposed`), not in the kernel.  The kernel takes
+its right-hand side ``W`` as exactly symmetric: the public functions
+symmetrize a ``W`` that passed their symmetry check, and the library's
+own callers form ``W`` exactly symmetric (``L L^T`` and ``B B^T``, for
+which numpy computes one triangle and mirrors it, and the adjoint
+right-hand side ``-(F + F^T)/2``).  A :class:`~klap.system.StateSpaceSystem` owns the
 kernel of its ``A``, built on first use from the eigenbasis it caches;
 the Gramian, the optimizer's inner loop, the restarts and the final
 output map all solve through it.  Two strategies are provided:
@@ -248,7 +253,7 @@ class _LyapunovKernel:
     Building the kernel checks ``strategy``, obtains the eigenbasis
     (``decomp``, or :func:`spectral_decompose` of ``A``), checks its
     condition against :data:`DIAG_COND_LIMIT`, rejects a singular operator
-    and stores ``V``, ``V^{-1}``, their transposes, the negated
+    and stores ``A^T``, ``V``, ``V^{-1}``, their transposes, the negated
     ``lam_i + lam_j`` denominators and ``||A||_F``.  Under ``"auto"`` a
     missing or ill-conditioned basis selects the dense solve for every
     solve of this kernel, and so does the first diagonalized solve that
@@ -259,7 +264,8 @@ class _LyapunovKernel:
     Schur factorizations however many dense solves it runs.
 
     ``A`` and each ``W`` are taken as valid (finite, square, matching
-    shapes): the public functions validate them, and a
+    shapes, ``W`` exactly symmetric): the public functions validate and
+    symmetrize them, and a
     :class:`~klap.system.StateSpaceSystem` builds the kernel of its
     validated ``A`` once and keeps it.
 
@@ -280,7 +286,7 @@ class _LyapunovKernel:
     ):
         if strategy not in ("auto", "diagonalized", "dense"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.A, self.strategy = A, strategy
+        self.A, self.A_t, self.strategy = A, A.T, strategy
         self.A_norm = _fro(A)
         # real Schur forms of A (False) and A^T (True), made on first use
         self._schur: dict[bool, tuple] = {}
@@ -316,7 +322,9 @@ class _LyapunovKernel:
 
     def solve(self, W: np.ndarray, transposed: bool) -> np.ndarray:
         """Exactly symmetric ``X`` with ``A^T X + X A + W = 0``
-        (``transposed``) or ``A X + X A^T + W = 0``.
+        (``transposed``) or ``A X + X A^T + W = 0``, for an exactly
+        symmetric ``W`` (the caller's duty: the kernel does not
+        symmetrize it).
 
         Every solution is checked: the diagonalized one for imaginary
         leakage and against the residual bound, the dense one against the
@@ -328,7 +336,6 @@ class _LyapunovKernel:
         solution that is not finite (the equation overflowed) is returned
         as is.
         """
-        W = 0.5 * (W + W.T)
         if self.diagonal:
             X, reason = self._diagonal_solve(W, transposed)
             if reason is None:
@@ -339,7 +346,8 @@ class _LyapunovKernel:
                        "for every later solve: %s", reason)
             self.diagonal = False
         X = self._dense_solve(W, transposed)
-        X = 0.5 * (X + X.T)
+        X = X + X.T
+        X *= 0.5
         if math.isfinite(_fro(X)) and self._residual_failure(X, W, transposed) is not None:
             raise SingularOperatorError(
                 "Lyapunov solve residual exceeds tolerance; the operator is "
@@ -365,16 +373,21 @@ class _LyapunovKernel:
         why it fails its checks (``None`` if it passes them, or if it is
         not finite)."""
         if transposed:
-            X = self.Vinv_t @ ((self.V_t @ W @ self.V) / self.neg_denom) @ self.Vinv
+            Y = self.V_t.dot(W).dot(self.V)
+            Y /= self.neg_denom
+            X = self.Vinv_t.dot(Y).dot(self.Vinv)
         else:
-            X = self.V @ ((self.Vinv @ W @ self.Vinv_t) / self.neg_denom) @ self.V_t
+            Y = self.Vinv.dot(W).dot(self.Vinv_t)
+            Y /= self.neg_denom
+            X = self.V.dot(Y).dot(self.V_t)
         if X.dtype.kind == "c":
             x = X.ravel().view(np.float64)  # real and imaginary parts interleaved
             re, im = math.sqrt(x[0::2].dot(x[0::2])), math.sqrt(x[1::2].dot(x[1::2]))
             X = X.real
         else:  # real spectrum: numpy returns a real basis
             re, im = _fro(X), 0.0
-        X = 0.5 * (X + X.T)
+        X = X + X.T
+        X *= 0.5
         if not math.isfinite(re):
             return X, None
         if im > IMAG_LEAK_TOL * max(re, 1e-300):
@@ -407,9 +420,10 @@ class _LyapunovKernel:
         """``||A^T X + X A + W||_F`` (or of the standard equation) and its
         bound :data:`RESIDUAL_RTOL` ``(||A|| ||X|| + ||W||)``."""
         # X is exactly symmetric, so X A = (A^T X)^T and X A^T = (A X)^T
-        S = self.A.T @ X if transposed else self.A @ X
-        res = _fro(S + S.T + W)
-        return res, RESIDUAL_RTOL * (self.A_norm * _fro(X) + _fro(W))
+        S = self.A_t.dot(X) if transposed else self.A.dot(X)
+        S += S.T  # numpy buffers the overlapping operand: S + S^T
+        S += W
+        return _fro(S), RESIDUAL_RTOL * (self.A_norm * _fro(X) + _fro(W))
 
 
 def _solve(
@@ -423,6 +437,7 @@ def _solve(
     W = _check_symmetric(W)
     if A.shape != W.shape:
         raise ValueError(f"A and W must have matching shapes, got {A.shape} and {W.shape}")
+    W = 0.5 * (W + W.T)
     return _LyapunovKernel(A, decomp, strategy).solve_finite(W, transposed)
 
 

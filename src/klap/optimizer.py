@@ -198,13 +198,14 @@ class _Objective:
         overflows), returns ``(inf, None)``, so a line search backs off
         instead of failing.
         """
-        W = L @ L.T
+        W = L.dot(L.T)  # exactly symmetric: numpy mirrors one triangle of L L^T
         if not np.isfinite(W).all():
             return math.inf, None
         X = self.lyap.solve(W, True)
-        C_hat = self.B_t @ X + self.M @ L.T
+        C_hat = self.B_t.dot(X)
+        C_hat += self.M.dot(L.T)
         E = self.C - C_hat
-        J = float((E @ self.P @ E.T).trace())
+        J = float(E.dot(self.P).dot(E.T).trace())
         if not math.isfinite(J):
             return math.inf, None
         return J, (L, X, C_hat, E)
@@ -212,10 +213,16 @@ class _Objective:
     def gradient(self, state: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``(grad, X_grad)`` at the point :meth:`value` returned ``state`` for."""
         L, _, _, E = state
-        PEt = self.P @ E.T
-        # adjoint equation A X_grad + X_grad A^T - P E^T B^T - B E P = 0
-        X_grad = self.lyap.solve(-(PEt @ self.B_t + self.B @ PEt.T), False)
-        grad = 2.0 * X_grad @ L - 2.0 * PEt @ self.M
+        PEt = self.P.dot(E.T)
+        # adjoint equation A X_grad + X_grad A^T + W = 0 with the exactly
+        # symmetric W = -(F + F^T)/2, F = P E^T B^T + B E P
+        F = PEt.dot(self.B_t)
+        F += self.B.dot(PEt.T)
+        W = F + F.T
+        W *= -0.5
+        X_grad = self.lyap.solve(W, False)
+        grad = (2.0 * X_grad).dot(L)
+        grad -= (2.0 * PEt).dot(self.M)
         return grad, X_grad
 
 
@@ -419,7 +426,7 @@ def lbfgs_minimize(
         for i in range(k):
             b = rho_hist[i] * y_hist[i].dot(q)
             q += (alphas[i] - b) * s_hist[i]
-        d = -q
+        d = np.negative(q, out=q)
         gd = g.dot(d)
         if not math.isfinite(gd) or gd >= 0.0:
             d, gd = -g, -g_norm**2  # non-descent direction: reset to steepest

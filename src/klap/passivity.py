@@ -169,33 +169,46 @@ def _newton_minimal(
     closed-loop spectrum at ``X``.  Raises :class:`NoSolutionError` if no
     acceptable solution is found.
 
+    The zero-gain start's first step is taken in closed form: its
+    Lyapunov right-hand side ``Q(0)`` vanishes, so its Newton iterate and
+    every damping trial is ``X = 0``, with gain ``R^{-1} C``.  That step
+    is one Schur form of ``(A - B R^{-1} C)^T``: accepted (with the
+    residual unchanged, so it counts as a stall) when that closed loop is
+    Hurwitz, and otherwise no Newton step is acceptable and the
+    Hamiltonian-Schur refinement runs at once.
+
     Every closed loop is factored once, into the real Schur form of
     ``Y^T``: each damping trial computes its gain ``F_t = R^{-1} (C - B^T
     X_t)`` once, and the Schur form of ``(A - B F_t)^T`` gives the trial's
     stability test; the accepted trial's gain and Schur form are the next
     step's ``K`` and Lyapunov factorization (the closed loop of that step
-    is the same matrix).  Only the zero-gain start factors ``A^T`` at the
-    first step.
+    is the same matrix).
     """
     n = A.shape[0]
-    if start is None:
-        K, schur = np.zeros((B.shape[1], n)), None
-    else:
-        K, schur = start
     X = np.zeros((n, n))
-    res_norm = _residual_norm(A, B, C, R, X)
+    F0 = _gain(B, C, R, X)
+    res_norm = np.linalg.norm(_are_residual(A, B, C, X, F0), "fro")
     # (X, accepted steps, residual, closed-loop max real part or None)
     best: tuple[np.ndarray, int, float, float | None] | None = None
     iterations = 0
     stalls = 0
-    for _ in range(_NEWTON_STEPS):
+    steps = _NEWTON_STEPS
+    if start is not None:
+        K, schur = start
+    else:
+        K, schur = F0, _real_schur((A - B @ F0).T)
+        abscissa = _max_real(schur)
+        if abscissa < 0:
+            iterations, steps = 1, _NEWTON_STEPS - 1
+            stalls = 1 if res_norm > 0.5 * res_norm else 0
+            if res_norm <= tol:  # the residual scale max(1, ||X||) is 1 at X = 0
+                return X, iterations, res_norm, abscissa
+            best = (X, iterations, res_norm, abscissa)
+        else:
+            steps = 0  # no Newton step is acceptable: refine at once
+    for _ in range(steps):
         Q = C.T @ K + K.T @ C - K.T @ R @ K
-        try:
-            if schur is None:
-                schur = _real_schur((A - B @ K).T)
-            X_full = _bartels_stewart(schur, -Q)
-        except np.linalg.LinAlgError:
-            break
+        X_full = _bartels_stewart(schur, -Q)
         X_full = 0.5 * (X_full + X_full.T)
         # damping: largest step in {1, 1/2, ...} that keeps the closed loop
         # stable and does not increase the residual

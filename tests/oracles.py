@@ -62,6 +62,51 @@ def lure_residuals(sys, X: np.ndarray, L: np.ndarray, M: np.ndarray) -> tuple[fl
     return float(r_state), float(r_output), float(r_feed)
 
 
+def reference_objective(sys, P, M, L):
+    """Reference evaluation of ``J`` and its gradient at ``L``:
+    ``(J, grad, X, X_grad)``, or ``(inf, None)`` where ``L L^T`` or ``J``
+    is not finite.
+
+    The expressions of the evaluation written plainly: ``@`` products, and
+    every right-hand side symmetrized as ``0.5 (W + W^T)`` before its
+    solve.  The solves run on the system kernel's stored eigenbasis (``V``,
+    ``V^{-1}`` and the negated ``lam_i + lam_j``) when it solves in that
+    basis, and otherwise through SciPy's ``solve_continuous_lyapunov``,
+    whose arithmetic the kernel's kept Schur forms reproduce bit for bit.
+    The library builds exactly symmetric right-hand sides and calls
+    ``ndarray.dot``, which makes the same BLAS calls, so the two must agree
+    bit for bit.
+    """
+    lyap = sys._lyapunov()
+    A, B, C = sys.A, sys.B, sys.C
+
+    def solve(W, transposed):
+        W = 0.5 * (W + W.T)
+        if lyap.diagonal:
+            V, Vinv, neg_denom = lyap.V, lyap.Vinv, lyap.neg_denom
+            if transposed:
+                X = Vinv.T @ ((V.T @ W @ V) / neg_denom) @ Vinv
+            else:
+                X = V @ ((Vinv @ W @ Vinv.T) / neg_denom) @ V.T
+            X = X.real
+        else:
+            X = scipy.linalg.solve_continuous_lyapunov(A.T if transposed else A, -W)
+        return 0.5 * (X + X.T)
+
+    W = L @ L.T
+    if not np.isfinite(W).all():
+        return math.inf, None
+    X = solve(W, True)
+    E = C - (B.T @ X + M @ L.T)
+    J = float(np.trace(E @ P @ E.T))
+    if not math.isfinite(J):
+        return math.inf, None
+    PEt = P @ E.T
+    X_grad = solve(-(PEt @ B.T + B @ PEt.T), False)
+    grad = 2.0 * X_grad @ L - 2.0 * PEt @ M
+    return J, grad, X, X_grad
+
+
 def eager_lbfgs(sys, P, L0, M, config=None) -> LbfgsResult:
     """Reference L-BFGS that evaluates ``J`` and the gradient at every
     line-search trial, accepted or not.

@@ -260,6 +260,37 @@ def test_kernel_solves_equal_the_public_solvers_bit_for_bit():
     assert np.array_equal(kernel.solve(W, True), solve_lyapunov_transposed(A, W, decomp=d))
 
 
+def test_library_right_hand_sides_are_exactly_symmetric():
+    # the kernel takes W as exactly symmetric and does not symmetrize it:
+    # L L^T (the objective's value, c_of_l) and B B^T (the Gramian) must
+    # come out exactly symmetric, as numpy's a a^T computes one triangle
+    # and mirrors it; the @ cases also cover F-ordered and strided inputs
+    rng = np.random.default_rng(31)
+    for n in range(1, 129):
+        for m in range(1, 8):
+            L = rng.standard_normal((n, m))
+            B = np.asfortranarray(rng.standard_normal((n, m)))
+            strided = rng.standard_normal((n, 2 * m))[:, ::2]
+            for W in (L.dot(L.T), L @ L.T, B @ B.T, strided @ strided.T):
+                assert np.array_equal(W, W.T), (n, m)
+
+
+@pytest.mark.parametrize("strategy", ["auto", "dense"])
+def test_public_solvers_symmetrize_a_nearly_symmetric_w(strategy):
+    # the public boundary accepts W symmetric to 1e-10 relative and
+    # symmetrizes it before the kernel sees it: the solution for a W with
+    # 1e-13 asymmetry is bit for bit the solution for 0.5 (W + W^T)
+    rng = np.random.default_rng(37)
+    A = random_hurwitz(rng, 7)
+    W = random_sym(rng, 7) + 1e-13 * rng.standard_normal((7, 7))
+    assert not np.array_equal(W, W.T)
+    W_sym = 0.5 * (W + W.T)
+    for solve in (solve_lyapunov, solve_lyapunov_transposed):
+        X = solve(A, W, strategy=strategy)
+        assert np.array_equal(X, solve(A, W_sym, strategy=strategy))
+        assert np.array_equal(X, X.T)
+
+
 def test_kernel_checks_strategy_and_operator_once_when_built():
     with pytest.raises(ValueError, match="strategy"):
         _LyapunovKernel(-np.eye(2), None, "schur")

@@ -370,6 +370,57 @@ def test_lbfgs_matches_the_eager_oracle_bit_for_bit(sys, L0):
     assert (run.iterations, run.status) == (ref.iterations, ref.status)
 
 
+def real_spectrum_system():
+    """A 6 x 2 system whose A has distinct real eigenvalues -1, ..., -6 and
+    a well-conditioned, real eigenbasis."""
+    rng = np.random.default_rng(5)
+    n, m = 6, 2
+    T = np.triu(0.3 * rng.standard_normal((n, n)), 1) - np.diag(np.arange(1.0, n + 1))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return StateSpaceSystem(Q @ T @ Q.T, rng.standard_normal((n, m)),
+                            rng.standard_normal((m, n)), 0.05 * np.eye(m))
+
+
+@pytest.mark.parametrize(
+    "sys, route",
+    [
+        (rand_family_system(8, 2, 4), "complex"),
+        (real_spectrum_system(), "real"),
+        (acc_system(0.125), "dense"),
+    ],
+    ids=["rand-8x2/4-complex-basis", "real-spectrum-real-basis", "acc/d=0.125-dense"],
+)
+def test_objective_matches_the_reference_evaluation_bit_for_bit(sys, route):
+    # the evaluation's arithmetic itself, not only the trajectory: J, the
+    # gradient and both Lyapunov solutions equal the plain expressions of
+    # tests/oracles.py bit for bit on each kernel route, and where the
+    # objective overflows both report it as infinite
+    import klap.optimizer as mod
+    from oracles import reference_objective
+
+    lyap = sys._lyapunov()
+    assert {"complex": lyap.diagonal and lyap.V.dtype.kind == "c",
+            "real": lyap.diagonal and lyap.V.dtype.kind == "f",
+            "dense": not lyap.diagonal}[route]
+    P = controllability_gramian(sys)
+    M = sqrtm_psd(sys.D + sys.D.T)
+    rng = np.random.default_rng(7)
+    for scale in (0.1, 1.0, 10.0):
+        L = scale * rng.standard_normal((sys.n, sys.m))
+        ev = objective_and_gradient(sys, P, LurePoint(L, M))
+        J, grad, X, X_grad = reference_objective(sys, P, M, L)
+        assert ev.J == J
+        assert_array_equal(ev.grad, grad)
+        assert_array_equal(ev.X, X)
+        assert_array_equal(ev.X_grad, X_grad)
+    objective = mod._Objective(sys, P, M, lyap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale in (1e100, 1e200):
+            L = np.full((sys.n, sys.m), scale)
+            assert objective.value(L) == (math.inf, None)
+            assert reference_objective(sys, P, M, L) == (math.inf, None)
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e200])
 def test_objective_is_infinite_where_it_overflows(scale):
     # 1e100: L L^T is finite but J overflows; 1e200: L L^T itself overflows

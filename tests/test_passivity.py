@@ -7,6 +7,8 @@ minimal root.  Strictly passive test systems are built from Lur'e data so
 passivity holds by construction with a known margin.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -152,9 +154,11 @@ def test_are_minimal_random_passive_systems():
 @pytest.mark.parametrize("n, m, seed", [(8, 2, 3), (16, 3, 4)])
 def test_solve_are_computes_each_closed_loop_spectrum_once(monkeypatch, n, m, seed):
     # each closed loop is factored once, into the real Schur form of its
-    # transpose: A^T for the zero-gain start, then one form per damping
-    # trial, whose eigenvalues test the trial and, once it is accepted,
-    # whose factorization the next Lyapunov solve uses; no eigvals call
+    # transpose: (A - B R^{-1} C)^T for the zero-gain start's first step,
+    # taken in closed form (its iterate is X = 0, so it needs no Lyapunov
+    # solve), then one form per damping trial, whose eigenvalues test the
+    # trial and, once it is accepted, whose factorization the next
+    # Lyapunov solve uses; A^T itself is never factored; no eigvals call
     sys = random_passive_system(np.random.default_rng(seed), n, m)
     real_schur, bartels_stewart = passivity._real_schur, passivity._bartels_stewart
     factored, forms, solved_with = [], [], []
@@ -177,11 +181,13 @@ def test_solve_are_computes_each_closed_loop_spectrum_once(monkeypatch, n, m, se
     sol = solve_are(sys, "minimal")
     monkeypatch.undo()
     assert sol.newton_iterations >= 5
-    assert len({a.tobytes() for a in factored}) == len(factored) > sol.newton_iterations
-    assert np.array_equal(factored[0], sys.A.T)
-    assert len(solved_with) == sol.newton_iterations
+    assert len({a.tobytes() for a in factored}) == len(factored) >= sol.newton_iterations
+    R = sys.D + sys.D.T
+    assert np.array_equal(factored[0], _closed_loop(sys.A, sys.B, sys.C, R, np.zeros((n, n))).T)
+    assert not any(np.array_equal(a, sys.A.T) for a in factored)
+    assert len(solved_with) == sol.newton_iterations - 1
     assert all(any(s is f for f in forms) for s in solved_with)
-    Y = _closed_loop(sys.A, sys.B, sys.C, sys.D + sys.D.T, sol.X)
+    Y = _closed_loop(sys.A, sys.B, sys.C, R, sol.X)
     assert np.array_equal(factored[-1], Y.T)
     assert sol.closed_loop_max_real == float(real_schur(Y.T)[2].max())
 
@@ -267,6 +273,42 @@ def test_are_maximal_single_input_wide_spectrum():
         assert hi.residual <= 1e-9 * scale
         assert np.linalg.eigvalsh(hi.X - lo.X).min() >= -1e-7 * scale
         assert hi.closed_loop_max_real >= -1e-8 * scale
+
+
+def test_are_maximal_falls_back_to_the_shifted_gain(monkeypatch, caplog):
+    # A strictly passive random system (n = 7, m = 1; the feedthrough lifts
+    # the Popov minimum of D = 0 to +0.048) on which the adjoint route
+    # fails: its sign-reversed polish raises.  _newton_maximal then runs
+    # its unseeded last resort from an eigenvalue-shift gain of -A, which
+    # either finds a solution within the tolerance or raises
+    # NoSolutionError (here: the shifted Gramian is numerically singular).
+    rng = np.random.default_rng(279)
+    n, m = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+    assert (n, m) == (7, 1)
+    A = rng.standard_normal((n, n))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+    B, C = rng.standard_normal((n, m)), rng.standard_normal((m, n))
+    popov_min = popov_scan(StateSpaceSystem(A, B, C, np.zeros((m, m)))).global_min
+    sys = StateSpaceSystem(A, B, C, (1.1 * (-popov_min / 2) + 0.01) * np.eye(m))
+    assert popov_scan(sys).global_min > 0
+
+    shifted = []
+    shift = passivity._shift_stabilizing_gain
+
+    def recording_shift(a, b):
+        shifted.append(a.copy())
+        return shift(a, b)
+
+    monkeypatch.setattr(passivity, "_shift_stabilizing_gain", recording_shift)
+    with caplog.at_level(logging.DEBUG, logger="klap.passivity"):
+        try:
+            sol = solve_are(sys, "maximal")
+        except NoSolutionError:
+            sol = None
+    assert "adjoint route for the maximal solution failed" in caplog.text
+    assert len(shifted) == 1 and np.array_equal(shifted[0], -sys.A)
+    if sol is not None:
+        assert sol.residual <= 1e-10 * max(1.0, np.linalg.norm(sol.X, "fro"))
 
 
 def test_are_boundary_system_double_root():
