@@ -284,7 +284,9 @@ class KlapConfig:
         Strict-passivation margin of the initialization; ``None`` means
         ``1e-3 * |popov_min|``.
     max_iterations : int
-        Inner-iteration cap per minimization.
+        Inner-iteration cap per minimization.  A round whose run stops on
+        the objective change without a certificate adds a polish
+        minimization with its own cap, so one round can take twice the cap.
     max_restarts : int
         Certificate-failed restarts before returning the best iterate.
     popov_points, popov_wmin, popov_wmax
@@ -624,7 +626,8 @@ class KlapResult:
     h2_error : float
         ``sqrt(J_final)`` — the H2 distance itself.
     iterations : int
-        Accepted quasi-Newton steps, summed over all restarts.
+        Accepted quasi-Newton steps, summed over all restarts and polish
+        passes (up to ``2 * max_iterations`` per round).
     restarts : int
         Restarts actually performed.
     certificate : GlobalMinCertificate or None
@@ -800,6 +803,8 @@ def klap(
             else:
                 L_next = _random_factor(rng, sys, M)
             if is_duplicate(L_next):
+                _log.info("restart %d repeats an earlier start; using a random start",
+                          restarts_used + 1)
                 L_next = _random_factor(rng, sys, M)
             starts.append(L_next)
             L_start = L_next

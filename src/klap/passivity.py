@@ -21,9 +21,11 @@ the solutions of the algebraic Riccati equation
 whose solution set is an ordered lattice: the extremal solutions
 ``X_min <= X <= X_max`` are characterized through the closed-loop matrix
 ``Y(X) = A - B R^{-1} (C - B^T X)`` having spectrum in the closed left
-(respectively right) half-plane.  The coincidence ``X_min = X_max`` —
-i.e. a closed-loop spectrum entirely on the imaginary axis — certifies
-that a candidate passivation cannot be improved upon.
+(respectively right) half-plane.  :func:`solve_are` computes ``X_min``, the
+stabilizing solution the initialization starts from.  ``X_max`` is never
+formed: the coincidence ``X_min = X_max`` — a closed-loop spectrum
+entirely on the imaginary axis — is what :func:`global_min_certificate`
+tests to certify that a candidate passivation cannot be improved upon.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def _feedthrough_gram(sys: StateSpaceSystem) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class AreSolution:
-    """An extremal solution of the passivity Riccati equation.
+    """The minimal (stabilizing) solution of the passivity Riccati equation.
 
     Attributes
     ----------
@@ -78,12 +80,8 @@ class AreSolution:
         Symmetric solution.
     closed_loop_max_real : float
         Largest eigenvalue real part of ``Y(X) = A - B R^{-1} (C - B^T X)``,
-        read off the real Schur form of ``Y(X)^T`` (for the minimal
-        solution, the one the Newton iteration's last stability test
-        computed); approximately ``<= 0`` for the minimal solution and
-        ``>= 0`` for the maximal one.
-    kind : str
-        ``"minimal"`` or ``"maximal"``.
+        read off the real Schur form of ``Y(X)^T`` that the Newton
+        iteration's last stability test computed; approximately ``<= 0``.
     newton_iterations : int
         Accepted Newton steps performed.
     residual : float
@@ -92,7 +90,6 @@ class AreSolution:
 
     X: np.ndarray
     closed_loop_max_real: float
-    kind: str
     newton_iterations: int
     residual: float
 
@@ -121,39 +118,12 @@ def _max_real(schur: tuple) -> float:
     return float(schur[2].max())
 
 
-def _shift_stabilizing_gain(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Gain ``K`` with ``A - B K`` Hurwitz for an anti-stable ``A``, via an
-    eigenvalue shift, and the real Schur form of ``(A - B K)^T``.
-
-    Shift by ``beta > spectral abscissa`` so that ``A + beta I`` is
-    anti-stable, solve ``(A + beta I) P + P (A + beta I)^T = 2 B B^T`` and
-    take ``K = B^T P^{-1}``; then ``(A - BK) P + P (A - BK)^T = -2 beta P``
-    is a Lyapunov stability certificate.  The Schur form that tests the
-    closed loop is the one the first Newton step solves with.
-    """
-    n = A.shape[0]
-    beta = 1.0 + np.linalg.norm(A, "fro")
-    P = _bartels_stewart(_real_schur(A + beta * np.eye(n)), 2.0 * B @ B.T)
-    P = 0.5 * (P + P.T)
-    lam = np.linalg.eigvalsh(P)
-    if lam.min() <= 1e-12 * max(1.0, lam.max()):
-        raise NoSolutionError(
-            "cannot construct a stabilizing initial gain: shifted Gramian is singular"
-        )
-    K = np.linalg.solve(P, B).T
-    schur = _real_schur((A - B @ K).T)
-    if _max_real(schur) >= 0:
-        raise NoSolutionError("eigenvalue-shift stabilization failed")
-    return K, schur
-
-
 def _newton_minimal(
     A: np.ndarray,
     B: np.ndarray,
     C: np.ndarray,
     R: np.ndarray,
     tol: float,
-    start: tuple[np.ndarray, tuple] | None = None,
 ) -> tuple[np.ndarray, int, float, float]:
     """Damped Newton iteration for the minimal Riccati solution.
 
@@ -161,13 +131,10 @@ def _newton_minimal(
     closed loop ``Y_k = A - B K_k``; step damping keeps the closed loop
     Hurwitz and the residual non-increasing.  When the iteration stalls
     above tolerance (near-marginal problems), a Hamiltonian-Schur solve
-    refines the iterate.  By default the iteration starts from the zero
-    gain, which needs ``A`` Hurwitz; ``start = (K0, schur)`` supplies
-    another stabilizing initial gain ``K0`` with the form its caller
-    tested it on, ``schur = _real_schur((A - B K0)^T)``.  Returns ``X``,
-    the accepted steps, the residual norm and the largest real part of the
-    closed-loop spectrum at ``X``.  Raises :class:`NoSolutionError` if no
-    acceptable solution is found.
+    refines the iterate.  The iteration starts from the zero gain, which
+    needs ``A`` Hurwitz.  Returns ``X``, the accepted steps, the residual
+    norm and the largest real part of the closed-loop spectrum at ``X``.
+    Raises :class:`NoSolutionError` if no acceptable solution is found.
 
     The zero-gain start's first step is taken in closed form: its
     Lyapunov right-hand side ``Q(0)`` vanishes, so its Newton iterate and
@@ -193,19 +160,16 @@ def _newton_minimal(
     iterations = 0
     stalls = 0
     steps = _NEWTON_STEPS
-    if start is not None:
-        K, schur = start
+    K, schur = F0, _real_schur((A - B @ F0).T)
+    abscissa = _max_real(schur)
+    if abscissa < 0:
+        iterations, steps = 1, _NEWTON_STEPS - 1
+        stalls = 1 if res_norm > 0.5 * res_norm else 0
+        if res_norm <= tol:  # the residual scale max(1, ||X||) is 1 at X = 0
+            return X, iterations, res_norm, abscissa
+        best = (X, iterations, res_norm, abscissa)
     else:
-        K, schur = F0, _real_schur((A - B @ F0).T)
-        abscissa = _max_real(schur)
-        if abscissa < 0:
-            iterations, steps = 1, _NEWTON_STEPS - 1
-            stalls = 1 if res_norm > 0.5 * res_norm else 0
-            if res_norm <= tol:  # the residual scale max(1, ||X||) is 1 at X = 0
-                return X, iterations, res_norm, abscissa
-            best = (X, iterations, res_norm, abscissa)
-        else:
-            steps = 0  # no Newton step is acceptable: refine at once
+        steps = 0  # no Newton step is acceptable: refine at once
     for _ in range(steps):
         Q = C.T @ K + K.T @ C - K.T @ R @ K
         X_full = _bartels_stewart(schur, -Q)
@@ -266,87 +230,30 @@ def _newton_minimal(
     )
 
 
-def _newton_maximal(
-    A: np.ndarray,
-    B: np.ndarray,
-    C: np.ndarray,
-    R: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, int, float]:
-    """Maximal Riccati solution via the adjoint problem.
-
-    ``X`` solves the Riccati equation iff ``X^{-1}`` solves the equation of
-    the adjoint data ``(A^T, C^T, B^T)`` (multiply the equation by
-    ``X^{-1}`` on both sides), and inversion reverses the ordering of the
-    positive definite solution set — so the maximal solution is the inverse
-    of the adjoint problem's minimal one.  ``A^T`` is Hurwitz, hence the
-    adjoint Newton iteration starts from the zero gain and never needs a
-    stabilizing-gain construction on anti-stable data.  If inversion
-    amplifies the adjoint residual above tolerance, a Newton polish in the
-    sign-reversed frame ``-X_min(-A, B, -C)`` — seeded with the inverted
-    iterate, whose closed loop is already Hurwitz there — restores it.
-    When the adjoint route fails, the sign-reversed iteration runs
-    unseeded from an eigenvalue-shift stabilizing gain
-    (:func:`_shift_stabilizing_gain`).  That last resort seldom finds a
-    solution the adjoint route missed: on the sampled random systems where
-    it ran, it raised :class:`NoSolutionError` on nearly every minimal
-    realization and on every non-minimal one.
-    """
-    try:
-        Y, iters, *_ = _newton_minimal(A.T, C.T, B.T, R, tol)
-        lam = np.linalg.eigvalsh(Y)
-        if lam.min() > 1e3 * np.finfo(float).eps * max(1.0, float(lam.max())):
-            X = np.linalg.inv(Y)
-            X = 0.5 * (X + X.T)
-            res = float(_residual_norm(A, B, C, R, X))
-            scale = max(1.0, float(np.linalg.norm(X, "fro")))
-            if res <= tol * scale:
-                return X, iters, res
-            K_seed = np.linalg.solve(R, -C + B.T @ X)
-            schur = _real_schur((-A - B @ K_seed).T)
-            if _max_real(schur) < 0:
-                X_rev, polish, *_ = _newton_minimal(
-                    -A, B, -C, R, tol, start=(K_seed, schur)
-                )
-                X = -0.5 * (X_rev + X_rev.T)
-                res = float(_residual_norm(A, B, C, R, X))
-                return X, iters + polish, res
-    except NoSolutionError as exc:
-        _log.debug("adjoint route for the maximal solution failed: %s", exc)
-    X_rev, iters, *_ = _newton_minimal(
-        -A, B, -C, R, tol, start=_shift_stabilizing_gain(-A, B)
-    )
-    X = -0.5 * (X_rev + X_rev.T)
-    res = float(_residual_norm(A, B, C, R, X))
-    return X, iters, res
-
-
 def solve_are(
     sys: StateSpaceSystem,
     kind: str = "minimal",
     tol: float = 1e-10,
 ) -> AreSolution:
-    """Extremal solution of the passivity Riccati equation.
+    """Minimal (stabilizing) solution of the passivity Riccati equation.
+
+    The damped Newton iteration of :func:`_newton_minimal`, started from
+    the zero gain since ``A`` is Hurwitz; each of its closed loops is
+    factored once, into the real Schur form that tests its stability and
+    serves the next Lyapunov solve.
 
     Parameters
     ----------
     sys : StateSpaceSystem
         Must have ``D + D^T`` positive definite.
-    kind : {"minimal", "maximal"}
-        Which extremal solution to compute.  The minimal one is the damped
-        Newton iteration of :func:`_newton_minimal`, started from the zero
-        gain since ``A`` is Hurwitz; each of its closed loops is factored
-        once, into the real Schur form that tests its stability and serves
-        the next Lyapunov solve.  The maximal one is obtained as the
-        inverse of the adjoint data's minimal solution (with a
-        sign-reversed fallback, see :func:`_newton_maximal`); it exists
-        chiefly for lattice-ordering diagnostics.
+    kind : {"minimal"}
+        The only solution computed; any other value raises ``ValueError``.
     tol : float
         Relative residual target: accept when
         ``||residual||_F <= tol * max(1, ||X||_F)``.  Near-marginal
         problems (systems barely inside the passive set) cannot reach
         ``1e-10``; callers that only need a usable interior point pass a
-        relaxed tolerance.  Each Newton iteration takes at most 100 steps.
+        relaxed tolerance.  The iteration takes at most 100 steps.
 
     Raises
     ------
@@ -356,22 +263,17 @@ def solve_are(
         If the iteration fails — in particular when the system is not
         passivatable by its feedthrough, so no stabilizing solution exists.
     """
-    if kind not in ("minimal", "maximal"):
-        raise ValueError(f"kind must be 'minimal' or 'maximal', got {kind!r}")
+    if kind != "minimal":
+        raise ValueError(f"kind must be 'minimal', got {kind!r}")
     R, definite = _feedthrough_gram(sys)
     if not definite:
         raise SingularFeedthroughError(
             "D + D^T is singular; the Riccati form of the Lur'e equations "
             "requires a positive definite feedthrough Gram matrix"
         )
-    A, B, C = sys.A, sys.B, sys.C
-    if kind == "minimal":
-        # A is Hurwitz (checked when sys was built): Newton starts at K = 0
-        X, iters, res, abscissa = _newton_minimal(A, B, C, R, tol)
-    else:
-        X, iters, res = _newton_maximal(A, B, C, R, tol)
-        abscissa = _max_real(_real_schur(_closed_loop(A, B, C, R, X).T))
-    return AreSolution(0.5 * (X + X.T), abscissa, kind, iters, res)
+    # A is Hurwitz (checked when sys was built): Newton starts at K = 0
+    X, iters, res, abscissa = _newton_minimal(sys.A, sys.B, sys.C, R, tol)
+    return AreSolution(0.5 * (X + X.T), abscissa, iters, res)
 
 
 @dataclass(frozen=True)

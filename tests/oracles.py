@@ -188,21 +188,21 @@ def eager_lbfgs(sys, P, L0, M, config=None) -> LbfgsResult:
     return LbfgsResult(x.reshape(shape), f, g_norm, iterations, converged, status, tuple(trace))
 
 
-def newton_riccati_oracle(sys, tol: float = 1e-10, max_iterations: int = 100):
-    """Reference minimal Riccati solve: ``(X, newton_iterations, residual)``.
+def newton_riccati_oracle(A, B, C, R, K0=None, tol: float = 1e-10, max_iterations: int = 100):
+    """Reference minimal Riccati solve of ``(A, B, C, R)``:
+    ``(X, newton_iterations, residual)``.
 
     The damped Newton iteration of :func:`klap.passivity.solve_are`
-    (``kind="minimal"``) written with SciPy's ``solve_continuous_lyapunov``
-    for every step and ``numpy.linalg.eigvals`` for every stability test,
-    recomputing ``F = R^{-1} (C - B^T X)`` wherever it is used and starting
-    from the gain the eigenvalue test of ``A`` selects.  The library factors
-    each closed loop once and reuses the factorization; the Lyapunov
-    arithmetic is the same, so ``X``, the step count and the residual must
-    agree bit for bit.  Raises :class:`NoSolutionError` where the library
-    does, with the same message.
+    written with SciPy's ``solve_continuous_lyapunov`` for every step and
+    ``numpy.linalg.eigvals`` for every stability test, recomputing
+    ``F = R^{-1} (C - B^T X)`` wherever it is used.  It starts from the
+    stabilizing gain ``K0`` when one is given, and otherwise from the zero
+    gain, which needs ``A`` Hurwitz.  The library factors each closed loop
+    once and reuses the factorization; the Lyapunov arithmetic is the
+    same, so from the zero gain ``X``, the step count and the residual
+    must agree with ``solve_are`` bit for bit.  Raises
+    :class:`NoSolutionError` where the library does, with the same message.
     """
-    A, B, C = sys.A, sys.B, sys.C
-    R = sys.D + sys.D.T
     n = A.shape[0]
 
     def gain(X):
@@ -214,9 +214,9 @@ def newton_riccati_oracle(sys, tol: float = 1e-10, max_iterations: int = 100):
     def abscissa(X):
         return float(np.linalg.eigvals(A - B @ gain(X)).real.max())
 
-    if np.linalg.eigvals(A).real.max() >= 0:
-        raise ValueError("the oracle starts from the zero gain; A must be Hurwitz")
-    K = np.zeros((B.shape[1], n))
+    K = np.zeros((B.shape[1], n)) if K0 is None else K0
+    if np.linalg.eigvals(A - B @ K).real.max() >= 0:
+        raise ValueError("the start gain must make A - B K0 Hurwitz")
     X = np.zeros((n, n))
     res_norm = residual(X)
     best = None
@@ -268,3 +268,41 @@ def newton_riccati_oracle(sys, tol: float = 1e-10, max_iterations: int = 100):
         f"Riccati iteration did not converge (residual {res_norm:.3e} vs "
         f"tolerance {tol * scale:.3e}); the system is likely not strictly passive"
     )
+
+
+def maximal_riccati_oracle(sys, tol: float = 1e-10):
+    """Reference maximal Riccati solve: ``(X_max, residual)``.
+
+    ``X`` solves the Riccati equation iff ``X^{-1}`` solves the equation of
+    the adjoint data ``(A^T, C^T, B^T)``, and inversion reverses the order
+    of the positive definite solutions, so ``X_max`` is the inverse of the
+    adjoint problem's minimal solution (``A^T`` is Hurwitz, so that solve
+    starts from the zero gain).  When inversion amplifies the residual
+    above ``tol * max(1, ||X||_F)``, a Newton polish of the sign-reversed
+    data ``(-A, B, -C)``, whose minimal solution is ``-X_max``, restores
+    it; its start gain ``R^{-1} (B^T X - C)`` is the inverse's closed loop,
+    which is stable in that frame.  Raises :class:`NoSolutionError` when
+    neither step yields a solution.
+    """
+    A, B, C = sys.A, sys.B, sys.C
+    R = sys.D + sys.D.T
+
+    def residual(X):
+        F = np.linalg.solve(R, C - B.T @ X)
+        return float(np.linalg.norm(A.T @ X + X @ A + (C.T - X @ B) @ F, "fro"))
+
+    Y, *_ = newton_riccati_oracle(A.T, C.T, B.T, R, tol=tol)
+    lam = np.linalg.eigvalsh(Y)
+    if lam.min() <= 1e3 * np.finfo(float).eps * max(1.0, float(lam.max())):
+        raise NoSolutionError("the adjoint minimal solution is not positive definite")
+    X = np.linalg.inv(Y)
+    X = 0.5 * (X + X.T)
+    res = residual(X)
+    if res <= tol * max(1.0, float(np.linalg.norm(X, "fro"))):
+        return X, res
+    K = np.linalg.solve(R, B.T @ X - C)
+    if np.linalg.eigvals(-A - B @ K).real.max() >= 0:
+        raise NoSolutionError("the inverse's closed loop is not stable in the reversed frame")
+    X_rev, *_ = newton_riccati_oracle(-A, B, -C, R, K0=K, tol=tol)
+    X = -0.5 * (X_rev + X_rev.T)
+    return X, residual(X)

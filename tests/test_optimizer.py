@@ -6,6 +6,7 @@ hand-derived closed forms; and the full driver against the frozen
 benchmark values of the two reference systems.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -671,6 +672,31 @@ def test_klap_toy_local_then_restart_to_global():
     assert res.certificate.max_abs_real <= 2e-2
     assert res.J_final < loc.J_final  # restart strictly improved the value
     assert res.converged
+
+
+def test_klap_replaces_a_repeated_start_with_a_logged_random_one(monkeypatch, caplog):
+    # a restart that lands on the run's own start is replaced by a random
+    # factor, and the replacement is logged
+    import klap.optimizer as opt_mod
+
+    L0 = np.array([[-2.0], [0.0]])
+    drawn = []
+    draw = opt_mod._random_factor
+
+    def recording_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(
+        opt_mod, "restart_step",
+        lambda *args: opt_mod.RestartDecision("new-point", L0.copy(), 1e-8, 0.0),
+    )
+    monkeypatch.setattr(opt_mod, "_random_factor", recording_draw)
+    with caplog.at_level(logging.INFO, logger="klap.optimizer"):
+        res = klap(toy_system(0.125), L0=L0, max_restarts=1)
+    assert len(drawn) == 1
+    assert res.restarts == 1
+    assert "restart 1 repeats an earlier start; using a random start" in caplog.text
 
 
 def test_klap_acc_benchmark_values():

@@ -7,8 +7,6 @@ minimal root.  Strictly passive test systems are built from Lur'e data so
 passivity holds by construction with a known margin.
 """
 
-import logging
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,7 +23,12 @@ from klap.passivity import (
     solve_are,
 )
 from klap.system import StateSpaceSystem, popov_scan
-from oracles import kyp_residual, lure_residuals, newton_riccati_oracle
+from oracles import (
+    kyp_residual,
+    lure_residuals,
+    maximal_riccati_oracle,
+    newton_riccati_oracle,
+)
 
 
 def scalar_system():
@@ -80,6 +83,12 @@ def random_indefinite_system(rng, n, m):
     return StateSpaceSystem(A, B, C, D)
 
 
+def closed_loop_abscissa(sys, X):
+    """Largest eigenvalue real part of ``A - B R^{-1} (C - B^T X)``."""
+    R = sys.D + sys.D.T
+    return float(np.linalg.eigvals(_closed_loop(sys.A, sys.B, sys.C, R, X)).real.max())
+
+
 X_MIN_SCALAR = 3.0 - 2.0 * np.sqrt(2.0)
 X_MAX_SCALAR = 3.0 + 2.0 * np.sqrt(2.0)
 
@@ -126,15 +135,14 @@ def test_are_scalar_minimal_closed_form():
     # closed loop A - B R^{-1} (C - B^T X) = -sqrt(2)
     assert sol.closed_loop_max_real == pytest.approx(-np.sqrt(2.0), abs=1e-8)
     assert sol.residual <= 1e-10
-    assert sol.kind == "minimal"
 
 
 def test_are_scalar_maximal_closed_form():
-    sol = solve_are(scalar_system(), "maximal")
-    assert abs(sol.X[0, 0] - X_MAX_SCALAR) <= 1e-8
+    sys = scalar_system()
+    X, _ = maximal_riccati_oracle(sys)
+    assert abs(X[0, 0] - X_MAX_SCALAR) <= 1e-8
     # maximal solution has the anti-stable closed loop +sqrt(2)
-    assert sol.closed_loop_max_real == pytest.approx(np.sqrt(2.0), abs=1e-8)
-    assert sol.kind == "maximal"
+    assert closed_loop_abscissa(sys, X) == pytest.approx(np.sqrt(2.0), abs=1e-8)
 
 
 def test_are_minimal_random_passive_systems():
@@ -235,7 +243,8 @@ def test_solve_are_matches_the_newton_oracle_bit_for_bit(name, attempt):
             return str(exc)
 
     got = outcome(lambda: solve_are(shifted, "minimal"))
-    want = outcome(lambda: newton_riccati_oracle(shifted))
+    want = outcome(lambda: newton_riccati_oracle(
+        shifted.A, shifted.B, shifted.C, shifted.D + shifted.D.T))
     if name in ("toy-m0", "toy-m1") and attempt == 0:
         assert isinstance(want, str)
     if isinstance(want, str):
@@ -253,9 +262,9 @@ def test_are_extremal_ordering():
         n, m = int(rng.integers(2, 6)), int(rng.integers(1, 3))
         sys = random_passive_system(rng, n, m)
         lo = solve_are(sys, "minimal")
-        hi = solve_are(sys, "maximal")
-        gap = hi.X - lo.X
-        scale = max(1.0, np.linalg.norm(hi.X, "fro"))
+        hi, _ = maximal_riccati_oracle(sys)
+        gap = hi - lo.X
+        scale = max(1.0, np.linalg.norm(hi, "fro"))
         assert np.linalg.eigvalsh(gap).min() >= -1e-7 * scale
 
 
@@ -268,47 +277,11 @@ def test_are_maximal_single_input_wide_spectrum():
         n, m = int(rng.integers(2, 7)), int(rng.integers(1, 3))
         sys = random_passive_system(rng, n, m)
         lo = solve_are(sys, "minimal")
-        hi = solve_are(sys, "maximal")
-        scale = max(1.0, np.linalg.norm(hi.X, "fro"))
-        assert hi.residual <= 1e-9 * scale
-        assert np.linalg.eigvalsh(hi.X - lo.X).min() >= -1e-7 * scale
-        assert hi.closed_loop_max_real >= -1e-8 * scale
-
-
-def test_are_maximal_falls_back_to_the_shifted_gain(monkeypatch, caplog):
-    # A strictly passive random system (n = 7, m = 1; the feedthrough lifts
-    # the Popov minimum of D = 0 to +0.048) on which the adjoint route
-    # fails: its sign-reversed polish raises.  _newton_maximal then runs
-    # its unseeded last resort from an eigenvalue-shift gain of -A, which
-    # either finds a solution within the tolerance or raises
-    # NoSolutionError (here: the shifted Gramian is numerically singular).
-    rng = np.random.default_rng(279)
-    n, m = int(rng.integers(2, 12)), int(rng.integers(1, 4))
-    assert (n, m) == (7, 1)
-    A = rng.standard_normal((n, n))
-    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
-    B, C = rng.standard_normal((n, m)), rng.standard_normal((m, n))
-    popov_min = popov_scan(StateSpaceSystem(A, B, C, np.zeros((m, m)))).global_min
-    sys = StateSpaceSystem(A, B, C, (1.1 * (-popov_min / 2) + 0.01) * np.eye(m))
-    assert popov_scan(sys).global_min > 0
-
-    shifted = []
-    shift = passivity._shift_stabilizing_gain
-
-    def recording_shift(a, b):
-        shifted.append(a.copy())
-        return shift(a, b)
-
-    monkeypatch.setattr(passivity, "_shift_stabilizing_gain", recording_shift)
-    with caplog.at_level(logging.DEBUG, logger="klap.passivity"):
-        try:
-            sol = solve_are(sys, "maximal")
-        except NoSolutionError:
-            sol = None
-    assert "adjoint route for the maximal solution failed" in caplog.text
-    assert len(shifted) == 1 and np.array_equal(shifted[0], -sys.A)
-    if sol is not None:
-        assert sol.residual <= 1e-10 * max(1.0, np.linalg.norm(sol.X, "fro"))
+        hi, residual = maximal_riccati_oracle(sys)
+        scale = max(1.0, np.linalg.norm(hi, "fro"))
+        assert residual <= 1e-9 * scale
+        assert np.linalg.eigvalsh(hi - lo.X).min() >= -1e-7 * scale
+        assert closed_loop_abscissa(sys, hi) >= -1e-8 * scale
 
 
 def test_are_boundary_system_double_root():
@@ -329,8 +302,11 @@ def test_are_singular_feedthrough_raises():
 
 
 def test_are_kind_validated():
-    with pytest.raises(ValueError):
-        solve_are(scalar_system(), kind="median")
+    # only the minimal solution is computed; the maximal one lives in the
+    # test oracles
+    for kind in ("median", "maximal"):
+        with pytest.raises(ValueError):
+            solve_are(scalar_system(), kind=kind)
 
 
 # ---------------------------------------------------------------------------
