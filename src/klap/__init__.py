@@ -6,9 +6,10 @@ in the H2 norm such that ``(A, B, C_hat, D)`` is passive.  Passivity is
 enforced by construction: candidate output maps are parameterized by a
 low-rank factor ``L`` of a Lur'e equation solution, which turns the
 constrained distance problem into a smooth unconstrained one solved by
-limited-memory BFGS.  A spectral certificate decides whether a computed
-stationary point is a global optimum, and a restart strategy escapes the
-non-global ones.
+limited-memory BFGS.  A spectral certificate is the cheap first test of
+whether a computed stationary point is a global optimum; a lower bound from
+the dual of the convex KYP problem certifies the points it rejects, and a
+restart strategy escapes the rest.
 
 Typical use::
 

@@ -210,6 +210,7 @@ def _report_dict(
             "tolerance": cert.tolerance,
             "vacuous": cert.vacuous,
         },
+        "duality_gap": result.duality_gap,
         "wall_seconds": wall_seconds,
         "seconds_per_iteration": (
             wall_seconds / result.iterations if result.iterations > 0 else None
@@ -274,6 +275,8 @@ def _cmd_passivate(args: argparse.Namespace) -> int:
     print(f"h2 error            {result.h2_error:.6e}  (squared: {result.J_final:.6e})")
     print(f"iterations          {result.iterations}  (restarts: {result.restarts})")
     print(f"certificate         {_certificate_status(result)}")
+    gap = "none" if result.duality_gap is None else f"{result.duality_gap:.3e}"
+    print(f"duality gap         {gap}")
     print(f"popov margin        {result.popov_min:.3e} -> {margin_after:.3e}")
     print(f"wall time           {wall:.3f} s")
     print(f"passivated model    {out_path}")

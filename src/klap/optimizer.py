@@ -21,8 +21,9 @@ whose value is the squared H2 distance to the original system (``P`` is the
 controllability Gramian).  This module provides the parameterization, the
 objective and its gradient (one Lyapunov solve for the value, one more for
 the gradient), a quasi-Newton minimizer, Riccati-based initialization, a
-spectral certificate of global optimality, and a restart strategy that
-escapes non-global stationary points, all orchestrated by :func:`klap`.
+spectral certificate of global optimality backed by the KYP dual bound of
+:mod:`klap.passivity`, and a restart strategy that escapes non-global
+stationary points, all orchestrated by :func:`klap`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from .linalg import (
     sqrtm_psd,
 )
 from .passivity import (
+    _DUAL_GAP_RTOL,
     GlobalMinCertificate,
+    _kyp_dual_gap,
     check_passive,
     global_min_certificate,
     l_from_are,
@@ -288,7 +291,8 @@ class KlapConfig:
         the objective change without a certificate adds a polish
         minimization with its own cap, so one round can take twice the cap.
     max_restarts : int
-        Certificate-failed restarts before returning the best iterate.
+        Restarts, each after a point that neither the spectral certificate
+        nor the KYP dual bound certifies, before returning the best iterate.
     popov_points, popov_wmin, popov_wmax
         Frequency-grid specification for Popov scans.
     rng_seed : int or None
@@ -551,8 +555,8 @@ class RestartDecision:
     ``kind`` is ``"new-point"`` (continue from ``L``) or ``"reinitialize"``
     (caller should draw a fresh start; ``L`` is ``None``).  ``alpha`` is
     the output-space step that produced a passive system (``None`` if none
-    did) and ``margin`` the passivity margin of the last candidate
-    examined.
+    did) and ``margin`` the smallest Popov eigenvalue on the grid of the
+    last candidate examined.
     """
 
     kind: str
@@ -581,6 +585,16 @@ def restart_step(
     The Riccati recovery runs with a relaxed residual tolerance: the
     stepped system sits near the passive boundary, where the Riccati
     equation is close to marginal.
+
+    The stepped system is judged on the configured Popov grid alone
+    (:func:`~klap.passivity.check_passive` with ``method="popov-scan"``),
+    without the Hamiltonian crossing frequencies: the verdict only screens
+    candidates for the factor recovery, and any recovered factor gives a
+    passive model by construction.  Where the Hamiltonian has near-axis
+    eigenvalues this is the verdict and margin of the grid scan the
+    ``"auto"`` route falls back to; elsewhere the Popov function keeps its
+    sign, so the verdict is that of the route's one sample, but
+    :attr:`RestartDecision.margin` holds the grid minimum.
     """
     cfg = config or KlapConfig()
     L_star = np.asarray(L_star, dtype=float).reshape(sys.n, sys.m)
@@ -594,7 +608,7 @@ def restart_step(
     margin = -np.inf
     for alpha in (cfg.restart_alpha, cfg.restart_alpha / 10.0):
         candidate = sys.with_output(C_star - alpha * grad_c)
-        verdict = check_passive(candidate, tol=_PASSIVE_TOL, grid=grid)
+        verdict = check_passive(candidate, tol=_PASSIVE_TOL, method="popov-scan", grid=grid)
         margin = verdict.margin
         if not verdict.passive:
             continue
@@ -651,6 +665,13 @@ class KlapResult:
         The passivated system ``(A, B, C_hat, D)``.
     message : str
         Human-readable stop reason.
+    duality_gap : float or None
+        Relative gap ``(J - g) / J`` of the KYP dual bound ``g`` at
+        ``L_final``; ``None`` wherever the gap was not evaluated there (it
+        is evaluated only at a point the spectral certificate rejected
+        while restart budget was left) or no validated bound was found.  A
+        bound found at a worse point of a later round also bounds the
+        optimum, so it is restated at ``L_final``.
     """
 
     C_hat: np.ndarray
@@ -669,6 +690,7 @@ class KlapResult:
     initial_J: float
     system: StateSpaceSystem = field(repr=False)
     message: str = ""
+    duality_gap: float | None = None
 
 
 def klap(
@@ -679,13 +701,17 @@ def klap(
     """Find the passive system closest to ``sys`` in the H2 norm.
 
     The outer loop alternates inner minimizations with certificate checks:
-    minimize the squared H2 error over the Lur'e factor; test the
+    minimize the squared H2 error over the Lur'e factor; test the spectral
     global-optimality certificate (closed-loop spectrum on the imaginary
-    axis); on failure attempt a restart — an output-space gradient step
-    plus Riccati factor recovery when the step stays passive, a fresh
-    random start otherwise — until the certificate passes or the restart
-    budget is spent.  A repeated starting point is replaced by a random
-    one.  The best iterate across all restarts is returned.
+    axis), the cheap first gate.  When it rejects the point and restart
+    budget is left, the KYP dual bound decides: a relative duality gap of
+    at most ``1e-7`` at the best iterate so far certifies it and the run
+    stops (:attr:`KlapResult.duality_gap`); otherwise attempt a restart — an
+    output-space gradient step plus Riccati factor recovery when the step
+    stays passive, a fresh random start otherwise — until a certificate
+    passes or the restart budget is spent.  A repeated starting point is
+    replaced by a random one.  The best iterate across all restarts is
+    returned.
 
     A passive input short-circuits: the result carries ``C_hat = C``,
     zero error, and no certificate.
@@ -751,6 +777,7 @@ def klap(
     best_L = L_start
     best_converged = False
     best_certificate = None
+    best_gap = None
     initial_J = np.nan
     message = "restart budget exhausted without certificate"
 
@@ -787,7 +814,7 @@ def klap(
                     certificate = global_min_certificate(sys, M, run.L)
             if run.value < best_value:
                 best_value, best_L, best_converged = run.value, run.L, run.converged
-                best_certificate = certificate
+                best_certificate, best_gap = certificate, None
             if certificate.is_global_candidate:
                 message = (
                     "every stationary point is a global optimum (M = 0)"
@@ -796,6 +823,19 @@ def klap(
                 )
                 break
             if round_index == cfg.max_restarts:
+                break
+            # the spectral test rejects true optima too: a restart follows
+            # only when the dual bound does not certify the point
+            gap = _kyp_dual_gap(sys, P, c_of_l(sys, LurePoint(run.L, M)), run.value)
+            if gap is not None:
+                if best_L is not run.L:
+                    # the bound J (1 - gap) <= J* holds wherever it was
+                    # found: restate the gap at the best iterate, the point
+                    # returned
+                    gap = 1.0 - run.value * (1.0 - gap) / best_value
+                best_gap = gap if best_gap is None else min(best_gap, gap)
+            if gap is not None and gap <= _DUAL_GAP_RTOL:
+                message = "stationary point certified by the KYP dual bound"
                 break
             decision = restart_step(sys, P, run.L, cfg)
             if decision.kind == "new-point":
@@ -837,4 +877,5 @@ def klap(
         initial_J=float(initial_J),
         system=sys.with_output(C_hat),
         message=message,
+        duality_gap=best_gap,
     )

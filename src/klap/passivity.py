@@ -26,6 +26,9 @@ stabilizing solution the initialization starts from.  ``X_max`` is never
 formed: the coincidence ``X_min = X_max`` — a closed-loop spectrum
 entirely on the imaginary axis — is what :func:`global_min_certificate`
 tests to certify that a candidate passivation cannot be improved upon.
+That test also rejects true optima; :func:`_kyp_dual_gap` bounds the
+optimum from below through the dual of the convex KYP problem and
+certifies the points it rejects.
 """
 
 from __future__ import annotations
@@ -41,7 +44,13 @@ from .exceptions import (
     SingularFeedthroughError,
 )
 from .linalg import _bartels_stewart, _real_schur, sqrtm_psd
-from .system import PopovScan, StateSpaceSystem, popov_eval, popov_scan
+from .system import (
+    PopovScan,
+    StateSpaceSystem,
+    default_popov_grid,
+    popov_eval,
+    popov_scan,
+)
 
 __all__ = [
     "AreSolution",
@@ -280,10 +289,12 @@ def solve_are(
 class PassivityVerdict:
     """Outcome of a passivity test.
 
-    ``margin`` is signed: the smallest Popov eigenvalue found (grid scan or
-    deciding sample), negative when the system is not passive.  ``method``
-    records which route produced the verdict: ``"hamiltonian"`` or
-    ``"popov-scan"``.
+    ``margin`` is signed: the smallest Popov eigenvalue over the
+    frequencies sampled, negative when the system is not passive.  On the
+    Hamiltonian route without near-axis eigenvalues that is the one sample
+    taken, so it is a sample of the Popov function, not its minimum.
+    ``method`` records which route produced the verdict: ``"hamiltonian"``
+    or ``"popov-scan"``.
     """
 
     passive: bool
@@ -326,7 +337,11 @@ def check_passive(
         axis eigenvalues (definiteness crossings, or the numerically split
         double roots produced by boundary-touching systems) defer to the
         grid scan, whose signed margin plus tolerance absorbs boundary
-        roundoff.
+        roundoff.  The scan's grid then also holds ``|Im lambda|`` of each
+        near-axis eigenvalue and the midpoints between consecutive ones:
+        the Popov function keeps its definiteness between crossing
+        frequencies, so a violation narrower than the grid spacing is
+        still sampled.
 
     ``"popov-scan"``
         Sweep ``lambda_min(Phi(i w))`` on a frequency grid; passive iff the
@@ -354,7 +369,14 @@ def check_passive(
             sample = float(np.linalg.eigvalsh(popov_eval(sys, rho)).min())
             return PassivityVerdict(sample > 0.0, sample, "hamiltonian")
         # near-axis eigenvalues: definiteness crossings or a boundary-touching
-        # Popov function; defer to the tolerance-aware grid scan below
+        # Popov function; defer to the tolerance-aware grid scan below, on a
+        # grid that also samples each crossing and the midpoints between them
+        crossings = np.unique(np.abs(ev.imag[np.abs(ev.real) <= axis_tol]))
+        if grid is None:
+            grid = default_popov_grid(sys)
+        grid = np.sort(np.concatenate(
+            (grid, crossings, 0.5 * (crossings[1:] + crossings[:-1]))
+        ))
     elif method == "hamiltonian" and not definite:
         raise SingularFeedthroughError(
             "the Hamiltonian passivity test needs D + D^T positive definite"
@@ -416,6 +438,12 @@ def global_min_certificate(
 ) -> GlobalMinCertificate:
     """Evaluate the spectral global-optimality certificate at ``L``.
 
+    :func:`~klap.optimizer.klap` uses it as the cheap first gate: a point
+    it passes is returned as global.  It also rejects true optima (four of
+    the five non-passive systems of the rand-small benchmark), so a point
+    it rejects is judged by the KYP dual bound, which decides whether a
+    restart follows.
+
     Parameters
     ----------
     sys : StateSpaceSystem
@@ -449,3 +477,197 @@ def global_min_certificate(
     ev = np.linalg.eigvals(Y)
     max_abs_real = float(np.abs(ev.real).max())
     return GlobalMinCertificate(ev, max_abs_real, float(tol), max_abs_real <= tol)
+
+
+#: relative duality gap ``(J - g) / J`` at or below which the KYP dual
+#: bound certifies a point (see :func:`_kyp_dual_gap`)
+_DUAL_GAP_RTOL = 1e-7
+
+#: barrier weights ``mu / J`` of the dual's path, one Newton centering each:
+#: ``mu = J`` reaches the optimum from a far start; below ``1e-8 J`` the
+#: Cholesky test no longer guards the feasibility of the dual point
+_DUAL_MU_PATH = (1.0, 1e-2, 1e-4, 1e-6, 1e-8)
+
+#: damped Newton steps per barrier weight
+_DUAL_NEWTON_STEPS = 50
+
+#: largest ``m n^4`` the dense dual takes on (n = 32 with m = 4).  A Newton
+#: step costs about ``(m + 4) m n^4`` flops and its arrays hold ``m n^3``
+#: numbers.  Timed with the whole mu path run (one BLAS thread, 2-core
+#: x86-64), one evaluation takes 0.22-0.33 s at or below the cap (rand 32x4,
+#: 24x8, 20x16), a fifth to a third of one 3,000-iteration inner run there,
+#: and grows as ``n^4`` beyond it (0.40-0.57 s at rand 40x4)
+_DUAL_MAX_WORK = 1 << 22
+
+_EPS = float(np.finfo(float).eps)
+
+_TRTRI = scipy.linalg.get_lapack_funcs("trtri", dtype=np.float64)
+
+
+def _kyp_dual_gap(
+    sys: StateSpaceSystem,
+    P: np.ndarray,
+    C_hat: np.ndarray,
+    J: float,
+) -> float | None:
+    """Relative gap ``(J - g) / J`` between the objective ``J > 0`` at the
+    passive output map ``C_hat`` and a lower bound ``g`` on the optimum.
+
+    The bound is the Lagrangian dual of the convex problem: minimize
+    ``tr((C - C_hat) P (C - C_hat)^T)`` over ``(X, C_hat)`` subject to the
+    KYP inequality ``W(X, C_hat) >= 0``.  For any ``m x n`` matrix ``E'``
+    whose ``Z11`` (the solution of ``A Z11 + Z11 A^T = B E' P + P E'^T
+    B^T``) is positive definite,
+
+    .. math::
+
+        g(E') = 2 \\langle C P, E' \\rangle - \\operatorname{tr}(E' P E'^T)
+        - \\langle (E' P) Z_{11}^{-1} (E' P)^T, D + D^T \\rangle \\le J^*,
+
+    and ``g`` is concave; when ``D + D^T`` is positive definite (strong
+    duality) its maximum is ``J*``, attained at the optimal ``C - C_hat``.  The
+    gap is therefore an upper bound on ``(J - J*) / J``, and a small gap
+    certifies ``C_hat``.
+
+    Everything runs in Gramian-normalized coordinates, ``T = U S^{1/2}``
+    from ``eigh(P)``, where ``P`` becomes ``I``.  ``Z11`` is linear in
+    ``E'``, so its values at the ``mn`` unit matrices are solved once, on
+    one real Schur form of the normalized ``A``; every later ``Z11`` and
+    the Newton systems are dense algebra on that basis.  Damped Newton
+    maximizes ``g + mu log det Z11`` for each ``mu`` of
+    :data:`_DUAL_MU_PATH` (times ``J``).  It starts from ``E' = C -
+    C_hat`` moved along ``-B^T P^{-1}``, which adds a multiple of ``P`` to
+    ``Z11``, far enough that ``lambda_min(Z11)`` is a tenth of its spread
+    inside; trial points where the Cholesky factorization of ``Z11`` fails
+    are rejected.  At a centered point ``J* <= g + n mu``, so the path
+    stops once ``g + n mu < (1 - _DUAL_GAP_RTOL) J``: no later point could
+    certify.  The bound is kept only if ``Z11``, solved afresh at the final
+    ``E'``, has ``lambda_min`` above ``n eps cond(T) lambda_max``, the
+    rounding level of the normalization.
+
+    The normalized Gramian is ``I`` only up to the rounding of ``P``;
+    solved again on the Schur form it is ``I + Delta``.  The Gramian
+    enters ``g`` only through ``G = E' P`` and the term ``tr(E' P E'^T) =
+    tr(G P^{-1} G^T)``: the linear term, ``Z11`` and the last term depend
+    on ``G`` alone.  So the dual point of the exact Gramian with the same
+    ``G`` (``F = E' T`` in normalized coordinates, ``F (I + Delta)^{-1}``
+    for the exact one) differs from the computed ``g`` only by ``tr(F (I -
+    (I + Delta)^{-1}) F^T) >= -||Delta||_2 / (1 - ||Delta||_2) ||F||_F^2``,
+    and the returned bound gives that up.  Not covered is the rounding of
+    the transformation and of the Schur solves themselves, at the level of
+    ``eps cond(T)``: the ``Z11`` margin guards feasibility against it, and
+    the value rests on the seeded sweeps of the tests.
+
+    Returns ``None``, with the reason logged at debug level, when ``P`` is
+    not numerically positive definite, no strictly feasible start is found,
+    the final ``Z11`` misses that margin, ``||Delta||_2 >= 1``, or
+    ``m n^4`` exceeds :data:`_DUAL_MAX_WORK`.  Uses neither the system's
+    Lyapunov kernel nor its caches, and draws no random numbers.
+    """
+    n, m = sys.n, sys.m
+    if m * n**4 > _DUAL_MAX_WORK:
+        _log.debug("no KYP dual bound: m n^4 = %d exceeds the dense dual's "
+                   "budget %d", m * n**4, _DUAL_MAX_WORK)
+        return None
+    s, U = np.linalg.eigh(P)
+    if not s[0] > n * _EPS * s[-1]:
+        _log.debug("no KYP dual bound: the Gramian is not numerically positive "
+                   "definite (eigenvalues %.2e to %.2e)", s[0], s[-1])
+        return None
+    r = np.sqrt(s)
+    T, T_inv = U * r, U.T / r[:, None]
+    B = T_inv @ sys.B
+    C = sys.C @ T
+    R = sys.D + sys.D.T
+    M = sqrtm_psd(R)
+    schur = _real_schur(T_inv @ sys.A @ T)
+
+    def z11(F: np.ndarray) -> np.ndarray:
+        q = B @ F
+        Z = _bartels_stewart(schur, q + q.T)
+        return 0.5 * (Z + Z.T)
+
+    N = m * n
+    units = np.eye(N).reshape(N, m, n)
+    basis = np.stack([z11(F) for F in units])
+    flat = basis.reshape(N, n * n)
+
+    def barrier(x: np.ndarray, Z: np.ndarray, mu: float) -> tuple | None:
+        """``(g + mu log det Z, g, chol(Z)^{-1})``, or ``None`` where ``Z``
+        is not positive definite."""
+        try:
+            chol = np.linalg.cholesky(Z)
+        except np.linalg.LinAlgError:
+            return None
+        chol_inv = _TRTRI(chol, lower=1)[0]
+        F = x.reshape(m, n)
+        W = chol_inv @ F.T
+        g = 2.0 * np.vdot(C, F) - np.vdot(F, F) - np.vdot(W @ R, W)
+        return g + 2.0 * mu * np.log(chol.diagonal()).sum(), g, chol_inv
+
+    # start: C - C_hat minus t B^T, which adds 2 t I to Z11; t lifts
+    # lambda_min(Z11) a tenth of its spread inside (a start at the boundary
+    # swamps the Newton systems), doubling while the Cholesky test fails
+    x = ((sys.C - C_hat) @ T).ravel()
+    Z, Z_dir = (x @ flat).reshape(n, n), z11(B.T)
+    lam = np.linalg.eigvalsh(Z)
+    t = 0.5 * (max(0.0, -lam[0]) + 0.1 * max(lam[-1] - lam[0], _EPS))
+    for _ in range(60):
+        if barrier(x - t * B.T.ravel(), Z - t * Z_dir, 0.0) is not None:
+            break
+        t *= 2.0
+    else:
+        _log.debug("no KYP dual bound: no strictly feasible start")
+        return None
+    x, Z = x - t * B.T.ravel(), Z - t * Z_dir
+
+    for mu in np.multiply(_DUAL_MU_PATH, J):
+        point, centered = barrier(x, Z, mu), False
+        for _ in range(_DUAL_NEWTON_STEPS):
+            value, _, chol_inv = point
+            F = x.reshape(m, n)
+            K = chol_inv.T @ chol_inv  # Z^{-1}
+            FK = F @ K
+            grad = 2.0 * (C - F - R @ FK).ravel() + flat @ (FK.T @ R @ FK + mu * K).ravel()
+            # minus the Hessian: 2 I + 2 V V^T + mu Zh Zh^T, with
+            # V_k = M (E_k - F K Z_k) chol^{-T} and Zh_k = chol^{-1} Z_k chol^{-T}
+            V = (M @ (units - FK @ basis) @ chol_inv.T).reshape(N, -1)
+            Zh = (chol_inv @ basis @ chol_inv.T).reshape(N, -1)
+            hess = 2.0 * (V @ V.T) + mu * (Zh @ Zh.T)
+            hess[np.diag_indices(N)] += 2.0
+            try:
+                d = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:  # the barrier swamped the 2 I
+                break
+            decrement = float(grad @ d)
+            if decrement <= 1e-14 * J:
+                centered = True
+                break
+            Z_d, step = (d @ flat).reshape(n, n), 1.0
+            for _ in range(50):
+                trial = barrier(x + step * d, Z + step * Z_d, mu)
+                if trial is not None and trial[0] >= value + 1e-4 * step * decrement:
+                    break
+                step *= 0.5
+            else:
+                break
+            x, Z, point = x + step * d, Z + step * Z_d, trial
+        if centered and point[1] + n * mu < (1.0 - _DUAL_GAP_RTOL) * J:
+            break
+
+    Z = z11(x.reshape(m, n))
+    lam = np.linalg.eigvalsh(Z)
+    margin = n * _EPS * (r[-1] / r[0]) * lam[-1]
+    final = barrier(x, Z, 0.0)
+    if final is None or not lam[0] > margin:
+        _log.debug("no KYP dual bound: lambda_min(Z11) = %.2e is below the "
+                   "normalization's rounding margin %.2e", lam[0], margin)
+        return None
+    # the normalized Gramian solved on the Schur form is -Z_dir / 2 = I + Delta
+    defect = np.linalg.norm(0.5 * Z_dir + np.eye(n), 2)
+    if not defect < 1.0:
+        _log.debug("no KYP dual bound: the normalized Gramian is off the "
+                   "identity by %.2e", defect)
+        return None
+    g = final[1] - defect / (1.0 - defect) * x.dot(x)
+    return float((J - g) / J)

@@ -44,6 +44,17 @@ def acc8_path(tmp_path):
     return str(path)
 
 
+def valid_report(path):
+    """The run report at ``path``, validated against the shipped schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib.resources import files
+
+    schema = json.loads(files("klap").joinpath("data/report_schema.json").read_text())
+    report = json.load(open(path))
+    jsonschema.validate(report, schema)
+    return report
+
+
 def random_system(rng, n, m, d_scale=0.0):
     A = rng.standard_normal((n, n))
     A -= (np.linalg.eigvals(A).real.max() + 0.5 + rng.uniform(0, 1)) * np.eye(n)
@@ -182,11 +193,38 @@ def test_passivate_explicit_start_reaches_global(toy_m1_path, tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    report = json.load(open(report_path))
+    report = valid_report(report_path)
     assert report["restarts"] == 1
     assert report["config"]["init"] == "given"
+    # the dual bound was evaluated at the first point only; the returned
+    # one passed the spectral test
+    assert report["duality_gap"] is None
     sys_out = load_model(out_path)
     assert_allclose(sys_out.C, [[0.84, 0.34]], atol=0.01)
+
+
+def test_passivate_reports_the_certified_duality_gap(tmp_path, capsys):
+    # the benchmark's rand 6x1/2: the spectral test rejects its optimum, the
+    # KYP dual bound certifies it, so the run stops without a restart
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((6, 6))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(6)
+    B = rng.standard_normal((6, 1))
+    C = rng.standard_normal((1, 6))
+    model = tmp_path / "rand.json"
+    write_model(StateSpaceSystem(A, B, C, [[0.05]]), model)
+    report_path = str(tmp_path / "rand.report.json")
+    code, out, _ = run_cli(
+        ["passivate", str(model), "--out", str(tmp_path / "out.json"),
+         "--report", report_path],
+        capsys,
+    )
+    assert code == 0
+    report = valid_report(report_path)
+    assert report["certificate"]["is_global_candidate"] is False
+    assert report["restarts"] == 0
+    assert 0.0 <= report["duality_gap"] <= 1e-7
+    assert f"duality gap         {report['duality_gap']:.3e}" in out
 
 
 def test_passivate_restarts_disabled_stops_at_local(toy_m1_path, tmp_path, capsys):

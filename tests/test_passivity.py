@@ -15,14 +15,17 @@ from klap import passivity
 from klap.benchmarks import benchmark_system
 from klap.exceptions import NoSolutionError, SingularFeedthroughError
 from klap.linalg import solve_lyapunov_transposed
+from klap.optimizer import klap
 from klap.passivity import (
+    _DUAL_GAP_RTOL,
     _closed_loop,
+    _kyp_dual_gap,
     check_passive,
     global_min_certificate,
     l_from_are,
     solve_are,
 )
-from klap.system import StateSpaceSystem, popov_scan
+from klap.system import StateSpaceSystem, controllability_gramian, popov_scan
 from oracles import (
     kyp_residual,
     lure_residuals,
@@ -81,6 +84,16 @@ def random_indefinite_system(rng, n, m):
     M0 = rng.standard_normal((m, m))
     D = 0.5 * (M0 @ M0.T) + 0.05 * np.eye(m)
     return StateSpaceSystem(A, B, C, D)
+
+
+def rand_family_system(n, m, seed):
+    """The random family "rand n x m / seed" of the benchmark workloads."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((m, n))
+    return StateSpaceSystem(A, B, C, 0.05 * np.eye(m))
 
 
 def closed_loop_abscissa(sys, X):
@@ -427,6 +440,137 @@ def test_check_passive_respects_custom_grid():
     grid = scan.frequencies[:: 10]
     verdict = check_passive(sys, method="popov-scan", grid=grid)
     assert not verdict.passive
+
+
+def test_check_passive_samples_the_crossing_frequencies():
+    # klap's optimum of rand 6x1/2 touches the passive boundary near
+    # w = 0.42; a millionth of the way back towards C opens a violation of
+    # -1.1e-6 narrower than the default grid's spacing, which the grid alone
+    # misses and the Hamiltonian crossing frequencies sample
+    sys = rand_family_system(6, 1, 2)
+    C_hat = klap(sys).C_hat
+    assert check_passive(sys.with_output(C_hat)).passive
+    stepped = sys.with_output(C_hat + 1e-6 * (sys.C - C_hat))
+    assert check_passive(stepped, method="popov-scan").passive
+    verdict = check_passive(stepped)
+    assert not verdict.passive
+    assert verdict.margin == pytest.approx(-1.0995e-6, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# KYP dual bound
+# ---------------------------------------------------------------------------
+
+
+def test_kyp_dual_gap_bounds_the_optimum_on_a_random_sweep():
+    # wherever the bound exists, g = J (1 - gap) never exceeds the lowest J
+    # that klap() finds from three random starts
+    rng = np.random.default_rng(0)
+    bounded = 0
+    for k in range(20):
+        n = int(rng.integers(2, 9))
+        m = min(n, int(rng.integers(1, 4)))
+        sys = rand_family_system(n, m, 1000 + k)
+        runs = [klap(sys, init="random", rng_seed=seed) for seed in range(3)]
+        if runs[0].passive_input:
+            continue
+        P = controllability_gramian(sys)
+        J_min = min(run.J_final for run in runs)
+        for run in runs:
+            gap = _kyp_dual_gap(sys, P, run.C_hat, run.J_final)
+            if gap is not None:
+                bounded += 1
+                assert run.J_final * (1.0 - gap) <= J_min + 1e-12 * J_min, (k, gap)
+    assert bounded >= 40
+
+
+@pytest.mark.parametrize("n, m, seed", [(6, 1, 2), (8, 1, 1), (8, 2, 4), (8, 4, 3)])
+def test_kyp_dual_bound_stops_restarts_at_the_first_optimum(n, m, seed):
+    # the spectral test rejects these optima; the dual bound certifies
+    # them, so klap() returns its first run's point without restarting
+    sys = rand_family_system(n, m, seed)
+    res = klap(sys)
+    assert not res.certificate.is_global_candidate
+    assert res.restarts == 0
+    assert res.duality_gap <= _DUAL_GAP_RTOL
+    assert res.message == "stationary point certified by the KYP dual bound"
+    first = klap(sys, max_restarts=0)
+    assert res.J_final == first.J_final and first.duality_gap is None
+
+
+def test_kyp_dual_gap_exposes_a_non_global_point():
+    # toy-m1 from L0 = (-2, 0) parks at J = 2.5 against J* = 0.1275
+    sys = toy_system(0.125)
+    loc = klap(sys, L0=[[-2.0], [0.0]], max_restarts=0)
+    assert loc.J_final == pytest.approx(2.5, rel=1e-9)
+    gap = _kyp_dual_gap(sys, controllability_gramian(sys), loc.C_hat, loc.J_final)
+    assert gap >= 0.9
+    # so klap() still restarts once; the spectral test passes the new point
+    res = klap(sys, L0=[[-2.0], [0.0]])
+    assert res.restarts == 1
+    assert res.J_final == pytest.approx(0.127513, abs=1e-6)
+    assert res.certificate.is_global_candidate and res.duality_gap is None
+
+
+def test_kyp_dual_gap_refuses_a_numerically_singular_gramian(caplog):
+    # rand 16x1/6 has cond(P) ~ 7e16: no bound, and klap() restarts as before
+    sys = rand_family_system(16, 1, 6)
+    P = controllability_gramian(sys)
+    with caplog.at_level("DEBUG", logger="klap.passivity"):
+        gap = _kyp_dual_gap(sys, P, np.zeros((1, 16)), 1.0)
+    assert gap is None
+    assert "not numerically positive definite" in caplog.text
+    res = klap(sys)
+    assert res.restarts == 5 and res.duality_gap is None
+    assert res.J_final == 0.12137644701032713
+
+
+def test_kyp_dual_gap_refuses_a_system_above_the_size_cap(monkeypatch, caplog):
+    # with the cap just below rand 6x1/2's m n^4 = 1296 there is no bound,
+    # and klap() restarts as it did without one: 5 restarts, 223
+    # iterations and the same J bit for bit
+    sys = rand_family_system(6, 1, 2)
+    monkeypatch.setattr(passivity, "_DUAL_MAX_WORK", 6**4 - 1)
+    with caplog.at_level("DEBUG", logger="klap.passivity"):
+        gap = _kyp_dual_gap(sys, controllability_gramian(sys), np.zeros((1, 6)), 1.0)
+    assert gap is None
+    assert "exceeds the dense dual's budget" in caplog.text
+    res = klap(sys)
+    assert res.restarts == 5 and res.iterations == 223 and res.duality_gap is None
+    assert res.J_final == 0.10048794923976889
+    assert res.message == "restart budget exhausted without certificate"
+
+
+def test_klap_states_a_later_bound_at_the_returned_point(monkeypatch):
+    # round 0 of rand 6x1/2 is the best iterate; a bound certified at the
+    # slightly worse round-1 point also holds there, and the gap reported
+    # is restated at the point returned
+    import klap.optimizer as optimizer_mod
+
+    calls = []
+
+    def fake_gap(sys, P, C_hat, J):
+        calls.append(J)
+        return None if len(calls) == 1 else 1e-8
+
+    monkeypatch.setattr(optimizer_mod, "_kyp_dual_gap", fake_gap)
+    res = klap(rand_family_system(6, 1, 2))
+    J_0, J_1 = calls
+    assert J_1 > J_0 == res.J_final
+    assert res.restarts == 1
+    assert res.message == "stationary point certified by the KYP dual bound"
+    # the bound J_1 (1 - 1e-8) sits closer to J_0 than to J_1
+    assert res.duality_gap == 1.0 - J_1 * (1.0 - 1e-8) / J_0
+    assert 0.0 < res.duality_gap < 1e-8
+
+
+def test_kyp_dual_gap_leaves_the_system_caches_alone():
+    sys = rand_family_system(6, 1, 2)
+    P = controllability_gramian(sys, strategy="dense")
+    cached = dict(sys._eigen)
+    gap = _kyp_dual_gap(sys, P, np.zeros((1, 6)), float(np.trace(sys.C @ P @ sys.C.T)))
+    assert gap > 0.0
+    assert sys._eigen == cached  # no eigenbasis and no Lyapunov kernel built
 
 
 # ---------------------------------------------------------------------------
