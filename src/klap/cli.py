@@ -12,7 +12,8 @@ The bundled benchmark models are ordinary model files
 
 Exit codes follow a scripting-friendly contract: 0 success (for
 ``check``: passive), 1 not passive, 2 any error (including a passivation
-run that failed to converge — its partial results are still written).
+run whose returned point is not certified as a global optimum — its
+partial results are still written).
 All randomness is seeded (``--seed``, default 0), so every command is
 reproducible.  Set ``KLAP_LOG=debug`` or ``KLAP_LOG=info`` for progress
 logging on stderr.
@@ -158,8 +159,10 @@ def _certificate_status(result: KlapResult) -> str:
     cert = result.certificate
     if cert is None:
         return "none"
+    if not result.converged:
+        return "not certified"
     if not cert.is_global_candidate:
-        return "not-global"
+        return "global (KYP dual bound)"
     return "global (every stationary point)" if cert.vacuous else "global"
 
 
@@ -282,7 +285,8 @@ def _cmd_passivate(args: argparse.Namespace) -> int:
     print(f"passivated model    {out_path}")
     print(f"run report          {report_path}")
     if not result.converged:
-        print(f"error: run did not converge: {result.message}", file=sys.stderr)
+        print(f"error: the returned point is not certified: {result.message}",
+              file=sys.stderr)
         return 2
     return 0
 

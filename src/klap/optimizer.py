@@ -85,9 +85,6 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-#: two restart points closer than this (relative) count as the same start
-_DUPLICATE_RTOL = 1e-12
-
 #: curvature pairs kept by the L-BFGS two-loop recursion
 _LBFGS_MEMORY = 10
 
@@ -293,6 +290,9 @@ class KlapConfig:
     max_restarts : int
         Restarts, each after a point that neither the spectral certificate
         nor the KYP dual bound certifies, before returning the best iterate.
+        With ``0`` the one run's point is still judged by both, so
+        :attr:`KlapResult.converged` and :attr:`KlapResult.duality_gap`
+        keep their meaning.
     popov_points, popov_wmin, popov_wmax
         Frequency-grid specification for Popov scans.
     rng_seed : int or None
@@ -648,8 +648,11 @@ class KlapResult:
         Spectral certificate evaluated at ``L_final`` (``None`` for a
         passive input).
     converged : bool
-        Whether the minimization that produced ``L_final`` stopped on a
-        convergence criterion (not line-search failure / iteration cap).
+        Whether ``L_final`` is certified as a global optimum: the inner run
+        that produced it stopped on a convergence criterion (not line-search
+        failure / iteration cap) and the spectral certificate passes there,
+        or its :attr:`duality_gap` is at most ``1e-7``.  True for a passive
+        input.
     trace : tuple of (J, grad-norm) pairs
         Per-iteration log, concatenated across restarts.
     passive_input : bool
@@ -667,11 +670,11 @@ class KlapResult:
         Human-readable stop reason.
     duality_gap : float or None
         Relative gap ``(J - g) / J`` of the KYP dual bound ``g`` at
-        ``L_final``; ``None`` wherever the gap was not evaluated there (it
-        is evaluated only at a point the spectral certificate rejected
-        while restart budget was left) or no validated bound was found.  A
-        bound found at a worse point of a later round also bounds the
-        optimum, so it is restated at ``L_final``.
+        ``L_final``; ``None`` where the gap was not evaluated (it is
+        evaluated after every inner run the spectral certificate does not
+        certify, so not at a point that certificate passes) or no validated
+        bound was found.  A bound found at a worse point of a later round
+        also bounds the optimum, so it is restated at ``L_final``.
     """
 
     C_hat: np.ndarray
@@ -703,15 +706,15 @@ def klap(
     The outer loop alternates inner minimizations with certificate checks:
     minimize the squared H2 error over the Lur'e factor; test the spectral
     global-optimality certificate (closed-loop spectrum on the imaginary
-    axis), the cheap first gate.  When it rejects the point and restart
-    budget is left, the KYP dual bound decides: a relative duality gap of
-    at most ``1e-7`` at the best iterate so far certifies it and the run
-    stops (:attr:`KlapResult.duality_gap`); otherwise attempt a restart — an
-    output-space gradient step plus Riccati factor recovery when the step
-    stays passive, a fresh random start otherwise — until a certificate
-    passes or the restart budget is spent.  A repeated starting point is
-    replaced by a random one.  The best iterate across all restarts is
-    returned.
+    axis), the cheap first gate, which speaks only where the run stopped on
+    a convergence criterion.  After every run it does not certify, the KYP
+    dual bound decides: a relative duality gap of at most ``1e-7`` at the
+    best iterate so far certifies it and the run stops
+    (:attr:`KlapResult.duality_gap`); otherwise, while restart budget is
+    left, attempt a restart — an output-space gradient step plus Riccati
+    factor recovery when the step stays passive, a fresh random start
+    otherwise.  The best iterate across all restarts is returned, and
+    :attr:`KlapResult.converged` says whether it is certified.
 
     A passive input short-circuits: the result carries ``C_hat = C``,
     zero error, and no certificate.
@@ -769,24 +772,14 @@ def klap(
     else:
         L_start = _random_factor(rng, sys, M)
 
-    starts = [L_start]
     trace: list[tuple[float, float]] = []
     total_iterations = 0
     restarts_used = 0
-    best_value = np.inf
-    best_L = L_start
-    best_converged = False
+    best_run = None  # the inner run with the lowest J so far
     best_certificate = None
     best_gap = None
     initial_J = np.nan
     message = "restart budget exhausted without certificate"
-
-    def is_duplicate(L: np.ndarray) -> bool:
-        return any(
-            np.linalg.norm(L - s, "fro")
-            <= _DUPLICATE_RTOL * (1.0 + np.linalg.norm(L, "fro"))
-            for s in starts
-        )
 
     try:
         for round_index in range(cfg.max_restarts + 1):
@@ -812,54 +805,52 @@ def klap(
                 if polish.value < run.value or polish.status == "gradient":
                     run = polish
                     certificate = global_min_certificate(sys, M, run.L)
-            if run.value < best_value:
-                best_value, best_L, best_converged = run.value, run.L, run.converged
-                best_certificate, best_gap = certificate, None
-            if certificate.is_global_candidate:
+            if best_run is None or run.value < best_run.value:
+                best_run, best_certificate, best_gap = run, certificate, None
+            # the spectral test speaks only where the run stopped stationary
+            if run.converged and certificate.is_global_candidate:
                 message = (
                     "every stationary point is a global optimum (M = 0)"
                     if certificate.vacuous
                     else "stationary point certified as a global optimum"
                 )
                 break
-            if round_index == cfg.max_restarts:
-                break
-            # the spectral test rejects true optima too: a restart follows
-            # only when the dual bound does not certify the point
+            # the spectral test rejects true optima too: the dual bound
+            # decides, after every run the spectral test does not certify
             gap = _kyp_dual_gap(sys, P, c_of_l(sys, LurePoint(run.L, M)), run.value)
             if gap is not None:
-                if best_L is not run.L:
+                if best_run is not run:
                     # the bound J (1 - gap) <= J* holds wherever it was
                     # found: restate the gap at the best iterate, the point
                     # returned
-                    gap = 1.0 - run.value * (1.0 - gap) / best_value
+                    gap = 1.0 - run.value * (1.0 - gap) / best_run.value
                 best_gap = gap if best_gap is None else min(best_gap, gap)
             if gap is not None and gap <= _DUAL_GAP_RTOL:
                 message = "stationary point certified by the KYP dual bound"
                 break
+            if round_index == cfg.max_restarts:
+                break
             decision = restart_step(sys, P, run.L, cfg)
             if decision.kind == "new-point":
-                L_next = decision.L
+                L_start = decision.L
             else:
-                L_next = _random_factor(rng, sys, M)
-            if is_duplicate(L_next):
-                _log.info("restart %d repeats an earlier start; using a random start",
-                          restarts_used + 1)
-                L_next = _random_factor(rng, sys, M)
-            starts.append(L_next)
-            L_start = L_next
+                L_start = _random_factor(rng, sys, M)
             restarts_used += 1
     except Exception as exc:  # contract: never raise once optimization began
         _log.warning("optimization aborted: %s", exc)
         message = f"optimization aborted: {exc}"
-        best_converged = False
 
+    best_L = L_start if best_run is None else best_run.L
     C_hat = c_of_l(sys, LurePoint(best_L, M))
     J_final = h2_error_sq(sys, C_hat, P=P)
     if np.isnan(initial_J):
         initial_J = J_final
-    if best_certificate is None:  # no inner run finished
+    if best_run is None:  # no inner run finished
         best_certificate = global_min_certificate(sys, M, best_L)
+    converged = best_run is not None and (
+        best_run.converged and best_certificate.is_global_candidate
+        or best_gap is not None and best_gap <= _DUAL_GAP_RTOL
+    )
     return KlapResult(
         C_hat=C_hat,
         L_final=best_L,
@@ -869,7 +860,7 @@ def klap(
         iterations=total_iterations,
         restarts=restarts_used,
         certificate=best_certificate,
-        converged=best_converged,
+        converged=converged,
         trace=tuple(trace),
         passive_input=False,
         delta=delta,

@@ -224,19 +224,26 @@ def test_passivate_reports_the_certified_duality_gap(tmp_path, capsys):
     assert report["certificate"]["is_global_candidate"] is False
     assert report["restarts"] == 0
     assert 0.0 <= report["duality_gap"] <= 1e-7
+    assert report["converged"] is True
     assert f"duality gap         {report['duality_gap']:.3e}" in out
+    assert "certificate         global (KYP dual bound)\n" in out
 
 
 def test_passivate_restarts_disabled_stops_at_local(toy_m1_path, tmp_path, capsys):
     report_path = str(tmp_path / "loc.report.json")
-    code, _, _ = run_cli(
+    code, out, err = run_cli(
         ["passivate", toy_m1_path, "--l0", "-2,0", "--max-restarts", "0",
          "--out", str(tmp_path / "loc.json"), "--report", report_path],
         capsys,
     )
-    assert code == 0  # converged (to the local point), so success
-    report = json.load(open(report_path))
+    # J = 2.5 against J* = 0.1275: the returned point is not certified
+    assert code == 2
+    assert "error: the returned point is not certified: restart budget" in err
+    assert "certificate         not certified\n" in out
+    report = valid_report(report_path)
+    assert report["converged"] is False
     assert report["certificate"]["is_global_candidate"] is False
+    assert report["duality_gap"] >= 0.9
     assert report["h2_error"] == pytest.approx(np.sqrt(2.5), abs=0.01)
     # local results are still passive
     code2, _, _ = run_cli(["check", str(tmp_path / "loc.json")], capsys)

@@ -6,7 +6,6 @@ hand-derived closed forms; and the full driver against the frozen
 benchmark values of the two reference systems.
 """
 
-import logging
 import math
 
 import numpy as np
@@ -660,7 +659,7 @@ def test_klap_toy_local_then_restart_to_global():
     # stopping before any restart exposes the non-global stationary point
     loc = klap(toy_system(0.125), L0=[[-2.0], [0.0]], max_restarts=0)
     assert_allclose(loc.C_hat, [[0.0, 1.0]], atol=0.01)
-    assert not loc.certificate.is_global_candidate
+    assert not loc.certificate.is_global_candidate and not loc.converged
     ev = np.sort(loc.certificate.eigenvalues.real)
     assert_allclose(ev, [-3.0, 3.0], atol=0.01)
 
@@ -674,29 +673,13 @@ def test_klap_toy_local_then_restart_to_global():
     assert res.converged
 
 
-def test_klap_replaces_a_repeated_start_with_a_logged_random_one(monkeypatch, caplog):
-    # a restart that lands on the run's own start is replaced by a random
-    # factor, and the replacement is logged
-    import klap.optimizer as opt_mod
-
-    L0 = np.array([[-2.0], [0.0]])
-    drawn = []
-    draw = opt_mod._random_factor
-
-    def recording_draw(*args):
-        drawn.append(draw(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(
-        opt_mod, "restart_step",
-        lambda *args: opt_mod.RestartDecision("new-point", L0.copy(), 1e-8, 0.0),
-    )
-    monkeypatch.setattr(opt_mod, "_random_factor", recording_draw)
-    with caplog.at_level(logging.INFO, logger="klap.optimizer"):
-        res = klap(toy_system(0.125), L0=L0, max_restarts=1)
-    assert len(drawn) == 1
-    assert res.restarts == 1
-    assert "restart 1 repeats an earlier start; using a random start" in caplog.text
+def test_klap_does_not_certify_a_capped_run_by_the_vacuous_certificate():
+    # with D = 0 every stationary point is global, but a run stopped by the
+    # iteration cap is not stationary: nothing certifies its point
+    res = klap(acc_system(0.0), max_iterations=2, max_restarts=0)
+    assert res.certificate.vacuous and res.iterations == 2
+    assert res.converged is False
+    assert res.message == "restart budget exhausted without certificate"
 
 
 def test_klap_acc_benchmark_values():

@@ -495,7 +495,8 @@ def test_kyp_dual_bound_stops_restarts_at_the_first_optimum(n, m, seed):
     assert res.duality_gap <= _DUAL_GAP_RTOL
     assert res.message == "stationary point certified by the KYP dual bound"
     first = klap(sys, max_restarts=0)
-    assert res.J_final == first.J_final and first.duality_gap is None
+    assert res.J_final == first.J_final and first.duality_gap == res.duality_gap
+    assert first.converged
 
 
 def test_kyp_dual_gap_exposes_a_non_global_point():
@@ -513,7 +514,8 @@ def test_kyp_dual_gap_exposes_a_non_global_point():
 
 
 def test_kyp_dual_gap_refuses_a_numerically_singular_gramian(caplog):
-    # rand 16x1/6 has cond(P) ~ 7e16: no bound, and klap() restarts as before
+    # rand 16x1/6 has cond(P) ~ 7e16: no bound, and klap() restarts as before;
+    # its point is 6.1e-4 above the best known J, and nothing certifies it
     sys = rand_family_system(16, 1, 6)
     P = controllability_gramian(sys)
     with caplog.at_level("DEBUG", logger="klap.passivity"):
@@ -522,7 +524,39 @@ def test_kyp_dual_gap_refuses_a_numerically_singular_gramian(caplog):
     assert "not numerically positive definite" in caplog.text
     res = klap(sys)
     assert res.restarts == 5 and res.duality_gap is None
-    assert res.J_final == 0.12137644701032713
+    assert res.J_final == 0.12137644701032713 and res.iterations == 3508
+    assert res.converged is False
+    assert res.message == "restart budget exhausted without certificate"
+
+
+def bundled_system(name, d=None):
+    sys = benchmark_system(name)
+    return sys if d is None else sys.with_feedthrough(d * np.eye(sys.m))
+
+
+# the bundled and rand-small cases of the benchmark; the passive rand 8x1/2
+# returns before any certificate is evaluated and is left out
+@pytest.mark.parametrize(
+    "sys, options",
+    [
+        (bundled_system("acc"), {}),
+        (bundled_system("acc", 0.125), {}),
+        (bundled_system("toy-m0"), {}),
+        (bundled_system("toy-m1"), {}),
+        (bundled_system("toy-m1"), {"L0": [[-2.0], [0.0]]}),
+        *((rand_family_system(*shape), {})
+          for shape in [(6, 1, 2), (8, 1, 1), (8, 2, 4), (8, 4, 3), (16, 1, 6)]),
+    ],
+    ids=["acc", "acc/d=0.125", "toy-m0", "toy-m1", "toy-m1/l0=-2,0", "rand-6x1/2",
+         "rand-8x1/1", "rand-8x2/4", "rand-8x4/3", "rand-16x1/6"],
+)
+def test_klap_converged_means_certified(sys, options):
+    res = klap(sys, **options)
+    assert not res.passive_input
+    assert res.converged == (
+        res.certificate.is_global_candidate
+        or res.duality_gap is not None and res.duality_gap <= _DUAL_GAP_RTOL
+    )
 
 
 def test_kyp_dual_gap_refuses_a_system_above_the_size_cap(monkeypatch, caplog):
