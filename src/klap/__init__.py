@@ -70,7 +70,6 @@ from .optimizer import (
     LbfgsResult,
     LurePoint,
     ObjectiveEval,
-    RestartDecision,
     c_of_l,
     initialize,
     klap,
@@ -131,7 +130,6 @@ __all__ = [
     "KlapConfig",
     "LbfgsResult",
     "Initialization",
-    "RestartDecision",
     "KlapResult",
     "c_of_l",
     "objective_and_gradient",

@@ -121,14 +121,8 @@ def _config_from_args(args: argparse.Namespace) -> KlapConfig:
     for attr, field_name in (
         ("grad_tol", "grad_tol"),
         ("obj_tol", "obj_rel_tol"),
-        ("alpha", "restart_alpha"),
-        ("eps", "init_margin"),
         ("max_restarts", "max_restarts"),
         ("max_iterations", "max_iterations"),
-        ("init", "init"),
-        ("points", "popov_points"),
-        ("wmin", "popov_wmin"),
-        ("wmax", "popov_wmax"),
         ("l0", "L0"),
     ):
         value = getattr(args, attr)
@@ -186,12 +180,9 @@ def _report_dict(
         "config": {
             "grad_tol": cfg.grad_tol,
             "obj_rel_tol": cfg.obj_rel_tol,
-            "restart_alpha": cfg.restart_alpha,
-            "init_margin": cfg.init_margin,
             "max_iterations": cfg.max_iterations,
             "max_restarts": cfg.max_restarts,
-            "popov_points": cfg.popov_points,
-            "init": "given" if cfg.L0 is not None else cfg.init,
+            "init": "are" if cfg.L0 is None else "given",
             "rng_seed": cfg.rng_seed,
         },
         "passive_input": result.passive_input,
@@ -203,7 +194,6 @@ def _report_dict(
         "initial_j": result.initial_J,
         "delta": result.delta,
         "popov_min": result.popov_min,
-        "popov_margin_before": result.popov_min,
         "popov_margin_after": margin_after,
         "certificate": None
         if cert is None
@@ -265,7 +255,7 @@ def _cmd_passivate(args: argparse.Namespace) -> int:
     out_name = f"{mf.name}-passive" if mf.name else None
     write_model(result.system, out_path, name=out_name)
 
-    margin_after = popov_scan(result.system, _grid_from_args(result.system, args)).global_min
+    margin_after = popov_scan(result.system).global_min
     report = _report_dict(
         args.model, out_path, mf.name, sys_, cfg, result, margin_after, wall
     )
@@ -405,24 +395,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run-report JSON path (default: alongside the output model)")
     p_pass.add_argument("--feedthrough", type=float, default=None,
                         help="replace D by this scalar times the identity before passivating")
-    p_pass.add_argument("--init", choices=["are", "random"], default=None,
-                        help="initialization mode (default: are)")
     p_pass.add_argument("--l0", default=None, metavar="VALUES",
-                        help="explicit starting factor, comma-separated row-major values")
+                        help="explicit starting factor, comma-separated row-major values "
+                             "(default: the Riccati start)")
     p_pass.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p_pass.add_argument("--grad-tol", dest="grad_tol", type=float, default=None,
                         help="gradient-norm stopping tolerance")
     p_pass.add_argument("--obj-tol", dest="obj_tol", type=float, default=None,
                         help="relative objective-change stopping tolerance")
-    p_pass.add_argument("--alpha", type=float, default=None,
-                        help="restart gradient-step size")
-    p_pass.add_argument("--eps", type=float, default=None,
-                        help="strict-passivation margin of the initialization")
     p_pass.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
     p_pass.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
     p_pass.add_argument("--trace", default=None, metavar="CSV",
                         help="write the per-iteration (J, grad-norm) log as CSV")
-    _add_grid_arguments(p_pass)
     p_pass.set_defaults(func=_cmd_passivate)
 
     p_popov = sub.add_parser("popov", help="sample the Popov function over a frequency grid")

@@ -62,7 +62,6 @@ from .system import (
     PopovScan,
     StateSpaceSystem,
     controllability_gramian,
-    default_popov_grid,
     h2_error_sq,
     popov_scan,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "KlapConfig",
     "LbfgsResult",
     "Initialization",
-    "RestartDecision",
     "KlapResult",
     "c_of_l",
     "objective_and_gradient",
@@ -91,6 +89,10 @@ _LBFGS_MEMORY = 10
 #: margin tolerance deciding whether a system is passive (the default of
 #: :func:`~klap.passivity.check_passive`)
 _PASSIVE_TOL = 1e-8
+
+#: step size of the restart's output-space gradient step (retried once at a
+#: tenth of it)
+_RESTART_ALPHA = 1e-8
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,6 @@ class LurePoint:
             )
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "M", M)
-
-    @classmethod
-    def for_system(cls, sys: StateSpaceSystem, L: np.ndarray) -> "LurePoint":
-        """Pair ``L`` with ``M = (D + D^T)^{1/2}`` of ``sys``."""
-        return cls(L, sqrtm_psd(sys.D + sys.D.T))
 
 
 def c_of_l(sys: StateSpaceSystem, point: LurePoint) -> np.ndarray:
@@ -277,12 +274,6 @@ class KlapConfig:
     obj_rel_tol : float
         Relative objective-change stop:
         ``|J_k - J_{k-1}| <= obj_rel_tol * (|J_k| + obj_rel_tol)``.
-    restart_alpha : float
-        Step size of the output-space gradient step used to escape a
-        non-global stationary point (retried once with ``alpha / 10``).
-    init_margin : float, optional
-        Strict-passivation margin of the initialization; ``None`` means
-        ``1e-3 * |popov_min|``.
     max_iterations : int
         Inner-iteration cap per minimization.  A round whose run stops on
         the objective change without a certificate adds a polish
@@ -293,50 +284,28 @@ class KlapConfig:
         With ``0`` the one run's point is still judged by both, so
         :attr:`KlapResult.converged` and :attr:`KlapResult.duality_gap`
         keep their meaning.
-    popov_points, popov_wmin, popov_wmax
-        Frequency-grid specification for Popov scans.
     rng_seed : int or None
-        Seed for random starts; runs are deterministic given the seed.
-    init : {"are", "random"}
-        Initialization mode (ignored when ``L0`` is given).
+        Seed of the random starts that replace a failed restart step; runs
+        are deterministic given the seed.
     L0 : ndarray, optional
-        Explicit starting factor (n x m).
+        Explicit starting factor (n x m) in place of the Riccati start of
+        :func:`initialize`.
     """
 
     grad_tol: float = 1e-8
     obj_rel_tol: float = 1e-6
-    restart_alpha: float = 1e-8
-    init_margin: float | None = None
     max_iterations: int = 50_000
     max_restarts: int = 5
-    popov_points: int = 500
-    popov_wmin: float | None = None
-    popov_wmax: float | None = None
     rng_seed: int | None = 0
-    init: str = "are"
     L0: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("grad_tol", "obj_rel_tol", "restart_alpha"):
+        for name in ("grad_tol", "obj_rel_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name, low in (
-            ("max_iterations", 1),
-            ("max_restarts", 0),
-            ("popov_points", 2),
-        ):
+        for name, low in (("max_iterations", 1), ("max_restarts", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        if self.init_margin is not None and not self.init_margin > 0:
-            raise ValueError("init_margin must be positive when given")
-        if self.init not in ("are", "random"):
-            raise ValueError(f"init must be 'are' or 'random', got {self.init!r}")
-
-
-def _grid(sys: StateSpaceSystem, config: KlapConfig) -> np.ndarray:
-    return default_popov_grid(
-        sys, points=config.popov_points, wmin=config.popov_wmin, wmax=config.popov_wmax
-    )
 
 
 def _random_factor(
@@ -500,16 +469,15 @@ class Initialization:
 
 def initialize(
     sys: StateSpaceSystem,
-    config: KlapConfig | None = None,
     rng: np.random.Generator | None = None,
     scan: PopovScan | None = None,
 ) -> Initialization:
     """Riccati-based starting factor.
 
-    Scan the Popov function for its minimum ``popov_min`` (or take it from
-    ``scan``, a scan of ``sys`` on the configured grid); enlarge the
+    Scan the Popov function on the default grid for its minimum
+    ``popov_min`` (or take it from ``scan``, a scan of ``sys``); enlarge the
     feedthrough by ``delta = max(eps, -popov_min/2 + eps)`` with margin
-    ``eps = init_margin`` (default ``1e-3 * |popov_min|``), which makes the
+    ``eps = 1e-3 * |popov_min|``, which makes the
     perturbed system strictly passive; solve that system's minimal Riccati
     equation and set ``L0 = (C^T - X_min B) M_pert^{-1}`` using the
     *perturbed* square root ``M_pert`` (the original ``M`` may be singular,
@@ -518,14 +486,14 @@ def initialize(
 
     If the perturbed equation is unsolvable (the grid may underestimate the
     true Popov minimum), retry once with ``10 * eps``; if that also fails,
-    fall back to a scaled random factor.  Any start is feasible, so the
-    fallback costs optimization effort, never correctness.
+    fall back to a scaled random factor drawn from ``rng`` (by default a
+    generator seeded with 0).  Any start is feasible, so the fallback costs
+    optimization effort, never correctness.
     """
-    cfg = config or KlapConfig()
     if scan is None:
-        scan = popov_scan(sys, grid=_grid(sys, cfg))
+        scan = popov_scan(sys)
     popov_min = scan.global_min
-    eps = cfg.init_margin if cfg.init_margin is not None else 1e-3 * abs(popov_min)
+    eps = 1e-3 * abs(popov_min)
     for attempt, eps_k in enumerate((eps, 10.0 * eps)):
         delta = max(eps_k, -popov_min / 2.0 + eps_k)
         if delta <= 0.0:
@@ -542,75 +510,41 @@ def initialize(
             L0, delta, popov_min, "are" if attempt == 0 else "are-retry"
         )
     if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
+        rng = np.random.default_rng(0)
     M = sqrtm_psd(sys.D + sys.D.T)
     _log.info("Riccati initialization failed twice; using a random start")
     return Initialization(_random_factor(rng, sys, M), 0.0, popov_min, "random")
 
 
-@dataclass(frozen=True)
-class RestartDecision:
-    """Outcome of one escape attempt from a stationary point.
-
-    ``kind`` is ``"new-point"`` (continue from ``L``) or ``"reinitialize"``
-    (caller should draw a fresh start; ``L`` is ``None``).  ``alpha`` is
-    the output-space step that produced a passive system (``None`` if none
-    did) and ``margin`` the smallest Popov eigenvalue on the grid of the
-    last candidate examined.
-    """
-
-    kind: str
-    L: np.ndarray | None
-    alpha: float | None
-    margin: float
-
-
 def restart_step(
-    sys: StateSpaceSystem,
-    P: np.ndarray,
-    L_star: np.ndarray,
-    config: KlapConfig | None = None,
-) -> RestartDecision:
+    sys: StateSpaceSystem, P: np.ndarray, C_star: np.ndarray
+) -> np.ndarray | None:
     """Escape a stationary point that the certificate rejected.
 
-    At a stationary ``L*`` whose surrogate ``C* = C_hat(L*)`` is not a
-    certified global optimum, take a small gradient step directly in
-    output space, ``C_new = C* - alpha * 2 (C* - C) P``.  If the stepped
-    system is still passive, the stationary point was not pinned to the
-    passive set's boundary along the descent direction: recover a factor
-    from the stepped system's minimal Riccati solution and continue from
-    it (``"new-point"``).  Otherwise retry with ``alpha / 10``; if both
-    steps exit the passive set, report ``"reinitialize"``.
+    At a stationary point whose surrogate output map ``C_star`` (the
+    ``C_hat`` of the rejected factor) is not a certified global optimum,
+    take a small gradient step directly in output space,
+    ``C_new = C_star - alpha * 2 (C_star - C) P`` with ``alpha = 1e-8``.
+    If the stepped system is still passive, the stationary point was not
+    pinned to the passive set's boundary along the descent direction:
+    recover a factor from the stepped system's minimal Riccati solution and
+    return it.  Otherwise retry with ``alpha / 10``; if both steps exit the
+    passive set, return ``None`` and the caller draws a fresh start.
 
     The Riccati recovery runs with a relaxed residual tolerance: the
     stepped system sits near the passive boundary, where the Riccati
     equation is close to marginal.
 
-    The stepped system is judged on the configured Popov grid alone
+    The stepped system is judged on the default Popov grid alone
     (:func:`~klap.passivity.check_passive` with ``method="popov-scan"``),
     without the Hamiltonian crossing frequencies: the verdict only screens
     candidates for the factor recovery, and any recovered factor gives a
-    passive model by construction.  Where the Hamiltonian has near-axis
-    eigenvalues this is the verdict and margin of the grid scan the
-    ``"auto"`` route falls back to; elsewhere the Popov function keeps its
-    sign, so the verdict is that of the route's one sample, but
-    :attr:`RestartDecision.margin` holds the grid minimum.
+    passive model by construction.
     """
-    cfg = config or KlapConfig()
-    L_star = np.asarray(L_star, dtype=float).reshape(sys.n, sys.m)
-    try:
-        M = sqrtm_psd(sys.D + sys.D.T)
-        C_star = c_of_l(sys, LurePoint(L_star, M))
-    except (NotPsdError, DimensionMismatchError):
-        return RestartDecision("reinitialize", None, None, -np.inf)
     grad_c = 2.0 * (C_star - sys.C) @ P
-    grid = _grid(sys, cfg)
-    margin = -np.inf
-    for alpha in (cfg.restart_alpha, cfg.restart_alpha / 10.0):
+    for alpha in (_RESTART_ALPHA, _RESTART_ALPHA / 10.0):
         candidate = sys.with_output(C_star - alpha * grad_c)
-        verdict = check_passive(candidate, tol=_PASSIVE_TOL, method="popov-scan", grid=grid)
-        margin = verdict.margin
-        if not verdict.passive:
+        if not check_passive(candidate, tol=_PASSIVE_TOL, method="popov-scan").passive:
             continue
         try:
             sol = solve_are(candidate, "minimal", tol=1e-6)
@@ -618,8 +552,9 @@ def restart_step(
         except (NoSolutionError, SingularFeedthroughError) as exc:
             _log.debug("factor recovery failed at alpha=%.1e: %s", alpha, exc)
             continue
-        return RestartDecision("new-point", L_new, alpha, margin)
-    return RestartDecision("reinitialize", None, None, margin)
+        _log.debug("restart step accepted at alpha=%.1e", alpha)
+        return L_new
+    return None
 
 
 @dataclass(frozen=True)
@@ -656,12 +591,15 @@ class KlapResult:
     trace : tuple of (J, grad-norm) pairs
         Per-iteration log, concatenated across restarts.
     passive_input : bool
-        Input system was already passive; returned unchanged.
+        Input system was already passive (by the Popov scan, confirmed by
+        :func:`~klap.passivity.check_passive`); returned unchanged.
     delta : float
         Feedthrough enlargement used by the initialization (0.0 when not
         applicable).
     popov_min : float
-        Scanned minimum of the input system's Popov function.
+        Scanned minimum of the input system's Popov function, or the
+        margin :func:`~klap.passivity.check_passive` found where the scan
+        missed a violation.
     initial_J : float
         Objective at the very first iterate.
     system : StateSpaceSystem
@@ -703,21 +641,26 @@ def klap(
 ) -> KlapResult:
     """Find the passive system closest to ``sys`` in the H2 norm.
 
-    The outer loop alternates inner minimizations with certificate checks:
-    minimize the squared H2 error over the Lur'e factor; test the spectral
-    global-optimality certificate (closed-loop spectrum on the imaginary
-    axis), the cheap first gate, which speaks only where the run stopped on
-    a convergence criterion.  After every run it does not certify, the KYP
+    The run starts from ``config.L0``, or else from the Riccati start of
+    :func:`initialize`.  The outer loop alternates inner minimizations with
+    certificate checks: minimize the squared H2 error over the Lur'e
+    factor; test the spectral global-optimality certificate (closed-loop
+    spectrum on the imaginary axis), the cheap first gate, which speaks only
+    where the run stopped on a convergence criterion.  After every run it does not certify, the KYP
     dual bound decides: a relative duality gap of at most ``1e-7`` at the
     best iterate so far certifies it and the run stops
     (:attr:`KlapResult.duality_gap`); otherwise, while restart budget is
-    left, attempt a restart — an output-space gradient step plus Riccati
+    left, attempt a restart from the output map just judged
+    (:func:`restart_step`) — an output-space gradient step plus Riccati
     factor recovery when the step stays passive, a fresh random start
     otherwise.  The best iterate across all restarts is returned, and
     :attr:`KlapResult.converged` says whether it is certified.
 
     A passive input short-circuits: the result carries ``C_hat = C``,
-    zero error, and no certificate.
+    zero error, and no certificate.  The Popov scan's verdict of passive is
+    confirmed by :func:`~klap.passivity.check_passive` on the same grid
+    first, since a violation narrower than the grid spacing escapes the
+    scan.
 
     Keyword overrides are applied on top of ``config``
     (e.g. ``klap(sys, rng_seed=3, max_restarts=0)``).
@@ -740,8 +683,14 @@ def klap(
 
     P = controllability_gramian(sys)
 
-    scan = popov_scan(sys, grid=_grid(sys, cfg))
+    scan = popov_scan(sys)
     verdict = scan_verdict(scan, _PASSIVE_TOL)
+    if verdict.passive:
+        confirmed = check_passive(sys, tol=_PASSIVE_TOL, grid=scan.frequencies)
+        if not confirmed.passive:
+            # the grid missed the violation: start from its confirmed margin
+            verdict = confirmed
+            scan = replace(scan, global_min=confirmed.margin)
     if verdict.passive:
         return KlapResult(
             C_hat=sys.C,
@@ -766,11 +715,9 @@ def klap(
     delta, popov_min = 0.0, verdict.margin
     if cfg.L0 is not None:
         L_start = np.asarray(cfg.L0, dtype=float).reshape(sys.n, sys.m)
-    elif cfg.init == "are":
-        ini = initialize(sys, cfg, rng=rng, scan=scan)
-        L_start, delta, popov_min = ini.L0, ini.delta, ini.popov_min
     else:
-        L_start = _random_factor(rng, sys, M)
+        ini = initialize(sys, rng=rng, scan=scan)
+        L_start, delta, popov_min = ini.L0, ini.delta, ini.popov_min
 
     trace: list[tuple[float, float]] = []
     total_iterations = 0
@@ -817,7 +764,8 @@ def klap(
                 break
             # the spectral test rejects true optima too: the dual bound
             # decides, after every run the spectral test does not certify
-            gap = _kyp_dual_gap(sys, P, c_of_l(sys, LurePoint(run.L, M)), run.value)
+            C_run = c_of_l(sys, LurePoint(run.L, M))
+            gap = _kyp_dual_gap(sys, P, C_run, run.value)
             if gap is not None:
                 if best_run is not run:
                     # the bound J (1 - gap) <= J* holds wherever it was
@@ -830,10 +778,8 @@ def klap(
                 break
             if round_index == cfg.max_restarts:
                 break
-            decision = restart_step(sys, P, run.L, cfg)
-            if decision.kind == "new-point":
-                L_start = decision.L
-            else:
+            L_start = restart_step(sys, P, C_run)
+            if L_start is None:
                 L_start = _random_factor(rng, sys, M)
             restarts_used += 1
     except Exception as exc:  # contract: never raise once optimization began

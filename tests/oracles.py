@@ -1,4 +1,4 @@
-"""Independent reference solvers shared by the tests."""
+"""Independent reference solvers and start helpers shared by the tests."""
 
 import math
 
@@ -6,7 +6,19 @@ import numpy as np
 import scipy.linalg
 
 from klap.exceptions import NoSolutionError
-from klap.optimizer import KlapConfig, LbfgsResult, _Objective
+from klap.linalg import sqrtm_psd
+from klap.optimizer import KlapConfig, LbfgsResult, LurePoint, _Objective, _random_factor
+
+
+def lure_point(sys, L) -> LurePoint:
+    """``L`` paired with ``M = (D + D^T)^{1/2}`` of ``sys``."""
+    return LurePoint(L, sqrtm_psd(sys.D + sys.D.T))
+
+
+def random_start(sys, seed: int) -> np.ndarray:
+    """The scaled random factor :func:`klap.klap` falls back to, drawn from
+    a generator seeded with ``seed``."""
+    return _random_factor(np.random.default_rng(seed), sys, sqrtm_psd(sys.D + sys.D.T))
 
 
 def kron_lyapunov_oracle(A: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from klap.system import (
     transfer_eval,
 )
 
-from oracles import kron_lyapunov_oracle, maximal_riccati_oracle
+from oracles import kron_lyapunov_oracle, lure_point, maximal_riccati_oracle, random_start
 
 
 def random_hurwitz(rng, n, margin=0.5):
@@ -97,7 +97,7 @@ def test_criterion_1_toy_m0_unique_global_optimum():
     sys = toy_system()
     values, maps = [], []
     for seed in range(10):
-        res = klap(sys, init="random", rng_seed=seed)
+        res = klap(sys, L0=random_start(sys, seed), rng_seed=seed)
         assert res.J_final == pytest.approx(0.94, abs=0.01), f"seed {seed}"
         assert_allclose(res.C_hat, [[0.46, 0.80]], atol=0.01, err_msg=f"seed {seed}")
         values.append(res.J_final)
@@ -158,8 +158,9 @@ def test_criterion_3_acc_benchmark_errors():
     assert res_d0.h2_error == pytest.approx(1.03, abs=0.01)
 
     seeded = []
+    sys = acc_system(0.125)
     for seed in range(10):
-        res = klap(acc_system(0.125), init="random", rng_seed=seed)
+        res = klap(sys, L0=random_start(sys, seed), rng_seed=seed)
         assert res.h2_error <= 0.875, f"seed {seed}: stuck at {res.h2_error:.4f}"
         seeded.append(res)
 
@@ -182,7 +183,7 @@ def test_criterion_4_acc_initialization_values():
     assert ini.delta == pytest.approx(1.14, abs=0.05)
 
     P = controllability_gramian(sys)
-    J0 = objective_and_gradient(sys, P, LurePoint.for_system(sys, ini.L0)).J
+    J0 = objective_and_gradient(sys, P, lure_point(sys, ini.L0)).J
     initial_error = float(np.sqrt(J0))
     assert initial_error == pytest.approx(1.25, abs=0.05)
     print(
@@ -201,7 +202,7 @@ def test_criterion_5_property_suite():
         m = min(m, n)
         sys = random_system(rng, n, m, d_scale=0.8 if k % 2 == 0 else 0.0)
         P = controllability_gramian(sys)
-        point = LurePoint.for_system(sys, rng.standard_normal((n, m)))
+        point = lure_point(sys, rng.standard_normal((n, m)))
         grad = objective_and_gradient(sys, P, point).grad
         h = 1e-6 * (1.0 + np.linalg.norm(point.L, "fro"))
         fd = np.zeros_like(point.L)

@@ -161,7 +161,7 @@ def test_passivate_writes_model_and_valid_report(toy_m1_path, tmp_path, capsys):
     assert report["h2_error"] == pytest.approx(0.35709, abs=5e-3)
     assert report["certificate"]["is_global_candidate"] is True
     assert report["popov_margin_after"] >= -1e-8
-    assert report["popov_margin_before"] == pytest.approx(-0.3395, abs=1e-3)
+    assert report["popov_min"] == pytest.approx(-0.3395, abs=1e-3)
     # all numeric fields finite (json.dump(allow_nan=False) already enforces
     # this at write time; double-check the loaded values)
     for key in ("j_final", "h2_error", "initial_j", "delta", "wall_seconds"):
@@ -255,7 +255,7 @@ def test_passivate_seed_reproducible(toy_m0_path, tmp_path, capsys):
     for k in range(2):
         report_path = str(tmp_path / f"r{k}.json")
         code, _, _ = run_cli(
-            ["passivate", toy_m0_path, "--init", "random", "--seed", "3",
+            ["passivate", toy_m0_path, "--seed", "3",
              "--out", str(tmp_path / f"m{k}.json"), "--report", report_path],
             capsys,
         )
@@ -495,6 +495,20 @@ def test_bench_subcommand_is_usage_error(capsys):
     code, _, err = run_cli(["bench", "acc"], capsys)
     assert code == 2
     assert "invalid choice: 'bench'" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--init", "random"), ("--alpha", "1e-8"), ("--eps", "1e-3"),
+     ("--points", "500"), ("--wmin", "0.01"), ("--wmax", "100")],
+)
+def test_passivate_removed_flags_are_usage_errors(toy_m1_path, tmp_path, flag, value, capsys):
+    code, _, err = run_cli(
+        ["passivate", toy_m1_path, "--out", str(tmp_path / "out.json"), flag, value], capsys
+    )
+    assert code == 2
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ hand-derived closed forms; and the full driver against the frozen
 benchmark values of the two reference systems.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -26,7 +27,9 @@ from klap.optimizer import (
     restart_step,
 )
 from klap.passivity import check_passive, global_min_certificate
-from klap.system import StateSpaceSystem, controllability_gramian, h2_error_sq
+from klap.system import StateSpaceSystem, controllability_gramian, h2_error_sq, popov_scan
+
+from oracles import lure_point, random_start
 
 
 def toy_system(d=0.0):
@@ -92,17 +95,17 @@ def fd_gradient(sys, P, point, h=None):
 def test_lure_point_validation():
     with pytest.raises(DimensionMismatchError):
         LurePoint(np.ones((3, 2)), np.ones((3, 3)))
-    point = LurePoint.for_system(toy_system(0.125), np.zeros((2, 1)))
+    point = lure_point(toy_system(0.125), np.zeros((2, 1)))
     assert_allclose(point.M, [[0.5]], atol=1e-14)
     # M M^T reproduces D + D^T
     sys = random_passive_system(np.random.default_rng(0), 4, 2)
-    point = LurePoint.for_system(sys, np.zeros((4, 2)))
+    point = lure_point(sys, np.zeros((4, 2)))
     assert_allclose(point.M @ point.M.T, sys.D + sys.D.T, atol=1e-12)
 
 
 def test_c_of_l_zero_factor():
     sys = toy_system(0.125)
-    assert_allclose(c_of_l(sys, LurePoint.for_system(sys, np.zeros((2, 1)))), 0.0)
+    assert_allclose(c_of_l(sys, lure_point(sys, np.zeros((2, 1)))), 0.0)
 
 
 def test_c_of_l_toy_frozen_values():
@@ -135,7 +138,7 @@ def test_c_of_l_raises_where_the_solution_overflows(scale):
     sys = StateSpaceSystem([[-1e-3]], [[1.0]], [[1.0]], [[0.5]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SingularOperatorError, match="overflows"):
-            c_of_l(sys, LurePoint.for_system(sys, [[scale]]))
+            c_of_l(sys, lure_point(sys, [[scale]]))
 
 
 def test_feasibility_by_construction():
@@ -204,7 +207,7 @@ def test_objective_value_consistency():
     rng = np.random.default_rng(14)
     sys = random_system(rng, 5, 2, d_scale=0.7)
     P = controllability_gramian(sys)
-    point = LurePoint.for_system(sys, rng.standard_normal((5, 2)))
+    point = lure_point(sys, rng.standard_normal((5, 2)))
     ev = objective_and_gradient(sys, P, point)
     assert ev.J == pytest.approx(h2_error_sq(sys, ev.C_hat, P=P), rel=1e-12)
     assert ev.C_hat == pytest.approx(c_of_l(sys, point))
@@ -234,7 +237,7 @@ def test_gradient_matches_finite_differences():
         with_feedthrough = k % 2 == 0
         sys = random_system(rng, n, m, d_scale=0.8 if with_feedthrough else 0.0)
         P = controllability_gramian(sys)
-        point = LurePoint.for_system(sys, rng.standard_normal((n, m)))
+        point = lure_point(sys, rng.standard_normal((n, m)))
         ev = objective_and_gradient(sys, P, point)
         fd = fd_gradient(sys, P, point)
         err = np.linalg.norm(ev.grad - fd, "fro") / max(1.0, np.linalg.norm(fd, "fro"))
@@ -275,7 +278,7 @@ def test_exactly_two_lyapunov_solves_per_evaluation(monkeypatch):
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
     calls.update(standard=0, transposed=0)
-    objective_and_gradient(sys, P, LurePoint.for_system(sys, np.ones((2, 1))))
+    objective_and_gradient(sys, P, lure_point(sys, np.ones((2, 1))))
     assert calls == {"standard": 1, "transposed": 1}
     assert values == gradients == 1
 
@@ -566,7 +569,7 @@ def test_initialize_acc_frozen_values():
     assert ini.popov_min == pytest.approx(-2.276, abs=0.01)
     assert ini.source == "are"
     P = controllability_gramian(sys)
-    point = LurePoint.for_system(sys, ini.L0)
+    point = lure_point(sys, ini.L0)
     J0 = objective_and_gradient(sys, P, point).J
     assert np.sqrt(J0) == pytest.approx(1.25, abs=0.05)
 
@@ -592,24 +595,30 @@ def test_initialize_already_passive_keeps_output():
         assert ini.popov_min > 0
         assert ini.delta == pytest.approx(1e-3 * ini.popov_min, rel=1e-9)
         P = controllability_gramian(sys)
-        J0 = objective_and_gradient(sys, P, LurePoint.for_system(sys, ini.L0)).J
+        J0 = objective_and_gradient(sys, P, lure_point(sys, ini.L0)).J
         assert J0 <= 1e-6 * float(np.trace(sys.C @ P @ sys.C.T))
 
 
+def miss_scan(sys):
+    """A two-point scan of the toy that misses its Popov violation."""
+    return popov_scan(sys, grid=np.array([0.0, 1e3]))
+
+
 def test_initialize_random_fallback_on_tiny_margin():
-    # a margin far below the grid error leaves the perturbed system
-    # effectively marginal: both Riccati attempts fail, the start is random
-    cfg = KlapConfig(init_margin=1e-13)
-    ini = initialize(toy_system(0.125), cfg)
+    # a scan that misses the violation reports a positive minimum, so the
+    # shift stays far too small: the perturbed system is still not passive,
+    # both Riccati attempts fail and the start is random
+    sys = toy_system(0.125)
+    ini = initialize(sys, scan=miss_scan(sys))
     assert ini.source == "random"
     assert ini.delta == 0.0
     assert ini.L0.shape == (2, 1)
 
 
 def test_initialize_random_fallback_is_seeded():
-    cfg = KlapConfig(init_margin=1e-13, rng_seed=5)
-    a = initialize(toy_system(0.125), cfg)
-    b = initialize(toy_system(0.125), cfg)
+    sys = toy_system(0.125)
+    a = initialize(sys, rng=np.random.default_rng(5), scan=miss_scan(sys))
+    b = initialize(sys, rng=np.random.default_rng(5), scan=miss_scan(sys))
     assert_array_equal(a.L0, b.L0)
 
 
@@ -618,27 +627,34 @@ def test_initialize_random_fallback_is_seeded():
 # ---------------------------------------------------------------------------
 
 
-def test_restart_step_escapes_toy_local_minimum():
+def toy_local_map(sys):
+    """``C_hat`` at the toy's non-global stationary factor ``[-1, 0]``."""
+    return c_of_l(sys, LurePoint(np.array([[-1.0], [0.0]]), [[0.5]]))
+
+
+def test_restart_step_escapes_toy_local_minimum(caplog):
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
-    L_loc = np.array([[-1.0], [0.0]])
-    decision = restart_step(sys, P, L_loc)
-    assert decision.kind == "new-point"
-    assert decision.alpha == pytest.approx(1e-8)
+    with caplog.at_level(logging.DEBUG, logger="klap.optimizer"):
+        L_new = restart_step(sys, P, toy_local_map(sys))
+    assert L_new is not None
+    # the first step size is accepted
+    assert "restart step accepted at alpha=1.0e-08" in caplog.text
     # continuing the minimization from the recovered factor reaches the
     # global output map
-    res = lbfgs_minimize(sys, P, decision.L, [[0.5]])
+    res = lbfgs_minimize(sys, P, L_new, [[0.5]])
     C_hat = c_of_l(sys, LurePoint(res.L, np.array([[0.5]])))
     assert_allclose(C_hat, [[0.84, 0.34]], atol=0.01)
     assert res.value < 2.5  # strictly better than the local value
 
 
-def test_restart_step_reinitialize_when_step_leaves_passive_set():
+def test_restart_step_reinitialize_when_step_leaves_passive_set(monkeypatch):
+    import klap.optimizer as mod
+
+    monkeypatch.setattr(mod, "_RESTART_ALPHA", 10.0)
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
-    cfg = KlapConfig(restart_alpha=10.0)
-    decision = restart_step(sys, P, np.array([[-1.0], [0.0]]), cfg)
-    assert decision.kind == "reinitialize" and decision.L is None
+    assert restart_step(sys, P, toy_local_map(sys)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +663,9 @@ def test_restart_step_reinitialize_when_step_leaves_passive_set():
 
 
 def test_klap_toy_without_feedthrough_global():
+    sys = toy_system(0.0)
     for seed in range(3):
-        res = klap(toy_system(0.0), init="random", rng_seed=seed)
+        res = klap(sys, L0=random_start(sys, seed), rng_seed=seed)
         assert res.J_final == pytest.approx(0.94, abs=0.01)
         assert_allclose(res.C_hat, [[0.46, 0.80]], atol=0.01)
         assert res.certificate.vacuous and res.certificate.is_global_candidate
@@ -695,8 +712,9 @@ def test_klap_acc_benchmark_values():
 
 
 def test_klap_acc_random_starts_with_restarts():
+    sys = acc_system(0.125)
     for seed in range(5):
-        res = klap(acc_system(0.125), init="random", rng_seed=seed)
+        res = klap(sys, L0=random_start(sys, seed), rng_seed=seed)
         assert res.h2_error <= 0.875, f"seed {seed}: {res.h2_error}"
 
 
@@ -752,9 +770,30 @@ def test_klap_builds_one_lyapunov_kernel_per_run(monkeypatch):
     assert sys._lyapunov() is kernels[0] and res.system._lyapunov() is kernels[0]
 
 
+def test_klap_restart_reuses_the_judged_output_map(monkeypatch):
+    # from [-2, 0] one round is rejected and one restart follows: the C_hat
+    # computed for the dual bound also seeds the restart step, so c_of_l
+    # runs once for that round and once for the returned point
+    import klap.optimizer as mod
+
+    calls = 0
+    orig = mod.c_of_l
+
+    def counting_c_of_l(*args):
+        nonlocal calls
+        calls += 1
+        return orig(*args)
+
+    monkeypatch.setattr(mod, "c_of_l", counting_c_of_l)
+    res = klap(toy_system(0.125), L0=[[-2.0], [0.0]])
+    assert res.restarts == 1 and res.converged
+    assert calls == 2
+
+
 def test_klap_deterministic_given_seed():
-    a = klap(acc_system(0.125), init="random", rng_seed=7)
-    b = klap(acc_system(0.125), init="random", rng_seed=7)
+    sys = acc_system(0.125)
+    a = klap(sys, L0=random_start(sys, 7), rng_seed=7)
+    b = klap(sys, L0=random_start(sys, 7), rng_seed=7)
     assert_array_equal(a.C_hat, b.C_hat)
     assert a.J_final == b.J_final and a.iterations == b.iterations
 
@@ -779,8 +818,8 @@ def test_klap_unique_optimum_across_seeds():
     def pnorm(V):
         return float(np.sqrt(np.trace(V @ P @ V.T)))
 
-    r1 = klap(sys, init="random", rng_seed=101)
-    r2 = klap(sys, init="random", rng_seed=202)
+    r1 = klap(sys, L0=random_start(sys, 101), rng_seed=101)
+    r2 = klap(sys, L0=random_start(sys, 202), rng_seed=202)
     assert pnorm(r1.C_hat - r2.C_hat) <= 1e-4 * pnorm(sys.C)
 
 
@@ -789,7 +828,5 @@ def test_config_validation():
         KlapConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         KlapConfig(max_restarts=-1)
-    with pytest.raises(ValueError):
-        KlapConfig(init="magic")
     with pytest.raises(TypeError):
         klap(toy_system(0.125), no_such_option=1)

@@ -23,6 +23,7 @@ from klap.passivity import (
     check_passive,
     global_min_certificate,
     l_from_are,
+    scan_verdict,
     solve_are,
 )
 from klap.system import StateSpaceSystem, controllability_gramian, popov_scan
@@ -31,6 +32,7 @@ from oracles import (
     lure_residuals,
     maximal_riccati_oracle,
     newton_riccati_oracle,
+    random_start,
 )
 
 
@@ -462,6 +464,26 @@ def test_check_passive_samples_the_crossing_frequencies():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("t", [1e-7, 1e-6])
+def test_klap_optimizes_an_input_whose_violation_the_grid_misses(t):
+    # a step t from the passive optimum of rand 6x1/2 back toward its C
+    # violates passivity by about -1.1 t in a dip that the default grid
+    # steps over: the scan alone would return the input unchanged
+    sys = rand_family_system(6, 1, 2)
+    C_opt = klap(sys).C_hat
+    near = sys.with_output(C_opt + t * (sys.C - C_opt))
+    assert scan_verdict(popov_scan(near), 1e-8).passive
+    verdict = check_passive(near)
+    assert not verdict.passive
+    assert verdict.margin == pytest.approx(-1.1 * t, rel=0.01)
+
+    res = klap(near)
+    assert not res.passive_input
+    assert res.popov_min == verdict.margin
+    assert check_passive(res.system).passive
+    assert 0.0 < res.J_final < 1e-10
+
+
 def test_kyp_dual_gap_bounds_the_optimum_on_a_random_sweep():
     # wherever the bound exists, g = J (1 - gap) never exceeds the lowest J
     # that klap() finds from three random starts
@@ -471,7 +493,7 @@ def test_kyp_dual_gap_bounds_the_optimum_on_a_random_sweep():
         n = int(rng.integers(2, 9))
         m = min(n, int(rng.integers(1, 4)))
         sys = rand_family_system(n, m, 1000 + k)
-        runs = [klap(sys, init="random", rng_seed=seed) for seed in range(3)]
+        runs = [klap(sys, L0=random_start(sys, seed), rng_seed=seed) for seed in range(3)]
         if runs[0].passive_input:
             continue
         P = controllability_gramian(sys)
