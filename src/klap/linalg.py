@@ -7,9 +7,13 @@ The continuous-time Lyapunov equations
 
     A^T X + X A + W = 0  \\qquad\\text{and}\\qquad  A X + X A^T + W = 0
 
-are the workhorses of the passivation routines: an L-BFGS run performs
-two of these solves per accepted step (the value and the adjoint of its
-gradient) and one per rejected line-search trial (the value only).  Both
+are the workhorses of the passivation routines: the Gramian, every
+output map the optimizer returns or judges, and, when ``A`` has no
+trusted eigenbasis, the L-BFGS evaluations, two solves per accepted step
+(the value and the adjoint of its gradient) and one per rejected
+line-search trial (the value only).  With a trusted basis the optimizer
+evaluates in that basis without these solves
+(:class:`klap.optimizer._ModalObjective`).  Both
 orientations run through one per-basis kernel (:class:`_LyapunovKernel`),
 built once per ``(A, decomposition, strategy)``.  Building it picks the
 strategy, checks the eigenvector basis against :data:`DIAG_COND_LIMIT`,
@@ -24,8 +28,8 @@ own callers form ``W`` exactly symmetric (``L L^T`` and ``B B^T``, for
 which numpy computes one triangle and mirrors it, and the adjoint
 right-hand side ``-(F + F^T)/2``).  A :class:`~klap.system.StateSpaceSystem` owns the
 kernel of its ``A``, built on first use from the eigenbasis it caches;
-the Gramian, the optimizer's inner loop, the restarts and the final
-output map all solve through it.  Two strategies are provided:
+the Gramian, the optimizer's dense inner loop, the restarts and the
+output maps all solve through it.  Two strategies are provided:
 
 ``"diagonalized"``
     One spectral decomposition ``A = V diag(lam) V^{-1}``, made once per

@@ -20,7 +20,8 @@ problem
 whose value is the squared H2 distance to the original system (``P`` is the
 controllability Gramian).  This module provides the parameterization, the
 objective and its gradient (one Lyapunov solve for the value, one more for
-the gradient), a quasi-Newton minimizer, Riccati-based initialization, a
+the gradient; in the eigenbasis of ``A`` both are ``O(n^2 m)`` products), a
+Gramian-preconditioned quasi-Newton minimizer, Riccati-based initialization, a
 spectral certificate of global optimality backed by the KYP dual bound of
 :mod:`klap.passivity`, and a restart strategy that escapes non-global
 stationary points, all orchestrated by :func:`klap`.
@@ -93,6 +94,12 @@ _PASSIVE_TOL = 1e-8
 #: step size of the restart's output-space gradient step (retried once at a
 #: tenth of it)
 _RESTART_ALPHA = 1e-8
+
+#: floor on the Gramian eigenvalues of the L-BFGS preconditioner, relative
+#: to the largest: it caps how far a step is stretched along nearly
+#: uncontrollable directions, where ``L`` grows without lowering ``J`` much
+#: while the rounding of ``C_hat(L)`` grows as ``||L||^2``
+_PRECOND_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -223,6 +230,74 @@ class _Objective:
         return grad, X_grad
 
 
+class _ModalObjective:
+    """``J`` and its gradient in the eigenbasis of ``A``, in ``O(n^2 m)``.
+
+    For ``A = V diag(lam) V^{-1}``, ``b = V^{-1} B`` and ``l = V^T L``, the
+    Lyapunov solution is ``V^T X V = Y = -(l l^T) / (lam_i + lam_j)``, so
+    ``e = (C - C_hat) V = C V - b^T Y - M l^T``.  With the modal Gramian
+    ``Q = V^{-1} P V^{-H} = -(b b^H) / (lam_i + conj(lam_j))``, formed once,
+    ``K = Q e^H`` is ``V^{-1} P E^T`` and ``J = Re tr(e K)``; the adjoint
+    solution in the same coordinates is ``(K b^H + b K^H) / (lam_i +
+    conj(lam_j))``, which gives
+    ``grad = 2 Re V ((K b^H + b K^H) / (lam_i + conj(lam_j)) conj(l) - K M)``.
+    Neither ``X`` nor ``X_grad`` is formed, and nothing is checked:
+    :func:`klap` recomputes each run's output map and its ``J`` through the
+    system's kernel.  The interface is :class:`_Objective`'s, with ``None``
+    in place of ``X_grad``.
+    """
+
+    def __init__(self, sys: StateSpaceSystem, M: np.ndarray):
+        decomp, b = sys._modes()
+        lam = decomp.eigenvalues
+        self.V = decomp.right_vectors
+        self.V_t = self.V.T
+        self.neg_denom = -(lam[:, None] + lam[None, :])
+        self.herm_denom = lam[:, None] + lam.conj()[None, :]
+        self.b_t, self.b_h = b.T, b.conj().T
+        self.Q = -b.dot(self.b_h) / self.herm_denom
+        self.cV = sys.C.dot(self.V)
+        self.M = M
+
+    def value(self, L: np.ndarray) -> tuple:
+        """``(J, state)`` at ``L``, with ``state = (l, K)``; ``(inf, None)``
+        where ``l l^T`` or ``J`` is not finite."""
+        ell = self.V_t.dot(L)
+        Y = ell.dot(ell.T)
+        if not np.isfinite(Y).all():
+            return math.inf, None
+        Y /= self.neg_denom
+        e = self.cV - self.b_t.dot(Y)
+        e -= self.M.dot(ell.T)
+        K = self.Q.dot(e.conj().T)
+        J = float((e * K.T).sum().real)
+        if not math.isfinite(J):
+            return math.inf, None
+        return J, (ell, K)
+
+    def gradient(self, state: tuple) -> tuple[np.ndarray, None]:
+        """``(grad, None)`` at the point :meth:`value` returned ``state`` for."""
+        ell, K = state
+        G = K.dot(self.b_h)
+        G += G.conj().T
+        G /= self.herm_denom
+        R = G.dot(ell.conj())
+        R -= K.dot(self.M)
+        grad = self.V.dot(R).real
+        grad *= 2.0
+        return grad, None
+
+
+def _objective_for(sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray):
+    """The evaluation :func:`lbfgs_minimize` runs: :class:`_ModalObjective`
+    while the system's kernel solves in the eigenbasis of ``A``, otherwise
+    :class:`_Objective` on the kernel's dense route."""
+    lyap = sys._lyapunov()
+    if lyap.diagonal:
+        return _ModalObjective(sys, M)
+    return _Objective(sys, P, M, lyap)
+
+
 def objective_and_gradient(
     sys: StateSpaceSystem,
     P: np.ndarray,
@@ -233,8 +308,9 @@ def objective_and_gradient(
 
     Exactly two Lyapunov solves: one for ``X`` (inside the output-map
     parameterization) and one for the adjoint variable ``X_grad``.  The
-    same arithmetic :func:`lbfgs_minimize` runs at its start and at every
-    accepted step; its rejected trials stop after the first solve.
+    same arithmetic :func:`lbfgs_minimize` runs when ``A`` has no trusted
+    eigenbasis; with one, it evaluates in that basis
+    (:class:`_ModalObjective`), which agrees with this to rounding.
 
     Parameters
     ----------
@@ -275,9 +351,10 @@ class KlapConfig:
         Relative objective-change stop:
         ``|J_k - J_{k-1}| <= obj_rel_tol * (|J_k| + obj_rel_tol)``.
     max_iterations : int
-        Inner-iteration cap per minimization.  A round whose run stops on
-        the objective change without a certificate adds a polish
-        minimization with its own cap, so one round can take twice the cap.
+        Cap on the accepted L-BFGS steps of one round.  A round whose run
+        stops on the objective change without a certificate adds a polish
+        minimization on the steps left of the cap, and skips it when none
+        are left.
     max_restarts : int
         Restarts, each after a point that neither the spectral certificate
         nor the KYP dual bound certifies, before returning the best iterate.
@@ -345,29 +422,44 @@ def lbfgs_minimize(
     M: np.ndarray,
     config: KlapConfig | None = None,
 ) -> LbfgsResult:
-    """Minimize the squared H2 error over ``L`` by limited-memory BFGS.
+    """Minimize the squared H2 error over ``L`` by limited-memory BFGS in
+    the metric of the Gramian.
 
-    Two-loop recursion over the last 10 curvature pairs with
-    the standard ``s.y / y.y`` metric scaling, and an Armijo backtracking
-    line search (sufficient decrease ``1e-4``, step halving), which makes
-    the objective strictly decreasing across accepted steps.  The first
-    trial step is ``1 / max(1, ||grad||)`` until curvature information
-    exists.  The line search needs only ``J`` at a trial point, so the
-    gradient (the adjoint Lyapunov solve) is evaluated only at the start
-    and at accepted steps: two solves per accepted step, one per rejected
-    trial.
+    Two-loop recursion over the last 10 curvature pairs, with the initial
+    inverse Hessian ``gamma H0``: ``H0 = U diag(1/s) U^T`` from
+    ``P = U diag(s) U^T``, ``s`` floored at ``_PRECOND_FLOOR * max(s)``,
+    acting on the ``n x m`` gradient, and ``gamma = s.y / (y . H0 y)`` of
+    the newest pair.  The search direction is ``-H0 g`` until curvature
+    information exists, with first trial step ``1 / max(1, sqrt(g . H0 g))``.
+    An Armijo backtracking line search (sufficient decrease ``1e-4``, step
+    halving) makes the objective strictly decreasing across accepted steps.
+    The line search needs only ``J`` at a trial point, so the gradient is
+    evaluated only at the start and at accepted steps.
 
-    Stops when ``||grad|| <= grad_tol``, when the relative objective change
-    drops below ``obj_rel_tol``, or at the iteration cap.  A failed line
-    search returns the best iterate with ``converged = False``.
+    The evaluation is :class:`_ModalObjective`, ``O(n^2 m)`` products in
+    the eigenbasis of ``A``, while the system's Lyapunov kernel solves in
+    that basis, and otherwise :class:`_Objective` on the kernel's dense
+    route (two Lyapunov solves per accepted step, one per rejected trial).
+
+    Stops when the Euclidean ``||grad|| <= grad_tol``, when the relative
+    objective change drops below ``obj_rel_tol``, or after
+    ``max_iterations`` accepted steps.  A failed line search returns the
+    best iterate with ``converged = False``.  ``trace`` records the
+    Euclidean gradient norm, as the stop test does.
     """
     cfg = config or KlapConfig()
     L0 = np.asarray(L0, dtype=float).reshape(sys.n, sys.m)
-    objective = _Objective(sys, P, np.asarray(M, dtype=float), sys._lyapunov())
+    objective = _objective_for(sys, P, np.asarray(M, dtype=float))
     shape = (sys.n, sys.m)
+    s_P, U = np.linalg.eigh(P)
+    s_P = np.maximum(s_P, _PRECOND_FLOOR * s_P.max())
+    H0 = (U / s_P).dot(U.T)
 
     def gradient(state: tuple) -> np.ndarray:
         return objective.gradient(state)[0].ravel()
+
+    def precondition(v: np.ndarray) -> np.ndarray:
+        return H0.dot(v.reshape(shape)).ravel()
 
     x = L0.ravel().copy()
     f, state = objective.value(x.reshape(shape))
@@ -379,7 +471,7 @@ def lbfgs_minimize(
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
-    gamma = 1.0  # s.y / y.y of the newest pair
+    gamma = 1.0  # s.y / y.H0 y of the newest pair
     iterations = 0
     status, converged = "max-iterations", False
 
@@ -396,6 +488,7 @@ def lbfgs_minimize(
             a = rho_hist[i] * s_hist[i].dot(q)
             q -= a * y_hist[i]
             alphas[i] = a
+        q = precondition(q)
         if k:
             q *= gamma
         for i in range(k):
@@ -404,11 +497,14 @@ def lbfgs_minimize(
         d = np.negative(q, out=q)
         gd = g.dot(d)
         if not math.isfinite(gd) or gd >= 0.0:
-            d, gd = -g, -g_norm**2  # non-descent direction: reset to steepest
+            # non-descent direction: reset to the preconditioned steepest one
+            d = -precondition(g)
+            gd = g.dot(d)
 
         # Armijo backtracking needs only J at a trial point; the gradient
-        # is evaluated once, at the accepted one
-        t = 1.0 if s_hist else 1.0 / max(1.0, g_norm)
+        # is evaluated once, at the accepted one.  Without a stored pair
+        # d = -H0 g, so -gd = g.H0 g
+        t = 1.0 if s_hist else 1.0 / max(1.0, math.sqrt(-gd))
         for _ in range(45):
             x_new = x + t * d
             f_new, state = objective.value(x_new.reshape(shape))
@@ -421,12 +517,12 @@ def lbfgs_minimize(
         g_new = gradient(state)
 
         s_vec, y_vec = x_new - x, g_new - g
-        sy, yy = s_vec.dot(y_vec), y_vec.dot(y_vec)
-        if sy > 1e-10 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(yy):
+        sy = s_vec.dot(y_vec)
+        if sy > 1e-10 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            gamma = sy / yy
+            gamma = sy / y_vec.dot(precondition(y_vec))
             if len(s_hist) > _LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
@@ -535,16 +631,14 @@ def restart_step(
     stepped system sits near the passive boundary, where the Riccati
     equation is close to marginal.
 
-    The stepped system is judged on the default Popov grid alone
-    (:func:`~klap.passivity.check_passive` with ``method="popov-scan"``),
-    without the Hamiltonian crossing frequencies: the verdict only screens
-    candidates for the factor recovery, and any recovered factor gives a
-    passive model by construction.
+    The stepped system is judged by :func:`~klap.passivity.check_passive`,
+    which samples the Hamiltonian crossing frequencies, so a violation
+    narrower than the Popov grid's spacing also rejects the step.
     """
     grad_c = 2.0 * (C_star - sys.C) @ P
     for alpha in (_RESTART_ALPHA, _RESTART_ALPHA / 10.0):
         candidate = sys.with_output(C_star - alpha * grad_c)
-        if not check_passive(candidate, tol=_PASSIVE_TOL, method="popov-scan").passive:
+        if not check_passive(candidate, tol=_PASSIVE_TOL).passive:
             continue
         try:
             sol = solve_are(candidate, "minimal", tol=1e-6)
@@ -576,7 +670,7 @@ class KlapResult:
         ``sqrt(J_final)`` — the H2 distance itself.
     iterations : int
         Accepted quasi-Newton steps, summed over all restarts and polish
-        passes (up to ``2 * max_iterations`` per round).
+        passes (at most ``max_iterations`` per round).
     restarts : int
         Restarts actually performed.
     certificate : GlobalMinCertificate or None
@@ -586,7 +680,10 @@ class KlapResult:
         Whether ``L_final`` is certified as a global optimum: the inner run
         that produced it stopped on a convergence criterion (not line-search
         failure / iteration cap) and the spectral certificate passes there,
-        or its :attr:`duality_gap` is at most ``1e-7``.  True for a passive
+        or its :attr:`duality_gap` is at most ``1e-7``; and the returned
+        :attr:`system` passes :func:`~klap.passivity.check_passive`
+        (``C_hat(L)`` is passive in exact arithmetic, so rounding can break
+        that; :attr:`message` then gives the margin).  True for a passive
         input.
     trace : tuple of (J, grad-norm) pairs
         Per-iteration log, concatenated across restarts.
@@ -646,15 +743,23 @@ def klap(
     certificate checks: minimize the squared H2 error over the Lur'e
     factor; test the spectral global-optimality certificate (closed-loop
     spectrum on the imaginary axis), the cheap first gate, which speaks only
-    where the run stopped on a convergence criterion.  After every run it does not certify, the KYP
-    dual bound decides: a relative duality gap of at most ``1e-7`` at the
-    best iterate so far certifies it and the run stops
-    (:attr:`KlapResult.duality_gap`); otherwise, while restart budget is
+    where the run stopped on a convergence criterion at the best point so
+    far.  After every run it does not certify, the KYP dual bound decides:
+    a relative duality gap of at most ``1e-7`` at the best iterate so far
+    certifies it and the run stops (:attr:`KlapResult.duality_gap`);
+    otherwise, while restart budget is
     left, attempt a restart from the output map just judged
     (:func:`restart_step`) — an output-space gradient step plus Riccati
     factor recovery when the step stays passive, a fresh random start
-    otherwise.  The best iterate across all restarts is returned, and
-    :attr:`KlapResult.converged` says whether it is certified.
+    otherwise.  The dual bound is evaluated at the output map and ``J``
+    recomputed through the system's Lyapunov kernel, not at the inner run's
+    own evaluation.  The best iterate across all restarts is returned: the
+    one of lowest ``J`` among those whose model passes
+    :func:`~klap.passivity.check_passive` (``C_hat(L)`` is passive in exact
+    arithmetic, but its rounding grows with ``||L||^2``), or, when none
+    passes, the one of lowest ``J`` with a warning and the margin in
+    :attr:`KlapResult.message`.  :attr:`KlapResult.converged` says whether
+    it is certified.
 
     A passive input short-circuits: the result carries ``C_hat = C``,
     zero error, and no certificate.  The Popov scan's verdict of passive is
@@ -722,7 +827,9 @@ def klap(
     trace: list[tuple[float, float]] = []
     total_iterations = 0
     restarts_used = 0
-    best_run = None  # the inner run with the lowest J so far
+    # the inner run with the lowest J so far, its output map, J, passivity
+    # verdict and certificate
+    best_run, best_C, best_J, best_verdict = None, None, math.inf, None
     best_certificate = None
     best_gap = None
     initial_J = np.nan
@@ -736,26 +843,43 @@ def klap(
                 initial_J = run.trace[0][0]
             total_iterations += run.iterations
             certificate = global_min_certificate(sys, M, run.L)
+            budget = cfg.max_iterations - run.iterations
             if (
                 not certificate.is_global_candidate
                 and run.status == "objective-change"
                 and run.gradient_norm > cfg.grad_tol
+                and budget > 0
             ):
                 # The cheap objective-change stop leaves the iterate short of
                 # the stationarity the spectral certificate measures; polish
-                # to gradient precision before judging or restarting.
+                # to gradient precision, on the round's remaining iteration
+                # budget, before judging or restarting.
                 polish = lbfgs_minimize(
-                    sys, P, run.L, M, replace(cfg, obj_rel_tol=1e-14, L0=None)
+                    sys, P, run.L, M,
+                    replace(cfg, obj_rel_tol=1e-14, max_iterations=budget, L0=None),
                 )
                 trace.extend(polish.trace[1:])
                 total_iterations += polish.iterations
                 if polish.value < run.value or polish.status == "gradient":
                     run = polish
                     certificate = global_min_certificate(sys, M, run.L)
-            if best_run is None or run.value < best_run.value:
-                best_run, best_certificate, best_gap = run, certificate, None
-            # the spectral test speaks only where the run stopped stationary
-            if run.converged and certificate.is_global_candidate:
+            # every judgement is made on the output map and J of the checked
+            # kernel, not on the run's own (possibly modal) evaluation
+            C_run = c_of_l(sys, LurePoint(run.L, M))
+            J_run = h2_error_sq(sys, C_run, P=P)
+            # C_hat(L) is passive in exact arithmetic only, and its rounding
+            # grows with ||L||^2: a model that fails the passivity check is
+            # the best only while no model that passes it has been found
+            if best_run is None or J_run < best_J or not best_verdict.passive:
+                verdict = check_passive(sys.with_output(C_run), tol=_PASSIVE_TOL)
+                if best_run is None or (
+                    (not verdict.passive, J_run) < (not best_verdict.passive, best_J)
+                ):
+                    best_run, best_C, best_J, best_verdict = run, C_run, J_run, verdict
+                    best_certificate, best_gap = certificate, None
+            # the spectral test speaks only where the run stopped stationary,
+            # and stops the loop only at the point to be returned
+            if best_run is run and run.converged and certificate.is_global_candidate:
                 message = (
                     "every stationary point is a global optimum (M = 0)"
                     if certificate.vacuous
@@ -764,14 +888,13 @@ def klap(
                 break
             # the spectral test rejects true optima too: the dual bound
             # decides, after every run the spectral test does not certify
-            C_run = c_of_l(sys, LurePoint(run.L, M))
-            gap = _kyp_dual_gap(sys, P, C_run, run.value)
+            gap = _kyp_dual_gap(sys, P, C_run, J_run)
             if gap is not None:
                 if best_run is not run:
                     # the bound J (1 - gap) <= J* holds wherever it was
                     # found: restate the gap at the best iterate, the point
                     # returned
-                    gap = 1.0 - run.value * (1.0 - gap) / best_run.value
+                    gap = 1.0 - J_run * (1.0 - gap) / best_J
                 best_gap = gap if best_gap is None else min(best_gap, gap)
             if gap is not None and gap <= _DUAL_GAP_RTOL:
                 message = "stationary point certified by the KYP dual bound"
@@ -786,23 +909,31 @@ def klap(
         _log.warning("optimization aborted: %s", exc)
         message = f"optimization aborted: {exc}"
 
-    best_L = L_start if best_run is None else best_run.L
-    C_hat = c_of_l(sys, LurePoint(best_L, M))
-    J_final = h2_error_sq(sys, C_hat, P=P)
-    if np.isnan(initial_J):
-        initial_J = J_final
     if best_run is None:  # no inner run finished
+        best_L = L_start
+        best_C = c_of_l(sys, LurePoint(best_L, M))
+        best_J = h2_error_sq(sys, best_C, P=P)
         best_certificate = global_min_certificate(sys, M, best_L)
-    converged = best_run is not None and (
+        best_verdict = check_passive(sys.with_output(best_C), tol=_PASSIVE_TOL)
+    else:
+        best_L = best_run.L
+    if np.isnan(initial_J):
+        initial_J = best_J
+    converged = best_run is not None and best_verdict.passive and (
         best_run.converged and best_certificate.is_global_candidate
         or best_gap is not None and best_gap <= _DUAL_GAP_RTOL
     )
+    if not best_verdict.passive:
+        message = (f"{message}; the returned model fails the passivity check "
+                   f"(margin {best_verdict.margin:.3e})")
+        _log.warning("the returned model fails the passivity check (margin %.3e)",
+                     best_verdict.margin)
     return KlapResult(
-        C_hat=C_hat,
+        C_hat=best_C,
         L_final=best_L,
         M=M,
-        J_final=J_final,
-        h2_error=math.sqrt(max(J_final, 0.0)),
+        J_final=best_J,
+        h2_error=math.sqrt(max(best_J, 0.0)),
         iterations=total_iterations,
         restarts=restarts_used,
         certificate=best_certificate,
@@ -812,7 +943,7 @@ def klap(
         delta=delta,
         popov_min=popov_min,
         initial_J=float(initial_J),
-        system=sys.with_output(C_hat),
+        system=sys.with_output(best_C),
         message=message,
         duality_gap=best_gap,
     )

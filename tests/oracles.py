@@ -7,7 +7,14 @@ import scipy.linalg
 
 from klap.exceptions import NoSolutionError
 from klap.linalg import sqrtm_psd
-from klap.optimizer import KlapConfig, LbfgsResult, LurePoint, _Objective, _random_factor
+from klap.optimizer import (
+    _PRECOND_FLOOR,
+    KlapConfig,
+    LbfgsResult,
+    LurePoint,
+    _objective_for,
+    _random_factor,
+)
 
 
 def lure_point(sys, L) -> LurePoint:
@@ -119,22 +126,34 @@ def reference_objective(sys, P, M, L):
     return J, grad, X, X_grad
 
 
-def eager_lbfgs(sys, P, L0, M, config=None) -> LbfgsResult:
+def eager_lbfgs(sys, P, L0, M, config=None, preconditioned=True) -> LbfgsResult:
     """Reference L-BFGS that evaluates ``J`` and the gradient at every
     line-search trial, accepted or not.
 
     The iteration of :func:`klap.optimizer.lbfgs_minimize`, written
-    independently (``@`` and ``zip`` in the two-loop recursion, the metric
-    scaling recomputed every step).  A rejected trial's gradient is never
-    used, so the two must agree bit for bit.
+    independently: ``@`` and ``zip`` in the two-loop recursion, the
+    preconditioner ``P^{-1}`` (Gramian eigenvalues floored at
+    ``_PRECOND_FLOOR`` times the largest) applied to the ``n x m`` matrix
+    of each vector, and the metric scaling ``s.y / y.P^{-1} y`` recomputed
+    every step.  It evaluates with the objective the library picks for
+    ``sys`` (modal or dense).  A rejected trial's gradient is never used,
+    so the two must agree bit for bit.  With ``preconditioned=False`` the
+    preconditioner is the identity: the plain L-BFGS the library ran before
+    it searched in the Gramian metric.
     """
     cfg = config or KlapConfig()
-    objective = _Objective(sys, P, np.asarray(M, dtype=float), sys._lyapunov())
+    objective = _objective_for(sys, P, np.asarray(M, dtype=float))
     shape = (sys.n, sys.m)
+    eigenvalues, U = np.linalg.eigh(P)
+    floored = np.maximum(eigenvalues, _PRECOND_FLOOR * eigenvalues.max())
+    P_inv = (U / floored).dot(U.T) if preconditioned else np.eye(sys.n)
 
     def evaluate(flat):
         J, state = objective.value(flat.reshape(shape))
         return J, None if state is None else objective.gradient(state)[0].ravel()
+
+    def apply_p_inv(flat):
+        return P_inv.dot(flat.reshape(shape)).ravel()
 
     x = np.asarray(L0, dtype=float).reshape(shape).ravel().copy()
     f, g = evaluate(x)
@@ -155,17 +174,19 @@ def eager_lbfgs(sys, P, L0, M, config=None) -> LbfgsResult:
             a = rho * float(s @ q)
             q -= a * y
             alphas.append(a)
+        r = apply_p_inv(q)
         if y_hist:
-            q *= float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
+            r *= float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ apply_p_inv(y_hist[-1]))
         for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = rho * float(y @ q)
-            q += (a - b) * s
-        d = -q
+            b = rho * float(y @ r)
+            r += (a - b) * s
+        d = -r
         gd = float(g @ d)
         if not math.isfinite(gd) or gd >= 0.0:
-            d, gd = -g, -g_norm**2
+            d = -apply_p_inv(g)
+            gd = float(g @ d)
 
-        t = 1.0 if s_hist else 1.0 / max(1.0, g_norm)
+        t = 1.0 if s_hist else 1.0 / max(1.0, math.sqrt(float(g @ apply_p_inv(g))))
         accepted = False
         for _ in range(45):
             x_new = x + t * d

@@ -331,17 +331,30 @@ def rand_family_system(n, m, seed):
     ids=["rand-8x2/4-diagonal", "acc-dense"],
 )
 def test_lbfgs_first_trace_entry_equals_objective_and_gradient(sys, diagonal):
-    # both solve through the system's own kernel: diagonalized on the
-    # cached eigenbasis (rand), dense where A has none (acc is defective)
+    # where the system's kernel solves in the cached eigenbasis (rand) the
+    # run evaluates modally, which equals objective_and_gradient to
+    # rounding; where A has none (acc is defective) both solve densely
+    # through the system's own kernel, bit for bit
+    import klap.optimizer as mod
+
     assert (sys._lyapunov().V is not None) == diagonal
     P = controllability_gramian(sys)
     M = sqrtm_psd(sys.D + sys.D.T)
     L0 = np.random.default_rng(1).standard_normal((sys.n, sys.m))
     ev = objective_and_gradient(sys, P, LurePoint(L0, M))
+    objective = mod._objective_for(sys, P, M)
+    assert isinstance(objective, mod._ModalObjective) == diagonal
+    J, state = objective.value(L0)
+    grad = objective.gradient(state)[0]
     run = lbfgs_minimize(sys, P, L0, M, KlapConfig(max_iterations=3))
     J0, g0 = run.trace[0]
-    assert J0 == ev.J
-    assert g0 == float(np.linalg.norm(ev.grad))
+    assert J0 == J
+    assert g0 == float(np.linalg.norm(grad))
+    assert J0 == pytest.approx(ev.J, rel=1e-12, abs=0.0)
+    assert_allclose(grad, ev.grad, rtol=0.0, atol=1e-12 * np.linalg.norm(ev.grad))
+    if not diagonal:
+        assert J0 == ev.J
+        assert g0 == float(np.linalg.norm(ev.grad))
 
 
 @pytest.mark.parametrize(
@@ -355,9 +368,10 @@ def test_lbfgs_first_trace_entry_equals_objective_and_gradient(sys, diagonal):
 )
 def test_lbfgs_matches_the_eager_oracle_bit_for_bit(sys, L0):
     # the gradient is evaluated only at accepted steps; a rejected trial's
-    # gradient was never used, so the run is the eager loop's, bit for bit.
-    # The polish pass's objective tolerance makes the runs long (3,289
-    # iterations on rand 8x2/4 from the Riccati start).
+    # gradient was never used, so the run is the eager loop's, bit for bit,
+    # preconditioner included.  The polish pass's objective tolerance makes
+    # the runs stop near stationarity (75 iterations on rand 8x2/4 from the
+    # Riccati start).
     from oracles import eager_lbfgs
 
     P = controllability_gramian(sys)
@@ -424,6 +438,59 @@ def test_objective_matches_the_reference_evaluation_bit_for_bit(sys, route):
             assert reference_objective(sys, P, M, L) == (math.inf, None)
 
 
+# the rand systems of the benchmark workloads (rand-small's passive 8x1/2
+# included) and the bundled toy-m1
+MODAL_SYSTEMS = [
+    *(rand_family_system(*shape) for shape in [
+        (6, 1, 2), (8, 1, 1), (8, 1, 2), (8, 2, 4), (8, 4, 3), (16, 1, 6),
+        (64, 2, 1), (64, 4, 2), (128, 2, 3), (128, 4, 4)]),
+    toy_system(0.125),
+]
+MODAL_IDS = ["rand-6x1/2", "rand-8x1/1", "rand-8x1/2", "rand-8x2/4", "rand-8x4/3",
+             "rand-16x1/6", "rand-64x2/1", "rand-64x4/2", "rand-128x2/3", "rand-128x4/4",
+             "toy-m1"]
+
+
+@pytest.mark.parametrize("sys", MODAL_SYSTEMS, ids=MODAL_IDS)
+def test_modal_objective_matches_objective_and_gradient(sys):
+    # J and the gradient in the eigenbasis equal the two-solve evaluation
+    # to 1e-12 relative, at factors of three scales
+    import klap.optimizer as mod
+
+    P = controllability_gramian(sys)
+    M = sqrtm_psd(sys.D + sys.D.T)
+    objective = mod._objective_for(sys, P, M)
+    assert isinstance(objective, mod._ModalObjective)
+    rng = np.random.default_rng(3)
+    for scale in (0.1, 1.0, 10.0):
+        L = scale * rng.standard_normal((sys.n, sys.m))
+        ev = objective_and_gradient(sys, P, LurePoint(L, M))
+        J, state = objective.value(L)
+        grad, X_grad = objective.gradient(state)
+        assert X_grad is None
+        assert J == pytest.approx(ev.J, rel=1e-12, abs=0.0)
+        assert np.linalg.norm(grad - ev.grad) <= 1e-12 * np.linalg.norm(ev.grad)
+
+
+def test_preconditioned_and_plain_lbfgs_reach_the_same_J():
+    # the Gramian metric changes the path, not the optimum: from the
+    # Riccati start of rand 8x2/4, at the polish pass's objective
+    # tolerance, both oracle runs reach one J to 1e-8, the preconditioned
+    # one in a small fraction of the iterations
+    from oracles import eager_lbfgs
+
+    sys = rand_family_system(8, 2, 4)
+    P = controllability_gramian(sys)
+    M = sqrtm_psd(sys.D + sys.D.T)
+    L0 = initialize(sys).L0
+    cfg = KlapConfig(obj_rel_tol=1e-14)
+    preconditioned = eager_lbfgs(sys, P, L0, M, cfg)
+    plain = eager_lbfgs(sys, P, L0, M, cfg, preconditioned=False)
+    assert preconditioned.converged and plain.converged
+    assert preconditioned.value == pytest.approx(plain.value, rel=1e-8, abs=0.0)
+    assert 10 * preconditioned.iterations < plain.iterations
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e200])
 def test_objective_is_infinite_where_it_overflows(scale):
     # 1e100: L L^T is finite but J overflows; 1e200: L L^T itself overflows
@@ -444,9 +511,10 @@ def test_lbfgs_stops_when_the_line_search_fails(monkeypatch):
     # Every trial after the start reports a J above the starting one, so
     # all 45 step halvings fail the Armijo test: the run ends on the
     # "line-search" stop with the starting iterate and no accepted step.
+    # The toy system has an eigenbasis, so the run evaluates modally.
     import klap.optimizer as mod
 
-    orig_value = mod._Objective.value
+    orig_value = mod._ModalObjective.value
     values = []
 
     def every_trial_worse(self, L):
@@ -454,7 +522,7 @@ def test_lbfgs_stops_when_the_line_search_fails(monkeypatch):
         values.append(J)
         return (J if len(values) == 1 else values[0] + 1.0), state
 
-    monkeypatch.setattr(mod._Objective, "value", every_trial_worse)
+    monkeypatch.setattr(mod._ModalObjective, "value", every_trial_worse)
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
     L0 = np.array([[-2.0], [0.0]])
@@ -472,9 +540,10 @@ def test_lbfgs_backs_off_from_a_non_finite_trial(monkeypatch):
     # The first line-search trial is moved out to 1e200 * L, where L L^T
     # overflows.  The evaluation reports J = inf, the line search halves
     # the step, and the run goes on: no exception, a finite best iterate.
+    # The toy system has an eigenbasis, so the run evaluates modally.
     import klap.optimizer as mod
 
-    orig_value = mod._Objective.value
+    orig_value = mod._ModalObjective.value
     values = []
 
     def first_trial_overflows(self, L):
@@ -484,7 +553,7 @@ def test_lbfgs_backs_off_from_a_non_finite_trial(monkeypatch):
         values.append(out[0])
         return out
 
-    monkeypatch.setattr(mod._Objective, "value", first_trial_overflows)
+    monkeypatch.setattr(mod._ModalObjective, "value", first_trial_overflows)
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -772,8 +841,8 @@ def test_klap_builds_one_lyapunov_kernel_per_run(monkeypatch):
 
 def test_klap_restart_reuses_the_judged_output_map(monkeypatch):
     # from [-2, 0] one round is rejected and one restart follows: the C_hat
-    # computed for the dual bound also seeds the restart step, so c_of_l
-    # runs once for that round and once for the returned point
+    # computed for the dual bound also seeds the restart step, and the
+    # returned point keeps its round's, so c_of_l runs once per round
     import klap.optimizer as mod
 
     calls = 0
@@ -788,6 +857,78 @@ def test_klap_restart_reuses_the_judged_output_map(monkeypatch):
     res = klap(toy_system(0.125), L0=[[-2.0], [0.0]])
     assert res.restarts == 1 and res.converged
     assert calls == 2
+
+
+def test_klap_iteration_cap_holds_per_round():
+    # the polish pass runs on what is left of the round's cap, so a capped
+    # round takes exactly max_iterations steps (332 when the polish pass
+    # had a cap of its own)
+    res = klap(rand_family_system(64, 4, 2), max_iterations=200, max_restarts=0)
+    assert res.iterations == 200
+    assert len(res.trace) == 201
+
+
+@pytest.mark.parametrize("seed", [7, 9, 10])
+def test_klap_returns_passive_models_at_large_factors(seed):
+    # on these rand 16x1 systems the searches end at ||L|| of 1e4 to 1e5,
+    # where the rounding of C_hat(L) grows as ||L||^2 and a lower floor of
+    # the preconditioner returned models that fail the passivity check
+    sys = rand_family_system(16, 1, seed)
+    res = klap(sys)
+    verdict = check_passive(res.system)
+    assert verdict.passive, verdict.margin
+    assert "fails the passivity check" not in res.message
+    assert res.J_final == h2_error_sq(sys, res.C_hat)
+
+
+def _failing_check(failing):
+    """A ``check_passive`` that reports ``margin = -1e-6`` for every system
+    ``failing(system)`` selects."""
+    from klap.passivity import PassivityVerdict
+
+    def check(system, tol=1e-8, method="auto", grid=None):
+        if failing(system):
+            return PassivityVerdict(False, -1e-6, "hamiltonian")
+        return check_passive(system, tol=tol, method=method, grid=grid)
+
+    return check
+
+
+def test_klap_reports_a_returned_model_that_fails_the_passivity_check(monkeypatch, caplog):
+    # C_hat(L) is passive only in exact arithmetic: when the returned model
+    # fails the check, the result says so and does not claim convergence
+    import klap.optimizer as mod
+
+    monkeypatch.setattr(mod, "check_passive", _failing_check(lambda system: True))
+    with caplog.at_level(logging.WARNING, logger="klap.optimizer"):
+        res = klap(toy_system(0.125), max_restarts=0)
+    assert res.converged is False
+    assert res.message.endswith("; the returned model fails the passivity check "
+                                "(margin -1.000e-06)")
+    assert "fails the passivity check (margin -1.000e-06)" in caplog.text
+    assert res.certificate.is_global_candidate  # the point itself is optimal
+
+
+def test_klap_prefers_a_passing_model_to_a_lower_failing_one(monkeypatch):
+    # from [-2, 0] round 0 ends at the local point (J = 2.5) and round 1 at
+    # the global optimum; with the optimum's model failing the check, the
+    # local point is returned, and the loop does not stop at the optimum's
+    # certificate, since that certifies a point it does not return
+    import klap.optimizer as mod
+
+    sys = toy_system(0.125)
+    C_opt = klap(sys).C_hat
+
+    def near_opt(system):
+        return np.allclose(system.C, C_opt, atol=1e-6)
+
+    monkeypatch.setattr(mod, "check_passive", _failing_check(near_opt))
+    res = klap(sys, L0=[[-2.0], [0.0]], max_restarts=2)
+    assert res.J_final == pytest.approx(2.5, abs=1e-3)
+    assert res.restarts == 2
+    assert res.converged is False
+    assert res.message == "restart budget exhausted without certificate"
+    assert check_passive(res.system).passive
 
 
 def test_klap_deterministic_given_seed():
