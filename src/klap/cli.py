@@ -402,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pass.add_argument("--grad-tol", dest="grad_tol", type=float, default=None,
                         help="gradient-norm stopping tolerance")
     p_pass.add_argument("--obj-tol", dest="obj_tol", type=float, default=None,
-                        help="relative objective-change stopping tolerance")
+                        help="relative objective-change stopping tolerance (default 1e-14)")
     p_pass.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
     p_pass.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
     p_pass.add_argument("--trace", default=None, metavar="CSV",

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -349,12 +350,12 @@ class KlapConfig:
         Gradient-norm stopping threshold of the inner minimization.
     obj_rel_tol : float
         Relative objective-change stop:
-        ``|J_k - J_{k-1}| <= obj_rel_tol * (|J_k| + obj_rel_tol)``.
+        ``|J_k - J_{k-1}| <= obj_rel_tol * (|J_k| + obj_rel_tol)``.  The
+        default, ``1e-14``, stops a run only where ``J`` no longer moves
+        above rounding.
     max_iterations : int
-        Cap on the accepted L-BFGS steps of one round.  A round whose run
-        stops on the objective change without a certificate adds a polish
-        minimization on the steps left of the cap, and skips it when none
-        are left.
+        Cap on the accepted L-BFGS steps of one round, which is one inner
+        run.
     max_restarts : int
         Restarts, each after a point that neither the spectral certificate
         nor the KYP dual bound certifies, before returning the best iterate.
@@ -370,7 +371,7 @@ class KlapConfig:
     """
 
     grad_tol: float = 1e-8
-    obj_rel_tol: float = 1e-6
+    obj_rel_tol: float = 1e-14
     max_iterations: int = 50_000
     max_restarts: int = 5
     rng_seed: int | None = 0
@@ -381,8 +382,13 @@ class KlapConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name, low in (("max_iterations", 1), ("max_restarts", 0)):
-            if getattr(self, name) < low:
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            if value < low:
                 raise ValueError(f"{name} must be >= {low}")
+            object.__setattr__(self, name, value)
 
 
 def _random_factor(
@@ -669,8 +675,8 @@ class KlapResult:
     h2_error : float
         ``sqrt(J_final)`` — the H2 distance itself.
     iterations : int
-        Accepted quasi-Newton steps, summed over all restarts and polish
-        passes (at most ``max_iterations`` per round).
+        Accepted quasi-Newton steps, summed over all rounds (at most
+        ``max_iterations`` per round).
     restarts : int
         Restarts actually performed.
     certificate : GlobalMinCertificate or None
@@ -777,6 +783,9 @@ def klap(
     cfg = config or KlapConfig()
     if overrides:
         cfg = replace(cfg, **overrides)
+    L_start = None if cfg.L0 is None else np.asarray(cfg.L0, dtype=float)
+    if L_start is not None and L_start.shape != (sys.n, sys.m):
+        raise DimensionMismatchError(f"L0 must be {sys.n} x {sys.m}, got {L_start.shape}")
 
     try:
         M = sqrtm_psd(sys.D + sys.D.T)
@@ -818,9 +827,7 @@ def klap(
 
     rng = np.random.default_rng(cfg.rng_seed)
     delta, popov_min = 0.0, verdict.margin
-    if cfg.L0 is not None:
-        L_start = np.asarray(cfg.L0, dtype=float).reshape(sys.n, sys.m)
-    else:
+    if L_start is None:
         ini = initialize(sys, rng=rng, scan=scan)
         L_start, delta, popov_min = ini.L0, ini.delta, ini.popov_min
 
@@ -843,26 +850,6 @@ def klap(
                 initial_J = run.trace[0][0]
             total_iterations += run.iterations
             certificate = global_min_certificate(sys, M, run.L)
-            budget = cfg.max_iterations - run.iterations
-            if (
-                not certificate.is_global_candidate
-                and run.status == "objective-change"
-                and run.gradient_norm > cfg.grad_tol
-                and budget > 0
-            ):
-                # The cheap objective-change stop leaves the iterate short of
-                # the stationarity the spectral certificate measures; polish
-                # to gradient precision, on the round's remaining iteration
-                # budget, before judging or restarting.
-                polish = lbfgs_minimize(
-                    sys, P, run.L, M,
-                    replace(cfg, obj_rel_tol=1e-14, max_iterations=budget, L0=None),
-                )
-                trace.extend(polish.trace[1:])
-                total_iterations += polish.iterations
-                if polish.value < run.value or polish.status == "gradient":
-                    run = polish
-                    certificate = global_min_certificate(sys, M, run.L)
             # every judgement is made on the output map and J of the checked
             # kernel, not on the run's own (possibly modal) evaluation
             C_run = c_of_l(sys, LurePoint(run.L, M))

@@ -15,11 +15,22 @@ from klap.optimizer import (
     _objective_for,
     _random_factor,
 )
+from klap.system import StateSpaceSystem
 
 
 def lure_point(sys, L) -> LurePoint:
     """``L`` paired with ``M = (D + D^T)^{1/2}`` of ``sys``."""
     return LurePoint(L, sqrtm_psd(sys.D + sys.D.T))
+
+
+def rand_family_system(n, m, seed):
+    """The random family "rand n x m / seed" of the benchmark workloads."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((m, n))
+    return StateSpaceSystem(A, B, C, 0.05 * np.eye(m))
 
 
 def random_start(sys, seed: int) -> np.ndarray:

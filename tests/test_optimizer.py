@@ -29,7 +29,7 @@ from klap.optimizer import (
 from klap.passivity import check_passive, global_min_certificate
 from klap.system import StateSpaceSystem, controllability_gramian, h2_error_sq, popov_scan
 
-from oracles import lure_point, random_start
+from oracles import lure_point, rand_family_system, random_start
 
 
 def toy_system(d=0.0):
@@ -315,16 +315,6 @@ def test_dense_kernel_factors_each_orientation_once(monkeypatch):
     assert np.array_equal(factored[0], sys.A) and np.array_equal(factored[1], sys.A.T)
 
 
-def rand_family_system(n, m, seed):
-    """The random family "rand n x m / seed" of the benchmark workloads."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
-    B = rng.standard_normal((n, m))
-    C = rng.standard_normal((m, n))
-    return StateSpaceSystem(A, B, C, 0.05 * np.eye(m))
-
-
 @pytest.mark.parametrize(
     "sys, diagonal",
     [(rand_family_system(8, 2, 4), True), (acc_system(0.125), False)],
@@ -369,16 +359,16 @@ def test_lbfgs_first_trace_entry_equals_objective_and_gradient(sys, diagonal):
 def test_lbfgs_matches_the_eager_oracle_bit_for_bit(sys, L0):
     # the gradient is evaluated only at accepted steps; a rejected trial's
     # gradient was never used, so the run is the eager loop's, bit for bit,
-    # preconditioner included.  The polish pass's objective tolerance makes
-    # the runs stop near stationarity (75 iterations on rand 8x2/4 from the
-    # Riccati start).
+    # preconditioner included.  The default objective tolerance, 1e-14,
+    # makes the runs stop near stationarity (75 iterations on rand 8x2/4
+    # from the Riccati start).
     from oracles import eager_lbfgs
 
     P = controllability_gramian(sys)
     M = sqrtm_psd(sys.D + sys.D.T)
     if L0 is None:
         L0 = initialize(sys).L0
-    cfg = KlapConfig(obj_rel_tol=1e-14)
+    cfg = KlapConfig()
     run = lbfgs_minimize(sys, P, L0, M, cfg)
     ref = eager_lbfgs(sys, P, L0, M, cfg)
     assert run.iterations >= 10
@@ -474,8 +464,8 @@ def test_modal_objective_matches_objective_and_gradient(sys):
 
 def test_preconditioned_and_plain_lbfgs_reach_the_same_J():
     # the Gramian metric changes the path, not the optimum: from the
-    # Riccati start of rand 8x2/4, at the polish pass's objective
-    # tolerance, both oracle runs reach one J to 1e-8, the preconditioned
+    # Riccati start of rand 8x2/4, at the default objective tolerance
+    # (1e-14), both oracle runs reach one J to 1e-8, the preconditioned
     # one in a small fraction of the iterations
     from oracles import eager_lbfgs
 
@@ -483,7 +473,7 @@ def test_preconditioned_and_plain_lbfgs_reach_the_same_J():
     P = controllability_gramian(sys)
     M = sqrtm_psd(sys.D + sys.D.T)
     L0 = initialize(sys).L0
-    cfg = KlapConfig(obj_rel_tol=1e-14)
+    cfg = KlapConfig()
     preconditioned = eager_lbfgs(sys, P, L0, M, cfg)
     plain = eager_lbfgs(sys, P, L0, M, cfg, preconditioned=False)
     assert preconditioned.converged and plain.converged
@@ -860,12 +850,37 @@ def test_klap_restart_reuses_the_judged_output_map(monkeypatch):
 
 
 def test_klap_iteration_cap_holds_per_round():
-    # the polish pass runs on what is left of the round's cap, so a capped
-    # round takes exactly max_iterations steps (332 when the polish pass
-    # had a cap of its own)
+    # a round is one inner run, capped at max_iterations: a capped round
+    # takes exactly that many steps
     res = klap(rand_family_system(64, 4, 2), max_iterations=200, max_restarts=0)
     assert res.iterations == 200
     assert len(res.trace) == 201
+
+
+@pytest.mark.parametrize(
+    "sys, options",
+    [(rand_family_system(6, 1, 2), {}), (toy_system(0.125), {"L0": [[-2.0], [0.0]]})],
+    ids=["rand-6x1/2", "toy-m1/l0=-2,0"],
+)
+def test_klap_runs_one_inner_minimization_per_round(monkeypatch, sys, options):
+    # a round is one inner run, whose point is judged as the run left it;
+    # rand 6x1/2 is certified after round 0, toy-m1 from (-2, 0) after one
+    # restart
+    import klap.optimizer as mod
+
+    runs = []
+    orig = mod.lbfgs_minimize
+
+    def counting_lbfgs(*args, **kwargs):
+        runs.append(orig(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(mod, "lbfgs_minimize", counting_lbfgs)
+    res = klap(sys, **options)
+    assert res.converged
+    assert len(runs) == res.restarts + 1
+    assert res.iterations == sum(run.iterations for run in runs)
+    assert len(res.trace) == sum(len(run.trace) for run in runs)
 
 
 @pytest.mark.parametrize("seed", [7, 9, 10])
@@ -971,3 +986,22 @@ def test_config_validation():
         KlapConfig(max_restarts=-1)
     with pytest.raises(TypeError):
         klap(toy_system(0.125), no_such_option=1)
+
+
+@pytest.mark.parametrize("option", ["max_iterations", "max_restarts"])
+@pytest.mark.parametrize("value", [2.5, 1.0, "3", None])
+def test_config_rejects_non_integer_counts(option, value):
+    # a non-integer count is a usage error at the boundary, not a run that
+    # aborts inside the loop with 0 iterations
+    with pytest.raises(ValueError, match=f"{option} must be an integer"):
+        KlapConfig(**{option: value})
+    with pytest.raises(ValueError, match=f"{option} must be an integer"):
+        klap(toy_system(0.125), **{option: value})
+    assert getattr(KlapConfig(**{option: np.int64(3)}), option) == 3
+
+
+@pytest.mark.parametrize("L0", [np.ones((3, 1)), np.ones((1, 2)), np.ones(2)],
+                         ids=["3x1", "1x2", "flat-2"])
+def test_klap_rejects_a_starting_factor_of_the_wrong_shape(L0):
+    with pytest.raises(DimensionMismatchError, match=r"L0 must be 2 x 1"):
+        klap(toy_system(0.125), L0=L0)

@@ -23,7 +23,7 @@ from klap.system import (
     transfer_eval,
 )
 
-from oracles import kron_lyapunov_oracle
+from oracles import kron_lyapunov_oracle, rand_family_system
 
 
 def toy_system(d=0.0):
@@ -44,16 +44,6 @@ def random_system(rng, n, m, d_scale=0.0):
     C = rng.standard_normal((m, n))
     D = d_scale * rng.standard_normal((m, m))
     return StateSpaceSystem(A, B, C, D)
-
-
-def rand_family_system(n, m, seed):
-    """The random family "rand n x m / seed" of the benchmark workloads."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
-    B = rng.standard_normal((n, m))
-    C = rng.standard_normal((m, n))
-    return StateSpaceSystem(A, B, C, 0.05 * np.eye(m))
 
 
 def popov_min_oracle(sys, grid):
