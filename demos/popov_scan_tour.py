@@ -13,13 +13,8 @@ Run with:  python3 demos/popov_scan_tour.py
 
 import numpy as np
 
-from klap import (
-    acc_system,
-    default_popov_grid,
-    initialize,
-    popov_eval,
-    popov_scan,
-)
+from klap import acc_system, default_popov_grid, popov_eval, popov_scan
+from klap.optimizer import initialize
 
 np.set_printoptions(precision=4, suppress=True)
 

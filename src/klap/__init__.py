@@ -37,13 +37,7 @@ from .exceptions import (
     SingularFeedthroughError,
     SingularOperatorError,
 )
-from .linalg import (
-    SpectralDecomposition,
-    solve_lyapunov,
-    solve_lyapunov_transposed,
-    spectral_decompose,
-    sqrtm_psd,
-)
+from .linalg import solve_lyapunov
 from .system import (
     PopovScan,
     StateSpaceSystem,
@@ -52,7 +46,6 @@ from .system import (
     h2_error_sq,
     popov_eval,
     popov_scan,
-    transfer_eval,
 )
 from .passivity import (
     AreSolution,
@@ -60,24 +53,10 @@ from .passivity import (
     PassivityVerdict,
     check_passive,
     global_min_certificate,
-    l_from_are,
     solve_are,
 )
-from .optimizer import (
-    Initialization,
-    KlapConfig,
-    KlapResult,
-    LbfgsResult,
-    LurePoint,
-    ObjectiveEval,
-    c_of_l,
-    initialize,
-    klap,
-    lbfgs_minimize,
-    objective_and_gradient,
-    restart_step,
-)
-from .modelio import ModelFile, dumps_model, load_model, load_model_file, write_model
+from .optimizer import KlapConfig, KlapResult, klap
+from .modelio import ModelFile, load_model, load_model_file, write_model
 from .benchmarks import (
     BENCHMARK_NAMES,
     acc_system,
@@ -102,15 +81,10 @@ __all__ = [
     "SingularFeedthroughError",
     "ParseError",
     # linear algebra
-    "SpectralDecomposition",
-    "spectral_decompose",
     "solve_lyapunov",
-    "solve_lyapunov_transposed",
-    "sqrtm_psd",
     # systems
     "StateSpaceSystem",
     "PopovScan",
-    "transfer_eval",
     "popov_eval",
     "default_popov_grid",
     "popov_scan",
@@ -122,27 +96,16 @@ __all__ = [
     "GlobalMinCertificate",
     "solve_are",
     "check_passive",
-    "l_from_are",
     "global_min_certificate",
     # optimizer
-    "LurePoint",
-    "ObjectiveEval",
     "KlapConfig",
-    "LbfgsResult",
-    "Initialization",
     "KlapResult",
-    "c_of_l",
-    "objective_and_gradient",
-    "lbfgs_minimize",
-    "initialize",
-    "restart_step",
     "klap",
     # model files
     "ModelFile",
     "load_model",
     "load_model_file",
     "write_model",
-    "dumps_model",
     # benchmarks
     "BENCHMARK_NAMES",
     "acc_system",

@@ -29,7 +29,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -116,8 +115,7 @@ def _write_trace(path: str, result: KlapResult) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> KlapConfig:
-    cfg = KlapConfig(rng_seed=args.seed)
-    overrides = {}
+    overrides = {"rng_seed": args.seed}
     for attr, field_name in (
         ("grad_tol", "grad_tol"),
         ("obj_tol", "obj_rel_tol"),
@@ -129,7 +127,7 @@ def _config_from_args(args: argparse.Namespace) -> KlapConfig:
         if value is not None:
             overrides[field_name] = value
     try:
-        return replace(cfg, **overrides)
+        return KlapConfig(**overrides)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -150,14 +148,12 @@ def _parse_factor(text: str, n: int, m: int) -> np.ndarray:
 def _certificate_status(result: KlapResult) -> str:
     if result.passive_input:
         return "passive-input"
-    cert = result.certificate
-    if cert is None:
-        return "none"
     if not result.converged:
         return "not certified"
-    if not cert.is_global_candidate:
+    if result.duality_gap is not None:
         return "global (KYP dual bound)"
-    return "global (every stationary point)" if cert.vacuous else "global"
+    # converged without a dual bound: the spectral certificate passed
+    return "global (every stationary point)" if result.certificate.vacuous else "global"
 
 
 def _report_dict(
@@ -221,7 +217,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     _, sys_ = _load(args.model, args.feedthrough)
     explicit_grid = args.wmin is not None or args.wmax is not None or args.points != 500
     grid = _grid_from_args(sys_, args) if explicit_grid else None
-    verdict = check_passive(sys_, tol=args.tol, method=args.method, grid=grid)
+    verdict = check_passive(sys_, tol=args.tol, grid=grid)
     line = (
         f"{'passive' if verdict.passive else 'not passive'} "
         f"(margin {verdict.margin:.6e}, method {verdict.method})"
@@ -377,8 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide passivity of a model file")
     p_check.add_argument("model")
-    p_check.add_argument("--method", choices=["auto", "hamiltonian", "popov-scan"],
-                         default="auto")
     p_check.add_argument("--tol", type=float, default=1e-8,
                          help="relative margin tolerance (default 1e-8)")
     p_check.add_argument("--feedthrough", type=float, default=None,

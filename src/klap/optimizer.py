@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .exceptions import (
     NoSolutionError,
     NotPsdError,
     SingularFeedthroughError,
+    SingularOperatorError,
 )
 from .linalg import (
     SpectralDecomposition,
@@ -53,6 +56,7 @@ from .linalg import (
 from .passivity import (
     _DUAL_GAP_RTOL,
     GlobalMinCertificate,
+    PassivityVerdict,
     _kyp_dual_gap,
     check_passive,
     global_min_certificate,
@@ -363,8 +367,8 @@ class KlapConfig:
         :attr:`KlapResult.converged` and :attr:`KlapResult.duality_gap`
         keep their meaning.
     rng_seed : int or None
-        Seed of the random starts that replace a failed restart step; runs
-        are deterministic given the seed.
+        Seed (``>= 0``) of the random starts that replace a failed restart
+        step; runs are deterministic given the seed.
     L0 : ndarray, optional
         Explicit starting factor (n x m) in place of the Riccati start of
         :func:`initialize`.
@@ -379,9 +383,12 @@ class KlapConfig:
 
     def __post_init__(self):
         for name in ("grad_tol", "obj_rel_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name, low in (("max_iterations", 1), ("max_restarts", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive")
+        for name, low in (("max_iterations", 1), ("max_restarts", 0), ("rng_seed", 0)):
+            if name == "rng_seed" and self.rng_seed is None:
+                continue
             try:
                 value = operator.index(getattr(self, name))
             except TypeError:
@@ -657,6 +664,26 @@ def restart_step(
     return None
 
 
+class _Candidate(NamedTuple):
+    """A point one inner run ended at (``run`` is ``None`` for a start no
+    run finished from), judged once: its output map and ``J`` through the
+    system's checked kernel, not the run's own (possibly modal) evaluation,
+    its model's passivity verdict and its spectral certificate."""
+
+    run: LbfgsResult | None
+    L: np.ndarray
+    C_hat: np.ndarray
+    J: float
+    verdict: PassivityVerdict
+    certificate: GlobalMinCertificate | None
+
+    @property
+    def spectral(self) -> bool:
+        """The run stopped stationary and the spectral certificate passes."""
+        cert = self.certificate
+        return bool(self.run and self.run.converged and cert and cert.is_global_candidate)
+
+
 @dataclass(frozen=True)
 class KlapResult:
     """Result of a passivation run.
@@ -680,17 +707,18 @@ class KlapResult:
     restarts : int
         Restarts actually performed.
     certificate : GlobalMinCertificate or None
-        Spectral certificate evaluated at ``L_final`` (``None`` for a
-        passive input).
+        Spectral certificate evaluated at ``L_final``; ``None`` for a
+        passive input and where ``D + D^T`` is singular but nonzero (no
+        closed loop to test, so only the dual bound certifies).
     converged : bool
-        Whether ``L_final`` is certified as a global optimum: the inner run
-        that produced it stopped on a convergence criterion (not line-search
-        failure / iteration cap) and the spectral certificate passes there,
-        or its :attr:`duality_gap` is at most ``1e-7``; and the returned
+        Whether ``L_final`` is certified as a global optimum: the returned
         :attr:`system` passes :func:`~klap.passivity.check_passive`
         (``C_hat(L)`` is passive in exact arithmetic, so rounding can break
-        that; :attr:`message` then gives the margin).  True for a passive
-        input.
+        that; :attr:`message` then gives the margin), and either the inner
+        run that produced it stopped on a convergence criterion (not
+        line-search failure / iteration cap) and the spectral certificate
+        passes there, or :attr:`duality_gap` is at most ``1e-7``.  True for
+        a passive input.
     trace : tuple of (J, grad-norm) pairs
         Per-iteration log, concatenated across restarts.
     passive_input : bool
@@ -710,12 +738,10 @@ class KlapResult:
     message : str
         Human-readable stop reason.
     duality_gap : float or None
-        Relative gap ``(J - g) / J`` of the KYP dual bound ``g`` at
-        ``L_final``; ``None`` where the gap was not evaluated (it is
-        evaluated after every inner run the spectral certificate does not
-        certify, so not at a point that certificate passes) or no validated
-        bound was found.  A bound found at a worse point of a later round
-        also bounds the optimum, so it is restated at ``L_final``.
+        Relative gap ``1 - g / J_final`` of the highest KYP dual lower bound
+        ``g <= J*`` found over all rounds (a bound found at any point bounds
+        the optimum); ``None`` where the spectral certificate certified
+        ``L_final`` or no validated bound was found.
     """
 
     C_hat: np.ndarray
@@ -745,27 +771,28 @@ def klap(
     """Find the passive system closest to ``sys`` in the H2 norm.
 
     The run starts from ``config.L0``, or else from the Riccati start of
-    :func:`initialize`.  The outer loop alternates inner minimizations with
-    certificate checks: minimize the squared H2 error over the Lur'e
-    factor; test the spectral global-optimality certificate (closed-loop
-    spectrum on the imaginary axis), the cheap first gate, which speaks only
-    where the run stopped on a convergence criterion at the best point so
-    far.  After every run it does not certify, the KYP dual bound decides:
-    a relative duality gap of at most ``1e-7`` at the best iterate so far
-    certifies it and the run stops (:attr:`KlapResult.duality_gap`);
-    otherwise, while restart budget is
-    left, attempt a restart from the output map just judged
-    (:func:`restart_step`) — an output-space gradient step plus Riccati
-    factor recovery when the step stays passive, a fresh random start
-    otherwise.  The dual bound is evaluated at the output map and ``J``
-    recomputed through the system's Lyapunov kernel, not at the inner run's
-    own evaluation.  The best iterate across all restarts is returned: the
-    one of lowest ``J`` among those whose model passes
-    :func:`~klap.passivity.check_passive` (``C_hat(L)`` is passive in exact
-    arithmetic, but its rounding grows with ``||L||^2``), or, when none
-    passes, the one of lowest ``J`` with a warning and the margin in
-    :attr:`KlapResult.message`.  :attr:`KlapResult.converged` says whether
-    it is certified.
+    :func:`initialize`.  Each round is one inner minimization of the
+    squared H2 error over the Lur'e factor, whose point is judged once, on
+    the output map and ``J`` recomputed through the system's Lyapunov
+    kernel (not the inner run's own evaluation): its model's
+    :func:`~klap.passivity.check_passive` verdict and the spectral
+    global-optimality certificate (closed-loop spectrum on the imaginary
+    axis).  The best point is the one of lowest ``J`` among those whose
+    model passes the check (``C_hat(L)`` is passive in exact arithmetic,
+    but its rounding grows with ``||L||^2``), or, when none passes, the
+    one of lowest ``J``, returned with a warning and the margin in
+    :attr:`KlapResult.message`.  While the best point is not certified,
+    the KYP dual bound is evaluated at each round's point, and the highest
+    bound found is kept.  The best point is certified when its model passes
+    the check and either its run stopped on a convergence criterion and
+    the spectral test passes there (the cheap first gate) or its ``J`` is
+    within ``1e-7`` (relative) of the bound.  A certified best point stops
+    the run; otherwise, while restart budget is left, the next round starts
+    from :func:`restart_step` of the output map just judged — an
+    output-space gradient step plus Riccati factor recovery when the step
+    stays passive, a fresh random start otherwise.
+    :attr:`KlapResult.converged` says whether the returned point is
+    certified.
 
     A passive input short-circuits: the result carries ``C_hat = C``,
     zero error, and no certificate.  The Popov scan's verdict of passive is
@@ -777,8 +804,9 @@ def klap(
     (e.g. ``klap(sys, rng_seed=3, max_restarts=0)``).
 
     Raises on invalid input (e.g. ``D + D^T`` indefinite — no passive
-    system shares such a feedthrough); once optimization has begun,
-    failures are absorbed into a result with ``converged = False``.
+    system shares such a feedthrough — or an ``L0`` where the objective is
+    not finite); once optimization has begun, failures are absorbed into a
+    result with ``converged = False``.
     """
     cfg = config or KlapConfig()
     if overrides:
@@ -796,6 +824,15 @@ def klap(
         ) from exc
 
     P = controllability_gramian(sys)
+    if L_start is not None:
+        # a start where J is not finite would abort the first run
+        try:
+            with np.errstate(all="ignore"):
+                J_start = h2_error_sq(sys, c_of_l(sys, LurePoint(L_start, M)), P=P)
+        except SingularOperatorError:  # X overflows
+            J_start = math.nan
+        if not math.isfinite(J_start):
+            raise DimensionMismatchError("the objective is not finite at L0")
 
     scan = popov_scan(sys)
     verdict = scan_verdict(scan, _PASSIVE_TOL)
@@ -834,61 +871,61 @@ def klap(
     trace: list[tuple[float, float]] = []
     total_iterations = 0
     restarts_used = 0
-    # the inner run with the lowest J so far, its output map, J, passivity
-    # verdict and certificate
-    best_run, best_C, best_J, best_verdict = None, None, math.inf, None
-    best_certificate = None
-    best_gap = None
-    initial_J = np.nan
+    best: _Candidate | None = None
+    # the highest KYP dual lower bound J (1 - gap) <= J* found so far: the
+    # candidate it was found at and its gap there
+    bound: tuple[_Candidate, float] | None = None
     message = "restart budget exhausted without certificate"
+
+    def judge(L: np.ndarray, run: LbfgsResult | None = None) -> _Candidate:
+        C_hat = c_of_l(sys, LurePoint(L, M))
+        return _Candidate(run, L, C_hat, h2_error_sq(sys, C_hat, P=P),
+                          check_passive(sys.with_output(C_hat), tol=_PASSIVE_TOL),
+                          global_min_certificate(sys, L))
+
+    def gap_at(c: _Candidate) -> float | None:
+        """Relative gap of the highest bound at ``c``, restated where it was
+        found elsewhere."""
+        if bound is None:
+            return None
+        at, gap = bound
+        return gap if at is c else 1.0 - at.J * (1.0 - gap) / c.J
+
+    def certified(c: _Candidate) -> bool:
+        gap = gap_at(c)
+        return c.verdict.passive and (c.spectral or gap is not None and gap <= _DUAL_GAP_RTOL)
 
     try:
         for round_index in range(cfg.max_restarts + 1):
             run = lbfgs_minimize(sys, P, L_start, M, cfg)
             trace.extend(run.trace)
-            if np.isnan(initial_J):
-                initial_J = run.trace[0][0]
             total_iterations += run.iterations
-            certificate = global_min_certificate(sys, M, run.L)
-            # every judgement is made on the output map and J of the checked
-            # kernel, not on the run's own (possibly modal) evaluation
-            C_run = c_of_l(sys, LurePoint(run.L, M))
-            J_run = h2_error_sq(sys, C_run, P=P)
-            # C_hat(L) is passive in exact arithmetic only, and its rounding
-            # grows with ||L||^2: a model that fails the passivity check is
-            # the best only while no model that passes it has been found
-            if best_run is None or J_run < best_J or not best_verdict.passive:
-                verdict = check_passive(sys.with_output(C_run), tol=_PASSIVE_TOL)
-                if best_run is None or (
-                    (not verdict.passive, J_run) < (not best_verdict.passive, best_J)
+            cand = judge(run.L, run)
+            # a model that fails the passivity check is the best only while
+            # no model that passes it has been found
+            if best is None or (
+                (not cand.verdict.passive, cand.J) < (not best.verdict.passive, best.J)
+            ):
+                best = cand
+            # the spectral test rejects true optima too: while the best point
+            # is not certified, the dual bound judges every point
+            if not certified(best):
+                gap = _kyp_dual_gap(sys, P, cand.C_hat, cand.J)
+                if gap is not None and (
+                    bound is None or cand.J * (1.0 - gap) > bound[0].J * (1.0 - bound[1])
                 ):
-                    best_run, best_C, best_J, best_verdict = run, C_run, J_run, verdict
-                    best_certificate, best_gap = certificate, None
-            # the spectral test speaks only where the run stopped stationary,
-            # and stops the loop only at the point to be returned
-            if best_run is run and run.converged and certificate.is_global_candidate:
-                message = (
-                    "every stationary point is a global optimum (M = 0)"
-                    if certificate.vacuous
-                    else "stationary point certified as a global optimum"
-                )
-                break
-            # the spectral test rejects true optima too: the dual bound
-            # decides, after every run the spectral test does not certify
-            gap = _kyp_dual_gap(sys, P, C_run, J_run)
-            if gap is not None:
-                if best_run is not run:
-                    # the bound J (1 - gap) <= J* holds wherever it was
-                    # found: restate the gap at the best iterate, the point
-                    # returned
-                    gap = 1.0 - J_run * (1.0 - gap) / best_J
-                best_gap = gap if best_gap is None else min(best_gap, gap)
-            if gap is not None and gap <= _DUAL_GAP_RTOL:
-                message = "stationary point certified by the KYP dual bound"
+                    bound = (cand, gap)
+            if certified(best):
+                if not best.spectral:
+                    message = "stationary point certified by the KYP dual bound"
+                elif best.certificate.vacuous:
+                    message = "every stationary point is a global optimum (M = 0)"
+                else:
+                    message = "stationary point certified as a global optimum"
                 break
             if round_index == cfg.max_restarts:
                 break
-            L_start = restart_step(sys, P, C_run)
+            L_start = restart_step(sys, P, cand.C_hat)
             if L_start is None:
                 L_start = _random_factor(rng, sys, M)
             restarts_used += 1
@@ -896,41 +933,29 @@ def klap(
         _log.warning("optimization aborted: %s", exc)
         message = f"optimization aborted: {exc}"
 
-    if best_run is None:  # no inner run finished
-        best_L = L_start
-        best_C = c_of_l(sys, LurePoint(best_L, M))
-        best_J = h2_error_sq(sys, best_C, P=P)
-        best_certificate = global_min_certificate(sys, M, best_L)
-        best_verdict = check_passive(sys.with_output(best_C), tol=_PASSIVE_TOL)
-    else:
-        best_L = best_run.L
-    if np.isnan(initial_J):
-        initial_J = best_J
-    converged = best_run is not None and best_verdict.passive and (
-        best_run.converged and best_certificate.is_global_candidate
-        or best_gap is not None and best_gap <= _DUAL_GAP_RTOL
-    )
-    if not best_verdict.passive:
+    if best is None:  # no inner run finished
+        best = judge(L_start)
+    if not best.verdict.passive:
         message = (f"{message}; the returned model fails the passivity check "
-                   f"(margin {best_verdict.margin:.3e})")
+                   f"(margin {best.verdict.margin:.3e})")
         _log.warning("the returned model fails the passivity check (margin %.3e)",
-                     best_verdict.margin)
+                     best.verdict.margin)
     return KlapResult(
-        C_hat=best_C,
-        L_final=best_L,
+        C_hat=best.C_hat,
+        L_final=best.L,
         M=M,
-        J_final=best_J,
-        h2_error=math.sqrt(max(best_J, 0.0)),
+        J_final=best.J,
+        h2_error=math.sqrt(max(best.J, 0.0)),
         iterations=total_iterations,
         restarts=restarts_used,
-        certificate=best_certificate,
-        converged=converged,
+        certificate=best.certificate,
+        converged=certified(best),
         trace=tuple(trace),
         passive_input=False,
         delta=delta,
         popov_min=popov_min,
-        initial_J=float(initial_J),
-        system=sys.with_output(best_C),
+        initial_J=float(trace[0][0] if trace else best.J),
+        system=sys.with_output(best.C_hat),
         message=message,
-        duality_gap=best_gap,
+        duality_gap=None if best.spectral else gap_at(best),
     )

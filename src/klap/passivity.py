@@ -322,14 +322,13 @@ def _hamiltonian_matrix(sys: StateSpaceSystem, R: np.ndarray) -> np.ndarray:
 def check_passive(
     sys: StateSpaceSystem,
     tol: float = 1e-8,
-    method: str = "auto",
     grid: np.ndarray | None = None,
 ) -> PassivityVerdict:
     """Decide whether a stable system is passive.
 
-    Two routes are available:
+    The route follows ``D + D^T``; :attr:`PassivityVerdict.method` names it:
 
-    ``"hamiltonian"`` (default when ``D + D^T`` is positive definite)
+    ``"hamiltonian"`` (``D + D^T`` positive definite)
         Singular frequencies of the Popov function are exactly the purely
         imaginary eigenvalues of an associated Hamiltonian matrix.  If no
         eigenvalue lies near the axis, the Popov function never changes
@@ -343,10 +342,10 @@ def check_passive(
         frequencies, so a violation narrower than the grid spacing is
         still sampled.
 
-    ``"popov-scan"``
-        Sweep ``lambda_min(Phi(i w))`` on a frequency grid; passive iff the
-        grid minimum is ``>= -tol * scale``.  Sole route when ``D + D^T``
-        is singular.
+    ``"popov-scan"`` (``D + D^T`` singular, or near-axis eigenvalues)
+        Sweep ``lambda_min(Phi(i w))`` on a frequency grid (``grid``, by
+        default :func:`~klap.system.default_popov_grid`); passive iff the
+        grid minimum is ``>= -tol * scale`` (:func:`scan_verdict`).
 
     Parameters
     ----------
@@ -354,11 +353,8 @@ def check_passive(
         Relative tolerance on the signed margin: boundary systems produced
         by passivation land within ``-tol * scale`` of zero.
     """
-    if method not in ("auto", "hamiltonian", "popov-scan"):
-        raise ValueError(f"unknown method {method!r}")
     R, definite = _feedthrough_gram(sys)
-
-    if method in ("auto", "hamiltonian") and definite:
+    if definite:
         H = _hamiltonian_matrix(sys, R)
         ev = np.linalg.eigvals(H)
         axis_dist = float(np.abs(ev.real).min())
@@ -377,11 +373,6 @@ def check_passive(
         grid = np.sort(np.concatenate(
             (grid, crossings, 0.5 * (crossings[1:] + crossings[:-1]))
         ))
-    elif method == "hamiltonian" and not definite:
-        raise SingularFeedthroughError(
-            "the Hamiltonian passivity test needs D + D^T positive definite"
-        )
-
     return scan_verdict(popov_scan(sys, grid=grid), tol)
 
 
@@ -431,11 +422,8 @@ class GlobalMinCertificate:
 
 
 def global_min_certificate(
-    sys: StateSpaceSystem,
-    M: np.ndarray,
-    L: np.ndarray,
-    tol: float | None = None,
-) -> GlobalMinCertificate:
+    sys: StateSpaceSystem, L: np.ndarray
+) -> GlobalMinCertificate | None:
     """Evaluate the spectral global-optimality certificate at ``L``.
 
     :func:`~klap.optimizer.klap` uses it as the cheap first gate: a point
@@ -444,39 +432,28 @@ def global_min_certificate(
     it rejects is judged by the KYP dual bound, which decides whether a
     restart follows.
 
-    Parameters
-    ----------
-    sys : StateSpaceSystem
-        The *original* (to-be-passivated) system.
-    M : (m, m) ndarray
-        Square root of ``D + D^T`` (may be zero).
-    L : (n, m) ndarray
-        Candidate Lur'e factor.
-    tol : float, optional
-        Axis tolerance; defaults to ``1e-6 * ||A||_F``.
+    ``sys`` is the *original* (to-be-passivated) system and ``L`` the
+    candidate Lur'e factor (n x m).  ``M`` is the square root of
+    ``D + D^T`` and the axis tolerance ``1e-6 * ||A||_F``.  Returns
+    ``None`` where ``D + D^T`` is singular but nonzero: there is no closed
+    loop to test, and only the dual bound judges the point.
 
     Raises
     ------
-    SingularFeedthroughError
-        If ``M`` is nonzero but ``D + D^T`` is singular.
+    NotPsdError
+        If ``D + D^T`` is indefinite.
     """
-    if tol is None:
-        tol = 1e-6 * float(np.linalg.norm(sys.A, "fro"))
-    M = np.asarray(M, dtype=float)
-    L = np.asarray(L, dtype=float)
+    tol = 1e-6 * float(np.linalg.norm(sys.A, "fro"))
     R, definite = _feedthrough_gram(sys)
+    M = sqrtm_psd(R)
     if not definite:
-        if np.linalg.norm(M, "fro") > 0.0:
-            raise SingularFeedthroughError(
-                "certificate needs D + D^T positive definite when M != 0"
-            )
-        return GlobalMinCertificate(
-            np.empty(0, dtype=complex), 0.0, float(tol), True, vacuous=True
-        )
-    Y = sys.A - sys.B @ np.linalg.solve(R, M @ L.T)
+        if M.any():
+            return None
+        return GlobalMinCertificate(np.empty(0, dtype=complex), 0.0, tol, True, vacuous=True)
+    Y = sys.A - sys.B @ np.linalg.solve(R, M @ np.asarray(L, dtype=float).T)
     ev = np.linalg.eigvals(Y)
     max_abs_real = float(np.abs(ev.real).max())
-    return GlobalMinCertificate(ev, max_abs_real, float(tol), max_abs_real <= tol)
+    return GlobalMinCertificate(ev, max_abs_real, tol, max_abs_real <= tol)
 
 
 #: relative duality gap ``(J - g) / J`` at or below which the KYP dual

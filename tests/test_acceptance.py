@@ -125,7 +125,7 @@ def test_criterion_2_toy_restart_escapes_local_minimum():
     C_loc = c_of_l(sys, LurePoint(inner.L, M))
     assert_allclose(C_loc, [[0.0, 1.0]], atol=0.01)
 
-    cert_loc = global_min_certificate(sys, M, inner.L)
+    cert_loc = global_min_certificate(sys, inner.L)
     eigs = np.sort_complex(cert_loc.eigenvalues)
     assert_allclose(eigs.real, [-3.0, 3.0], atol=0.01)
     assert_allclose(eigs.imag, [0.0, 0.0], atol=0.01)
@@ -231,7 +231,7 @@ def test_criterion_5_property_suite():
         scale = max(1.0, float(np.abs(scan.min_eigenvalues).max()))
         worst_margin = min(worst_margin, scan.global_min / scale)
         assert scan.global_min >= -1e-8 * scale, f"factor {k}"
-        assert check_passive(candidate, method="hamiltonian").passive, f"factor {k}"
+        assert check_passive(candidate).passive, f"factor {k}"
 
     # (c) Lyapunov solvers vs the Kronecker oracle, plus the trace identity
     worst_lyap = 0.0

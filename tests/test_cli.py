@@ -11,6 +11,7 @@ from klap.benchmarks import acc_system, benchmark_path, toy_system
 from klap.cli import main
 from klap.modelio import load_model, write_model
 from klap.system import StateSpaceSystem
+from oracles import rand_family_system
 
 
 def run_cli(args, capsys):
@@ -103,9 +104,10 @@ def test_check_malformed_file_exits_two(tmp_path, capsys):
 
 
 def test_check_method_are_is_usage_error(toy_m1_path, capsys):
+    # the route follows D + D^T; there is no --method flag to choose it
     code, _, err = run_cli(["check", toy_m1_path, "--method", "are"], capsys)
     assert code == 2
-    assert "invalid choice" in err
+    assert "unrecognized arguments: --method are" in err
 
 
 def test_check_csv_to_stdout_moves_verdict_to_stderr(toy_m1_path, capsys):
@@ -229,6 +231,27 @@ def test_passivate_reports_the_certified_duality_gap(tmp_path, capsys):
     assert "certificate         global (KYP dual bound)\n" in out
 
 
+def test_passivate_singular_feedthrough_is_certified_by_the_dual_bound(tmp_path, capsys):
+    # D + D^T = diag(1, 0) is singular but nonzero: there is no spectral
+    # certificate, and the KYP dual bound certifies the point
+    model = tmp_path / "singular.json"
+    write_model(rand_family_system(6, 2, 1).with_feedthrough(np.diag([0.5, 0.0])), model)
+    report_path = str(tmp_path / "singular.report.json")
+    code, out, err = run_cli(
+        ["passivate", str(model), "--out", str(tmp_path / "out.json"),
+         "--report", report_path],
+        capsys,
+    )
+    assert code == 0, err
+    report = valid_report(report_path)
+    assert report["certificate"] is None
+    assert report["converged"] is True
+    assert 0.0 <= report["duality_gap"] <= 1e-7
+    assert "certificate         global (KYP dual bound)\n" in out
+    code2, _, _ = run_cli(["check", str(tmp_path / "out.json")], capsys)
+    assert code2 == 0
+
+
 def test_passivate_restarts_disabled_stops_at_local(toy_m1_path, tmp_path, capsys):
     report_path = str(tmp_path / "loc.report.json")
     code, out, err = run_cli(
@@ -275,6 +298,21 @@ def test_passivate_indefinite_feedthrough_exits_two(tmp_path, capsys):
     assert code == 2
     assert "error:" in err
     assert not (tmp_path / "bad-d.passive.json").exists()
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--seed", "-1"], "rng_seed must be >= 0"),
+    (["--l0", "1e200,1e200"], "the objective is not finite at L0"),
+], ids=["negative-seed", "overflowing-l0"])
+def test_passivate_bad_start_exits_two(toy_m1_path, tmp_path, flags, reason, capsys):
+    # a negative seed and a start where J is not finite are input errors
+    # (exit 2), not a traceback (exit 1, reserved for "not passive")
+    code, _, err = run_cli(
+        ["passivate", toy_m1_path, "--out", str(tmp_path / "o.json"), *flags], capsys
+    )
+    assert code == 2
+    assert "error: " + reason in err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_passivate_already_passive_input(tmp_path, capsys):

@@ -832,7 +832,8 @@ def test_klap_builds_one_lyapunov_kernel_per_run(monkeypatch):
 def test_klap_restart_reuses_the_judged_output_map(monkeypatch):
     # from [-2, 0] one round is rejected and one restart follows: the C_hat
     # computed for the dual bound also seeds the restart step, and the
-    # returned point keeps its round's, so c_of_l runs once per round
+    # returned point keeps its round's, so c_of_l runs once per round, plus
+    # once at the boundary, where it validates L0
     import klap.optimizer as mod
 
     calls = 0
@@ -846,7 +847,7 @@ def test_klap_restart_reuses_the_judged_output_map(monkeypatch):
     monkeypatch.setattr(mod, "c_of_l", counting_c_of_l)
     res = klap(toy_system(0.125), L0=[[-2.0], [0.0]])
     assert res.restarts == 1 and res.converged
-    assert calls == 2
+    assert calls == 3
 
 
 def test_klap_iteration_cap_holds_per_round():
@@ -901,10 +902,10 @@ def _failing_check(failing):
     ``failing(system)`` selects."""
     from klap.passivity import PassivityVerdict
 
-    def check(system, tol=1e-8, method="auto", grid=None):
+    def check(system, tol=1e-8, grid=None):
         if failing(system):
             return PassivityVerdict(False, -1e-6, "hamiltonian")
-        return check_passive(system, tol=tol, method=method, grid=grid)
+        return check_passive(system, tol=tol, grid=grid)
 
     return check
 
@@ -958,7 +959,7 @@ def test_klap_result_invariants():
     res = klap(toy_system(0.125), L0=[[-2.0], [0.0]])
     assert res.h2_error**2 == pytest.approx(res.J_final, rel=1e-12)
     # certificate corresponds to the returned factor
-    cert = global_min_certificate(toy_system(0.125), res.M, res.L_final)
+    cert = global_min_certificate(toy_system(0.125), res.L_final)
     assert cert.max_abs_real == pytest.approx(res.certificate.max_abs_real, rel=1e-9)
     # the passivated system is genuinely passive
     assert check_passive(res.system).passive
@@ -998,6 +999,51 @@ def test_config_rejects_non_integer_counts(option, value):
     with pytest.raises(ValueError, match=f"{option} must be an integer"):
         klap(toy_system(0.125), **{option: value})
     assert getattr(KlapConfig(**{option: np.int64(3)}), option) == 3
+
+
+@pytest.mark.parametrize("option", ["grad_tol", "obj_rel_tol"])
+@pytest.mark.parametrize("value", [None, "1e-8", math.inf, math.nan, -1e-8])
+def test_config_rejects_tolerances_that_are_not_finite_and_positive(option, value):
+    with pytest.raises(ValueError, match=f"{option} must be finite and positive"):
+        KlapConfig(**{option: value})
+    with pytest.raises(ValueError, match=f"{option} must be finite and positive"):
+        klap(toy_system(0.125), **{option: value})
+
+
+@pytest.mark.parametrize("value, match", [(-1, "rng_seed must be >= 0"),
+                                          (1.5, "rng_seed must be an integer"),
+                                          ("a", "rng_seed must be an integer")])
+def test_config_rejects_bad_seeds(value, match):
+    with pytest.raises(ValueError, match=match):
+        KlapConfig(rng_seed=value)
+    with pytest.raises(ValueError, match=match):
+        klap(toy_system(0.125), rng_seed=value)
+    seed = KlapConfig(rng_seed=np.int64(3)).rng_seed
+    assert seed == 3 and type(seed) is int
+    assert KlapConfig(rng_seed=None).rng_seed is None
+
+
+@pytest.mark.parametrize("L0", [[[math.nan], [1.0]], [[1e100], [1e100]], [[1e200], [1e200]]],
+                         ids=["nan", "1e100", "1e200"])
+def test_klap_rejects_a_starting_factor_where_the_objective_is_not_finite(L0, caplog):
+    # an input error, raised at the boundary, not a run that aborts and
+    # then fails to evaluate its start
+    with caplog.at_level(logging.WARNING, logger="klap.optimizer"):
+        with pytest.raises(DimensionMismatchError, match="objective is not finite at L0"):
+            klap(toy_system(0.125), L0=L0)
+    assert "optimization aborted" not in caplog.text
+
+
+def test_klap_certifies_a_singular_feedthrough_by_the_dual_bound():
+    # D + D^T = diag(1, 0): no closed loop for the spectral test, so the KYP
+    # dual bound alone certifies the point
+    sys = rand_family_system(6, 2, 1).with_feedthrough(np.diag([0.5, 0.0]))
+    res = klap(sys)
+    assert res.converged
+    assert res.certificate is None
+    assert res.duality_gap <= 1e-7
+    assert res.message == "stationary point certified by the KYP dual bound"
+    assert check_passive(res.system).passive
 
 
 @pytest.mark.parametrize("L0", [np.ones((3, 1)), np.ones((1, 2)), np.ones(2)],

@@ -367,11 +367,10 @@ def test_check_passive_strict_construction():
     margin = 0.25
     for _ in range(5):
         sys = random_passive_system(rng, int(rng.integers(2, 7)), int(rng.integers(1, 3)), margin)
-        for method in ("hamiltonian", "popov-scan"):
-            verdict = check_passive(sys, method=method)
-            assert verdict.passive, method
+        assert check_passive(sys).passive
+        assert scan_verdict(popov_scan(sys), 1e-8).passive
     # the scan margin reflects the feedthrough enlargement
-    verdict = check_passive(sys, method="popov-scan")
+    verdict = scan_verdict(popov_scan(sys), 1e-8)
     assert verdict.margin >= 1.9 * margin
 
 
@@ -403,36 +402,41 @@ def test_check_passive_hamiltonian_agrees_with_scan():
             sys = random_passive_system(rng, n, m)
         else:
             sys = random_indefinite_system(rng, n, m)
-        scan = check_passive(sys, method="popov-scan")
+        scan = scan_verdict(popov_scan(sys), 1e-8)
         scale = max(1.0, abs(scan.margin))
         if abs(scan.margin) <= 1e-6 * scale:
             continue  # too close to the boundary for a meaningful comparison
-        ham = check_passive(sys, method="hamiltonian")
+        ham = check_passive(sys)  # D + D^T is definite: the Hamiltonian route
         assert ham.passive == scan.passive, f"disagreement on system {k}"
         checked += 1
     assert checked >= 45
 
 
 def test_check_passive_method_validation():
-    for method in ("magic", "are"):
-        with pytest.raises(ValueError, match="unknown method"):
-            check_passive(scalar_system(), method=method)
-    with pytest.raises(SingularFeedthroughError):
-        check_passive(toy_system(0.0), method="hamiltonian")
+    # the route follows D + D^T alone, and the verdict names it: the
+    # Hamiltonian test for a definite one, the scan for a singular one
+    assert check_passive(scalar_system()).method == "hamiltonian"
+    singular = rand_family_system(6, 2, 1).with_feedthrough(np.diag([0.5, 0.0]))
+    skew = singular.with_feedthrough(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    for sys in (toy_system(0.0), singular, skew):
+        assert check_passive(sys).method == "popov-scan"
 
 
 def test_check_passive_singular_feedthrough_auto_falls_back():
     # D = 0 forces the scan; the toy system without feedthrough is active
-    verdict = check_passive(toy_system(0.0), method="auto")
+    verdict = check_passive(toy_system(0.0))
     assert verdict.method == "popov-scan" and not verdict.passive
 
 
 def test_check_passive_respects_custom_grid():
-    sys = toy_system(0.125)
-    scan = popov_scan(sys)
-    grid = scan.frequencies[:: 10]
-    verdict = check_passive(sys, method="popov-scan", grid=grid)
-    assert not verdict.passive
+    # D = 0 takes the scan, on exactly the grid given: below w = 2 the
+    # Popov function is positive, its minimum -0.589 sits near w = 4.42
+    sys = toy_system(0.0)
+    low = np.linspace(0.0, 2.0, 50)
+    verdict = check_passive(sys, grid=low)
+    assert verdict.passive
+    assert verdict.margin == popov_scan(sys, low).global_min
+    assert not check_passive(sys, grid=np.append(low, 4.42)).passive
 
 
 def test_check_passive_samples_the_crossing_frequencies():
@@ -444,7 +448,7 @@ def test_check_passive_samples_the_crossing_frequencies():
     C_hat = klap(sys).C_hat
     assert check_passive(sys.with_output(C_hat)).passive
     stepped = sys.with_output(C_hat + 1e-6 * (sys.C - C_hat))
-    assert check_passive(stepped, method="popov-scan").passive
+    assert scan_verdict(popov_scan(stepped), 1e-8).passive
     verdict = check_passive(stepped)
     assert not verdict.passive
     assert verdict.margin == pytest.approx(-1.0995e-6, rel=1e-3)
@@ -626,32 +630,33 @@ def test_kyp_dual_gap_leaves_the_system_caches_alone():
 
 
 def test_certificate_vacuous_when_m_zero():
-    sys = toy_system(0.0)
-    cert = global_min_certificate(sys, np.zeros((1, 1)), np.ones((2, 1)))
-    assert cert.vacuous and cert.is_global_candidate
-    assert cert.eigenvalues.size == 0 and cert.max_abs_real == 0.0
+    # D = 0, and a skew D, where D + D^T = 0 as well
+    skew = rand_family_system(6, 2, 1).with_feedthrough(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    for sys in (toy_system(0.0), skew):
+        cert = global_min_certificate(sys, np.ones((sys.n, sys.m)))
+        assert cert.vacuous and cert.is_global_candidate
+        assert cert.eigenvalues.size == 0 and cert.max_abs_real == 0.0
 
 
 def test_certificate_axis_spectrum_scalar():
     # Y = A - B R^{-1} M L^T = -1 + 1 = 0 for L = -sqrt(2): certified
     sys = scalar_system()
-    cert = global_min_certificate(sys, [[np.sqrt(2.0)]], [[-np.sqrt(2.0)]])
+    cert = global_min_certificate(sys, [[-np.sqrt(2.0)]])
     assert cert.max_abs_real <= 1e-14
     assert cert.is_global_candidate and not cert.vacuous
     # flipping the factor sign moves the eigenvalue to -2: not certified
-    cert2 = global_min_certificate(sys, [[np.sqrt(2.0)]], [[np.sqrt(2.0)]])
+    cert2 = global_min_certificate(sys, [[np.sqrt(2.0)]])
     assert cert2.max_abs_real == pytest.approx(2.0, abs=1e-12)
     assert not cert2.is_global_candidate
 
 
 def test_certificate_default_tolerance_scales_with_a():
     sys = scalar_system()
-    cert = global_min_certificate(sys, [[np.sqrt(2.0)]], [[-np.sqrt(2.0)]])
+    cert = global_min_certificate(sys, [[-np.sqrt(2.0)]])
     assert cert.tolerance == pytest.approx(1e-6 * np.linalg.norm(sys.A, "fro"))
-    tight = global_min_certificate(sys, [[np.sqrt(2.0)]], [[-np.sqrt(2.0)]], tol=1e-15)
-    assert tight.tolerance == 1e-15
 
 
-def test_certificate_singular_feedthrough_with_factor_raises():
-    with pytest.raises(SingularFeedthroughError):
-        global_min_certificate(toy_system(0.0), np.ones((1, 1)), np.ones((2, 1)))
+def test_certificate_none_for_singular_nonzero_feedthrough():
+    # D + D^T = diag(1, 0): no closed loop to test, so no certificate
+    sys = rand_family_system(6, 2, 1).with_feedthrough(np.diag([0.5, 0.0]))
+    assert global_min_certificate(sys, np.ones((6, 2))) is None
