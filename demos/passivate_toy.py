@@ -33,7 +33,7 @@ scan = popov_scan(sys)
 verdict = check_passive(sys)
 print(f"smallest Popov eigenvalue on the grid : {scan.global_min:.4f}")
 print(f"attained near frequency               : {scan.argmin_frequency:.4f} rad/s")
-print(f"verdict ({verdict.method})            : "
+print(f"verdict                               : "
       f"{'passive' if verdict.passive else 'NOT passive'}")
 
 banner("Passivate")

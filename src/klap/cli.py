@@ -2,7 +2,7 @@
 
 ``klap`` exposes four subcommands::
 
-    klap check MODEL         passivity verdict (exit 0 passive, 1 not)
+    klap check MODEL         passivity verdict and margin (exit 0 passive, 1 not)
     klap passivate MODEL     H2-optimal passivation; writes model + report
     klap popov MODEL         Popov-function frequency sweep as CSV
     klap h2 MODEL MODEL      H2 distance between two models
@@ -56,15 +56,6 @@ def _configure_logging() -> None:
     level = {"debug": logging.DEBUG, "info": logging.INFO}.get(level_name, logging.WARNING)
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
-
-
-def _add_grid_arguments(parser: argparse.ArgumentParser, points_default: int = 500) -> None:
-    parser.add_argument("--wmin", type=float, default=None, help="lowest scan frequency")
-    parser.add_argument("--wmax", type=float, default=None, help="highest scan frequency")
-    parser.add_argument(
-        "--points", type=int, default=points_default,
-        help=f"number of scan frequencies (default {points_default})",
     )
 
 
@@ -215,23 +206,9 @@ def _report_dict(
 
 def _cmd_check(args: argparse.Namespace) -> int:
     _, sys_ = _load(args.model, args.feedthrough)
-    explicit_grid = args.wmin is not None or args.wmax is not None or args.points != 500
-    grid = _grid_from_args(sys_, args) if explicit_grid else None
-    verdict = check_passive(sys_, tol=args.tol, grid=grid)
-    line = (
-        f"{'passive' if verdict.passive else 'not passive'} "
-        f"(margin {verdict.margin:.6e}, method {verdict.method})"
-    )
-    if args.csv is not None:
-        scan = popov_scan(sys_, _grid_from_args(sys_, args))
-        print(line, file=sys.stderr if args.csv == "-" else sys.stdout)
-        with _output_stream(args.csv) as fh:
-            _write_csv(
-                fh, ["omega", "lambda_min"],
-                zip(scan.frequencies, scan.min_eigenvalues),
-            )
-    else:
-        print(line)
+    verdict = check_passive(sys_)
+    print(f"{'passive' if verdict.passive else 'not passive'} "
+          f"(margin {verdict.margin:.6e})")
     return 0 if verdict.passive else 1
 
 
@@ -373,13 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide passivity of a model file")
     p_check.add_argument("model")
-    p_check.add_argument("--tol", type=float, default=1e-8,
-                         help="relative margin tolerance (default 1e-8)")
     p_check.add_argument("--feedthrough", type=float, default=None,
                          help="replace D by this scalar times the identity")
-    p_check.add_argument("--csv", default=None, metavar="FILE",
-                         help="also write the Popov scan as CSV ('-' for stdout)")
-    _add_grid_arguments(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_pass = sub.add_parser("passivate", help="replace C by the closest passivating map")
@@ -410,7 +382,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="replace D by this scalar times the identity")
     p_popov.add_argument("--per-eigenvalue", action="store_true",
                          help="add one column per Popov eigenvalue")
-    _add_grid_arguments(p_popov)
+    p_popov.add_argument("--wmin", type=float, default=None, help="lowest scan frequency")
+    p_popov.add_argument("--wmax", type=float, default=None, help="highest scan frequency")
+    p_popov.add_argument("--points", type=int, default=500,
+                         help="number of scan frequencies (default 500)")
     p_popov.set_defaults(func=_cmd_popov)
 
     p_h2 = sub.add_parser("h2", help="H2 distance between two models")

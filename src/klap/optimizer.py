@@ -92,9 +92,9 @@ _log = logging.getLogger(__name__)
 #: curvature pairs kept by the L-BFGS two-loop recursion
 _LBFGS_MEMORY = 10
 
-#: margin tolerance deciding whether a system is passive (the default of
-#: :func:`~klap.passivity.check_passive`)
-_PASSIVE_TOL = 1e-8
+#: gradient norm at or below which a run's point counts as stationary, so
+#: that the spectral certificate may certify it (the default ``grad_tol``)
+_STATIONARY_GRAD = 1e-8
 
 #: step size of the restart's output-space gradient step (retried once at a
 #: tenth of it)
@@ -351,7 +351,8 @@ class KlapConfig:
     Attributes
     ----------
     grad_tol : float
-        Gradient-norm stopping threshold of the inner minimization.
+        Gradient-norm stopping threshold of the inner minimization.  A run
+        it stops above ``1e-8`` is certified by the KYP dual bound alone.
     obj_rel_tol : float
         Relative objective-change stop:
         ``|J_k - J_{k-1}| <= obj_rel_tol * (|J_k| + obj_rel_tol)``.  The
@@ -374,7 +375,7 @@ class KlapConfig:
         :func:`initialize`.
     """
 
-    grad_tol: float = 1e-8
+    grad_tol: float = _STATIONARY_GRAD
     obj_rel_tol: float = 1e-14
     max_iterations: int = 50_000
     max_restarts: int = 5
@@ -645,13 +646,13 @@ def restart_step(
     equation is close to marginal.
 
     The stepped system is judged by :func:`~klap.passivity.check_passive`,
-    which samples the Hamiltonian crossing frequencies, so a violation
-    narrower than the Popov grid's spacing also rejects the step.
+    so a violation narrower than the Popov grid's spacing also rejects the
+    step.
     """
     grad_c = 2.0 * (C_star - sys.C) @ P
     for alpha in (_RESTART_ALPHA, _RESTART_ALPHA / 10.0):
         candidate = sys.with_output(C_star - alpha * grad_c)
-        if not check_passive(candidate, tol=_PASSIVE_TOL).passive:
+        if not check_passive(candidate).passive:
             continue
         try:
             sol = solve_are(candidate, "minimal", tol=1e-6)
@@ -679,9 +680,11 @@ class _Candidate(NamedTuple):
 
     @property
     def spectral(self) -> bool:
-        """The run stopped stationary and the spectral certificate passes."""
-        cert = self.certificate
-        return bool(self.run and self.run.converged and cert and cert.is_global_candidate)
+        """The run stopped on a convergence criterion with ``||grad|| <=
+        _STATIONARY_GRAD`` and the spectral certificate passes."""
+        run, cert = self.run, self.certificate
+        return bool(run and run.converged and run.gradient_norm <= _STATIONARY_GRAD
+                    and cert and cert.is_global_candidate)
 
 
 @dataclass(frozen=True)
@@ -716,9 +719,9 @@ class KlapResult:
         (``C_hat(L)`` is passive in exact arithmetic, so rounding can break
         that; :attr:`message` then gives the margin), and either the inner
         run that produced it stopped on a convergence criterion (not
-        line-search failure / iteration cap) and the spectral certificate
-        passes there, or :attr:`duality_gap` is at most ``1e-7``.  True for
-        a passive input.
+        line-search failure / iteration cap) at a gradient norm of at most
+        ``1e-8`` and the spectral certificate passes there, or
+        :attr:`duality_gap` is at most ``1e-7``.  True for a passive input.
     trace : tuple of (J, grad-norm) pairs
         Per-iteration log, concatenated across restarts.
     passive_input : bool
@@ -729,8 +732,8 @@ class KlapResult:
         applicable).
     popov_min : float
         Scanned minimum of the input system's Popov function, or the
-        margin :func:`~klap.passivity.check_passive` found where the scan
-        missed a violation.
+        margin of the :func:`~klap.passivity.check_passive` verdict where
+        the scan missed a violation.
     initial_J : float
         Objective at the very first iterate.
     system : StateSpaceSystem
@@ -784,10 +787,11 @@ def klap(
     :attr:`KlapResult.message`.  While the best point is not certified,
     the KYP dual bound is evaluated at each round's point, and the highest
     bound found is kept.  The best point is certified when its model passes
-    the check and either its run stopped on a convergence criterion and
-    the spectral test passes there (the cheap first gate) or its ``J`` is
-    within ``1e-7`` (relative) of the bound.  A certified best point stops
-    the run; otherwise, while restart budget is left, the next round starts
+    the check and either its run stopped on a convergence criterion at a
+    gradient norm of at most ``1e-8`` and the spectral test passes there
+    (the cheap first gate) or its ``J`` is within ``1e-7`` (relative) of
+    the bound.  A certified best point stops the run; otherwise, while
+    restart budget is left, the next round starts
     from :func:`restart_step` of the output map just judged — an
     output-space gradient step plus Riccati factor recovery when the step
     stays passive, a fresh random start otherwise.
@@ -796,9 +800,8 @@ def klap(
 
     A passive input short-circuits: the result carries ``C_hat = C``,
     zero error, and no certificate.  The Popov scan's verdict of passive is
-    confirmed by :func:`~klap.passivity.check_passive` on the same grid
-    first, since a violation narrower than the grid spacing escapes the
-    scan.
+    confirmed by :func:`~klap.passivity.check_passive` first, since a
+    violation narrower than the grid spacing escapes the scan.
 
     Keyword overrides are applied on top of ``config``
     (e.g. ``klap(sys, rng_seed=3, max_restarts=0)``).
@@ -835,9 +838,9 @@ def klap(
             raise DimensionMismatchError("the objective is not finite at L0")
 
     scan = popov_scan(sys)
-    verdict = scan_verdict(scan, _PASSIVE_TOL)
+    verdict = scan_verdict(scan)
     if verdict.passive:
-        confirmed = check_passive(sys, tol=_PASSIVE_TOL, grid=scan.frequencies)
+        confirmed = check_passive(sys)
         if not confirmed.passive:
             # the grid missed the violation: start from its confirmed margin
             verdict = confirmed
@@ -880,7 +883,7 @@ def klap(
     def judge(L: np.ndarray, run: LbfgsResult | None = None) -> _Candidate:
         C_hat = c_of_l(sys, LurePoint(L, M))
         return _Candidate(run, L, C_hat, h2_error_sq(sys, C_hat, P=P),
-                          check_passive(sys.with_output(C_hat), tol=_PASSIVE_TOL),
+                          check_passive(sys.with_output(C_hat)),
                           global_min_certificate(sys, L))
 
     def gap_at(c: _Candidate) -> float | None:

@@ -44,13 +44,7 @@ from .exceptions import (
     SingularFeedthroughError,
 )
 from .linalg import _bartels_stewart, _real_schur, sqrtm_psd
-from .system import (
-    PopovScan,
-    StateSpaceSystem,
-    default_popov_grid,
-    popov_eval,
-    popov_scan,
-)
+from .system import PopovScan, StateSpaceSystem, popov_eval, popov_scan
 
 __all__ = [
     "AreSolution",
@@ -66,6 +60,10 @@ _log = logging.getLogger(__name__)
 
 #: relative eigenvalue floor below which ``D + D^T`` counts as singular
 FEEDTHROUGH_RTOL = 1e-12
+
+#: relative margin tolerance of :func:`check_passive` and :func:`scan_verdict`:
+#: boundary systems produced by passivation land within ``-PASSIVE_TOL * scale``
+PASSIVE_TOL = 1e-8
 
 #: Newton step budget of each Riccati solve
 _NEWTON_STEPS = 100
@@ -290,25 +288,22 @@ class PassivityVerdict:
     """Outcome of a passivity test.
 
     ``margin`` is signed: the smallest Popov eigenvalue over the
-    frequencies sampled, negative when the system is not passive.  On the
-    Hamiltonian route without near-axis eigenvalues that is the one sample
-    taken, so it is a sample of the Popov function, not its minimum.
-    ``method`` records which route produced the verdict: ``"hamiltonian"``
-    or ``"popov-scan"``.
+    frequencies sampled, negative when the system is not passive.  For a
+    passive system that is a sample of the Popov function, not its minimum.
     """
 
     passive: bool
     margin: float
-    method: str
 
 
-def scan_verdict(scan: PopovScan, tol: float) -> PassivityVerdict:
+def scan_verdict(scan: PopovScan) -> PassivityVerdict:
     """Passivity verdict of a Popov scan: passive iff the grid minimum is
-    ``>= -tol * scale`` with ``scale = max(1, max |lambda_min|)`` over the
-    grid.  The rule of the ``"popov-scan"`` route of :func:`check_passive`,
-    shared with :func:`klap.optimizer.klap`, which scans its input once."""
+    ``>= -PASSIVE_TOL * scale`` with ``scale = max(1, max |lambda_min|)``
+    over the grid.  A violation narrower than the grid spacing escapes it;
+    :func:`klap.optimizer.klap`, which scans its input once, takes it as a
+    first look and confirms a passive verdict by :func:`check_passive`."""
     scale = max(1.0, float(np.abs(scan.min_eigenvalues).max()))
-    return PassivityVerdict(scan.global_min >= -tol * scale, scan.global_min, "popov-scan")
+    return PassivityVerdict(scan.global_min >= -PASSIVE_TOL * scale, scan.global_min)
 
 
 def _hamiltonian_matrix(sys: StateSpaceSystem, R: np.ndarray) -> np.ndarray:
@@ -319,61 +314,41 @@ def _hamiltonian_matrix(sys: StateSpaceSystem, R: np.ndarray) -> np.ndarray:
     return np.block([[Abar, -B @ RinvBt], [C.T @ RinvC, -Abar.T]])
 
 
-def check_passive(
-    sys: StateSpaceSystem,
-    tol: float = 1e-8,
-    grid: np.ndarray | None = None,
-) -> PassivityVerdict:
-    """Decide whether a stable system is passive.
+def check_passive(sys: StateSpaceSystem) -> PassivityVerdict:
+    """Decide whether ``lambda_min(Phi(i w)) >= -eps`` at every frequency,
+    ``eps = PASSIVE_TOL * max(1, ||R||_2, ||Phi(0)||_2)``, ``R = D + D^T``.
 
-    The route follows ``D + D^T``; :attr:`PassivityVerdict.method` names it:
+    Since ``Phi(i w) -> R`` as ``w`` grows, ``lambda_min(R) < -eps`` is a
+    violation at high frequency.  Otherwise the feedthrough is shifted by
+    ``eps / 2``, which makes ``R + eps I`` definite for every PSD ``R``:
+    the purely imaginary eigenvalues of the shifted system's Hamiltonian
+    matrix are exactly the frequencies where an eigenvalue of ``Phi``
+    crosses ``-eps``.  Between consecutive crossings (and below the first)
+    ``Phi + eps I`` keeps its inertia, and above the last it is definite
+    like ``R + eps I``, so samples at ``0`` and at the midpoints between
+    crossings decide the verdict.  Near-axis eigenvalues count as
+    crossings; a spurious one only adds a sample.
 
-    ``"hamiltonian"`` (``D + D^T`` positive definite)
-        Singular frequencies of the Popov function are exactly the purely
-        imaginary eigenvalues of an associated Hamiltonian matrix.  If no
-        eigenvalue lies near the axis, the Popov function never changes
-        definiteness and a single interior sample decides the sign.  Near-
-        axis eigenvalues (definiteness crossings, or the numerically split
-        double roots produced by boundary-touching systems) defer to the
-        grid scan, whose signed margin plus tolerance absorbs boundary
-        roundoff.  The scan's grid then also holds ``|Im lambda|`` of each
-        near-axis eigenvalue and the midpoints between consecutive ones:
-        the Popov function keeps its definiteness between crossing
-        frequencies, so a violation narrower than the grid spacing is
-        still sampled.
-
-    ``"popov-scan"`` (``D + D^T`` singular, or near-axis eigenvalues)
-        Sweep ``lambda_min(Phi(i w))`` on a frequency grid (``grid``, by
-        default :func:`~klap.system.default_popov_grid`); passive iff the
-        grid minimum is ``>= -tol * scale`` (:func:`scan_verdict`).
-
-    Parameters
-    ----------
-    tol : float
-        Relative tolerance on the signed margin: boundary systems produced
-        by passivation land within ``-tol * scale`` of zero.
+    The margin of a violation is the lower of the sampled minimum and the
+    minimum of the default Popov scan, which reads the depth of a wide
+    violation better than a midpoint does.
     """
-    R, definite = _feedthrough_gram(sys)
-    if definite:
-        H = _hamiltonian_matrix(sys, R)
-        ev = np.linalg.eigvals(H)
-        axis_dist = float(np.abs(ev.real).min())
-        axis_tol = 1e-9 * max(1.0, float(np.linalg.norm(H, "fro")))
-        if axis_dist > axis_tol:
-            # no definiteness crossings anywhere: one sample decides
-            rho = max(1.0, sys._spectral_radius())
-            sample = float(np.linalg.eigvalsh(popov_eval(sys, rho)).min())
-            return PassivityVerdict(sample > 0.0, sample, "hamiltonian")
-        # near-axis eigenvalues: definiteness crossings or a boundary-touching
-        # Popov function; defer to the tolerance-aware grid scan below, on a
-        # grid that also samples each crossing and the midpoints between them
-        crossings = np.unique(np.abs(ev.imag[np.abs(ev.real) <= axis_tol]))
-        if grid is None:
-            grid = default_popov_grid(sys)
-        grid = np.sort(np.concatenate(
-            (grid, crossings, 0.5 * (crossings[1:] + crossings[:-1]))
-        ))
-    return scan_verdict(popov_scan(sys, grid=grid), tol)
+    R = sys.D + sys.D.T
+    scale = max(1.0, float(np.linalg.norm(R, 2)),
+                float(np.linalg.norm(popov_eval(sys, 0.0), 2)))
+    eps = PASSIVE_TOL * scale
+    lam_R = float(np.linalg.eigvalsh(R)[0])
+    if lam_R < -eps:
+        return PassivityVerdict(False, lam_R)
+    H = _hamiltonian_matrix(sys, R + eps * np.eye(sys.m))
+    ev = np.linalg.eigvals(H)
+    axis_tol = 1e-9 * max(1.0, float(np.linalg.norm(H, "fro")))
+    crossings = np.unique(np.abs(ev.imag[np.abs(ev.real) <= axis_tol]))
+    grid = np.concatenate(([0.0], 0.5 * (crossings[1:] + crossings[:-1])))
+    sampled = popov_scan(sys, grid=grid).global_min
+    if sampled >= -eps:
+        return PassivityVerdict(True, sampled)
+    return PassivityVerdict(False, min(sampled, popov_scan(sys).global_min))
 
 
 def l_from_are(sys: StateSpaceSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from klap.benchmarks import acc_system, benchmark_path, toy_system
 from klap.cli import main
 from klap.modelio import load_model, write_model
+from klap.passivity import check_passive
 from klap.system import StateSpaceSystem
 from oracles import rand_family_system
 
@@ -81,6 +82,17 @@ def test_check_non_passive_exits_one(toy_m0_path, capsys):
     assert "margin" in out
 
 
+@pytest.mark.parametrize("feedthrough, verdict, expected_code",
+                         [(None, "not passive", 1), ("0.5", "passive", 0)])
+def test_check_prints_the_verdict_and_its_margin(toy_m1_path, capsys, feedthrough,
+                                                 verdict, expected_code):
+    sys_ = toy_system(0.125 if feedthrough is None else float(feedthrough))
+    flags = [] if feedthrough is None else ["--feedthrough", feedthrough]
+    code, out, _ = run_cli(["check", toy_m1_path, *flags], capsys)
+    assert code == expected_code
+    assert out == f"{verdict} (margin {check_passive(sys_).margin:.6e})\n"
+
+
 def test_check_passive_exits_zero(tmp_path, capsys):
     path = tmp_path / "passive.json"
     write_model(StateSpaceSystem([[-1.0]], [[1.0]], [[1.0]], [[1.0]]), path)
@@ -110,18 +122,16 @@ def test_check_method_are_is_usage_error(toy_m1_path, capsys):
     assert "unrecognized arguments: --method are" in err
 
 
-def test_check_csv_to_stdout_moves_verdict_to_stderr(toy_m1_path, capsys):
-    code, out, err = run_cli(
-        ["check", toy_m1_path, "--csv", "-", "--points", "16"], capsys
-    )
-    assert code == 1
-    lines = out.strip().splitlines()
-    assert lines[0] == "omega,lambda_min"
-    assert len(lines) == 1 + 16 + 1  # header + zero frequency + grid
-    assert "not passive" in err
-    for line in lines[1:]:
-        w, lam = line.split(",")
-        float(w), float(lam)
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "1e-6"), ("--csv", "-"), ("--wmin", "0.01"), ("--wmax", "100"),
+     ("--points", "16")],
+)
+def test_check_removed_flags_are_usage_errors(toy_m1_path, flag, value, capsys):
+    # the verdict has no tolerance or grid to set; `klap popov` writes scans
+    code, _, err = run_cli(["check", toy_m1_path, flag, value], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_check_text_format_model(tmp_path, capsys):

@@ -368,15 +368,15 @@ def test_check_passive_strict_construction():
     for _ in range(5):
         sys = random_passive_system(rng, int(rng.integers(2, 7)), int(rng.integers(1, 3)), margin)
         assert check_passive(sys).passive
-        assert scan_verdict(popov_scan(sys), 1e-8).passive
+        assert scan_verdict(popov_scan(sys)).passive
     # the scan margin reflects the feedthrough enlargement
-    verdict = scan_verdict(popov_scan(sys), 1e-8)
+    verdict = scan_verdict(popov_scan(sys))
     assert verdict.margin >= 1.9 * margin
 
 
 def test_check_passive_known_non_passive():
     v0 = check_passive(toy_system(0.0))
-    assert not v0.passive and v0.method == "popov-scan"
+    assert not v0.passive
     assert v0.margin == pytest.approx(-0.589481, abs=2e-4)
 
     v8 = check_passive(toy_system(0.125))
@@ -384,12 +384,10 @@ def test_check_passive_known_non_passive():
     assert v8.margin == pytest.approx(-0.339481, abs=2e-4)
 
 
-def test_check_passive_boundary_touch_uses_scan():
-    # Hamiltonian eigenvalues sit on the axis (double root at 0), so the
-    # verdict must come from the tolerance-aware scan and still be passive.
+def test_check_passive_boundary_touch_is_passive():
+    # the Popov function touches zero at w = 0, inside the tolerance
     verdict = check_passive(boundary_system())
     assert verdict.passive
-    assert verdict.method == "popov-scan"
     assert abs(verdict.margin) <= 1e-12
 
 
@@ -402,41 +400,19 @@ def test_check_passive_hamiltonian_agrees_with_scan():
             sys = random_passive_system(rng, n, m)
         else:
             sys = random_indefinite_system(rng, n, m)
-        scan = scan_verdict(popov_scan(sys), 1e-8)
+        scan = scan_verdict(popov_scan(sys))
         scale = max(1.0, abs(scan.margin))
         if abs(scan.margin) <= 1e-6 * scale:
             continue  # too close to the boundary for a meaningful comparison
-        ham = check_passive(sys)  # D + D^T is definite: the Hamiltonian route
+        ham = check_passive(sys)
         assert ham.passive == scan.passive, f"disagreement on system {k}"
         checked += 1
     assert checked >= 45
 
 
-def test_check_passive_method_validation():
-    # the route follows D + D^T alone, and the verdict names it: the
-    # Hamiltonian test for a definite one, the scan for a singular one
-    assert check_passive(scalar_system()).method == "hamiltonian"
-    singular = rand_family_system(6, 2, 1).with_feedthrough(np.diag([0.5, 0.0]))
-    skew = singular.with_feedthrough(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    for sys in (toy_system(0.0), singular, skew):
-        assert check_passive(sys).method == "popov-scan"
-
-
-def test_check_passive_singular_feedthrough_auto_falls_back():
-    # D = 0 forces the scan; the toy system without feedthrough is active
+def test_check_passive_zero_feedthrough_toy_is_not_passive():
     verdict = check_passive(toy_system(0.0))
-    assert verdict.method == "popov-scan" and not verdict.passive
-
-
-def test_check_passive_respects_custom_grid():
-    # D = 0 takes the scan, on exactly the grid given: below w = 2 the
-    # Popov function is positive, its minimum -0.589 sits near w = 4.42
-    sys = toy_system(0.0)
-    low = np.linspace(0.0, 2.0, 50)
-    verdict = check_passive(sys, grid=low)
-    assert verdict.passive
-    assert verdict.margin == popov_scan(sys, low).global_min
-    assert not check_passive(sys, grid=np.append(low, 4.42)).passive
+    assert not verdict.passive and verdict.margin < 0.0
 
 
 def test_check_passive_samples_the_crossing_frequencies():
@@ -448,10 +424,77 @@ def test_check_passive_samples_the_crossing_frequencies():
     C_hat = klap(sys).C_hat
     assert check_passive(sys.with_output(C_hat)).passive
     stepped = sys.with_output(C_hat + 1e-6 * (sys.C - C_hat))
-    assert scan_verdict(popov_scan(stepped), 1e-8).passive
+    assert scan_verdict(popov_scan(stepped)).passive
     verdict = check_passive(stepped)
     assert not verdict.passive
     assert verdict.margin == pytest.approx(-1.0995e-6, rel=1e-3)
+
+
+def _assert_violation_caught(sys):
+    """``klap``'s optimum of ``sys`` passes; stepped ``t = 1e-7`` and
+    ``1e-6`` back toward ``C`` it opens a violation of order ``t`` whose
+    depth the margin reads to 2 % of a dense-grid minimum."""
+    C_opt = klap(sys).C_hat
+    assert check_passive(sys.with_output(C_opt)).passive
+    for t in (1e-7, 1e-6):
+        near = sys.with_output(C_opt + t * (sys.C - C_opt))
+        dense = popov_scan(near, grid=np.linspace(0.0, 2.0, 200_001)).global_min
+        assert dense < -t
+        verdict = check_passive(near)
+        assert not verdict.passive
+        assert verdict.margin == pytest.approx(dense, rel=0.02)
+
+
+def test_check_passive_zero_feedthrough_near_the_boundary():
+    # acc: the dip (about -1.8 t) is narrower than the default grid's spacing
+    _assert_violation_caught(benchmark_system("acc"))
+    # toy-m0: the step back is a rounding-level change, within tolerance
+    sys = benchmark_system("toy-m0")
+    C_opt = klap(sys).C_hat
+    assert check_passive(sys.with_output(C_opt + 1e-6 * (sys.C - C_opt))).passive
+
+
+def test_check_passive_singular_feedthrough_near_the_boundary():
+    # D + D^T = diag(1, 0): the dip (about -6.5 t) is narrower than the
+    # default grid's spacing
+    _assert_violation_caught(rand_family_system(6, 2, 3).with_feedthrough(np.diag([0.5, 0.0])))
+
+
+def test_check_passive_skew_feedthrough_is_judged_like_zero():
+    # a skew D leaves the Popov function of D = 0 unchanged
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    B = np.array([[1.0, 0.5], [0.0, 1.0], [2.0, -1.0]])
+    positive_real = StateSpaceSystem(-np.diag([1.0, 2.0, 3.0]), B, B.T, np.zeros((2, 2)))
+    assert check_passive(positive_real).passive
+    assert check_passive(positive_real.with_feedthrough(skew)).passive
+    sys = rand_family_system(6, 2, 3).with_feedthrough(np.zeros((2, 2)))
+    C_opt = klap(sys).C_hat
+    near = sys.with_output(C_opt + 1e-6 * (sys.C - C_opt))
+    dense = popov_scan(near, grid=np.linspace(0.0, 2.0, 200_001)).global_min
+    for D in (np.zeros((2, 2)), skew):
+        verdict = check_passive(near.with_feedthrough(D))
+        assert not verdict.passive
+        assert verdict.margin == pytest.approx(dense, rel=0.02)
+
+
+def test_check_passive_indefinite_feedthrough_margin():
+    # Phi(i w) -> D + D^T at high frequency
+    D = np.array([[1.0, 0.3], [0.1, -0.5]])
+    sys = rand_family_system(6, 2, 1).with_feedthrough(D)
+    verdict = check_passive(sys)
+    assert not verdict.passive
+    assert verdict.margin == np.linalg.eigvalsh(D + D.T)[0]
+
+
+def test_klap_optimizes_a_zero_feedthrough_input_whose_violation_the_grid_misses():
+    sys = benchmark_system("acc")
+    C_opt = klap(sys).C_hat
+    near = sys.with_output(C_opt + 1e-6 * (sys.C - C_opt))
+    verdict = check_passive(near)
+    res = klap(near)
+    assert not res.passive_input
+    assert check_passive(res.system).passive
+    assert res.popov_min == verdict.margin
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +510,7 @@ def test_klap_optimizes_an_input_whose_violation_the_grid_misses(t):
     sys = rand_family_system(6, 1, 2)
     C_opt = klap(sys).C_hat
     near = sys.with_output(C_opt + t * (sys.C - C_opt))
-    assert scan_verdict(popov_scan(near), 1e-8).passive
+    assert scan_verdict(popov_scan(near)).passive
     verdict = check_passive(near)
     assert not verdict.passive
     assert verdict.margin == pytest.approx(-1.1 * t, rel=0.01)

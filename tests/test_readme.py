@@ -1,8 +1,9 @@
-"""The README's library quick start runs, and its bundled-benchmark figures
-are what ``klap`` returns on the same inputs."""
+"""The README's library quick start runs, its command lines parse, and its
+bundled-benchmark figures are what ``klap`` returns on the same inputs."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from klap import benchmark_system, klap
-from klap.cli import _certificate_status
+from klap.cli import _build_parser, _certificate_status, _merge_factor_values
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -50,6 +51,15 @@ def l0_run():
     )
     name, l0, iterations, restarts, h2 = match.groups()
     return f"{name} --l0 {l0}", int(iterations), int(restarts), h2
+
+
+def command_lines():
+    """Every ``klap ...`` line of the README's ``sh`` blocks (continuations
+    joined) and every inline ``klap`` command with arguments, as argv."""
+    blocks = "\n".join(re.findall(r"```sh\n(.*?)```", README, re.S)).replace("\\\n", " ")
+    lines = [line for line in blocks.splitlines() if line.startswith("klap ")]
+    lines += [span for span in re.findall(r"`(klap [^`]+)`", README) if len(span.split()) > 2]
+    return [shlex.split(line)[1:] for line in dict.fromkeys(lines)]
 
 
 def run(command):
@@ -98,3 +108,12 @@ def test_the_l0_run_matches_klap():
     res = run(command)
     assert (res.iterations, res.restarts) == (iterations, restarts)
     assert f"{res.h2_error:.4f}" == h2
+
+
+@pytest.mark.parametrize("argv", command_lines(), ids=" ".join)
+def test_a_readme_command_line_parses(argv):
+    _build_parser().parse_args(_merge_factor_values(argv))
+
+
+def test_the_readme_command_lines_cover_every_subcommand():
+    assert {argv[0] for argv in command_lines()} == {"check", "passivate", "popov", "h2"}
