@@ -21,10 +21,17 @@ whose value is the squared H2 distance to the original system (``P`` is the
 controllability Gramian).  This module provides the parameterization, the
 objective and its gradient (one Lyapunov solve for the value, one more for
 the gradient; in the eigenbasis of ``A`` both are ``O(n^2 m)`` products), a
-Gramian-preconditioned quasi-Newton minimizer, Riccati-based initialization, a
-spectral certificate of global optimality backed by the KYP dual bound of
-:mod:`klap.passivity`, and a restart strategy that escapes non-global
-stationary points, all orchestrated by :func:`klap`.
+quasi-Newton minimizer preconditioned by the Gramian, Riccati-based
+initialization, a spectral certificate of global optimality backed by the KYP
+dual bound of :mod:`klap.passivity`, and a restart strategy that escapes
+non-global stationary points, all orchestrated by :func:`klap`.
+
+Where ``A`` has a trusted eigenbasis, :func:`klap` runs every inner
+minimization in floored square-root-Gramian coordinates ``x = T x'``,
+``T = U diag(sqrt(s))`` from ``P = U diag(s) U^T``, where the Gramian is
+close to the identity: over ``L' = T^T L``, with each output map formed on
+``(T^{-1} A T, T^{-1} B)`` and mapped back by ``T^{-1}``.  ``J``, the
+passivity check and both certificates stay in the original coordinates.
 """
 
 from __future__ import annotations
@@ -93,7 +100,9 @@ _log = logging.getLogger(__name__)
 _LBFGS_MEMORY = 10
 
 #: gradient norm at or below which a run's point counts as stationary, so
-#: that the spectral certificate may certify it (the default ``grad_tol``)
+#: that the spectral certificate may certify it (the default ``grad_tol``).
+#: Like every gradient norm of an inner run, it is measured in the run's
+#: coordinates: the square-root-Gramian ones where :func:`klap` maps them
 _STATIONARY_GRAD = 1e-8
 
 #: step size of the restart's output-space gradient step (retried once at a
@@ -105,6 +114,15 @@ _RESTART_ALPHA = 1e-8
 #: uncontrollable directions, where ``L`` grows without lowering ``J`` much
 #: while the rounding of ``C_hat(L)`` grows as ``||L||^2``
 _PRECOND_FLOOR = 1e-5
+
+#: floor on the Gramian eigenvalues of the coordinates ``T = U diag(sqrt(s))``
+#: of :func:`klap`'s inner runs, relative to the largest.  Lower floors
+#: stretch ``T`` further along nearly uncontrollable directions, where the
+#: runs stall: rand 64x2/1 and 64x4/2, capped at 200 iterations, stop on
+#: line search after 72 and 89 iterations at ``1e-8``, after 26 and 49 at
+#: ``1e-10`` with ``J`` 4.8 % and 0.3 % higher, and after 3 and 17 at
+#: ``1e-15``
+_GRAMIAN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -250,18 +268,25 @@ class _ModalObjective:
     :func:`klap` recomputes each run's output map and its ``J`` through the
     system's kernel.  The interface is :class:`_Objective`'s, with ``None``
     in place of ``X_grad``.
+
+    With ``T_inv``, the objective is that of ``L' = T^T L``, the factor of
+    the similar system ``(T^{-1} A T, T^{-1} B, C T, D)``.  Its eigenbasis
+    is ``T^{-1} V``, while ``b``, ``C V``, ``Q`` and the denominators are
+    unchanged, so only ``V`` is swapped, and the gradient is ``T^{-1}``
+    times the original one.
     """
 
-    def __init__(self, sys: StateSpaceSystem, M: np.ndarray):
+    def __init__(self, sys: StateSpaceSystem, M: np.ndarray, T_inv: np.ndarray | None = None):
         decomp, b = sys._modes()
         lam = decomp.eigenvalues
-        self.V = decomp.right_vectors
+        V = decomp.right_vectors
+        self.V = V if T_inv is None else T_inv.dot(V)
         self.V_t = self.V.T
         self.neg_denom = -(lam[:, None] + lam[None, :])
         self.herm_denom = lam[:, None] + lam.conj()[None, :]
         self.b_t, self.b_h = b.T, b.conj().T
         self.Q = -b.dot(self.b_h) / self.herm_denom
-        self.cV = sys.C.dot(self.V)
+        self.cV = sys.C.dot(V)
         self.M = M
 
     def value(self, L: np.ndarray) -> tuple:
@@ -293,13 +318,16 @@ class _ModalObjective:
         return grad, None
 
 
-def _objective_for(sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray):
+def _objective_for(
+    sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray, T_inv: np.ndarray | None = None
+):
     """The evaluation :func:`lbfgs_minimize` runs: :class:`_ModalObjective`
-    while the system's kernel solves in the eigenbasis of ``A``, otherwise
-    :class:`_Objective` on the kernel's dense route."""
+    while the system's kernel solves in the eigenbasis of ``A`` or when
+    ``T_inv`` maps that basis, otherwise :class:`_Objective` on the
+    kernel's dense route."""
     lyap = sys._lyapunov()
-    if lyap.diagonal:
-        return _ModalObjective(sys, M)
+    if lyap.diagonal or T_inv is not None:
+        return _ModalObjective(sys, M, T_inv)
     return _Objective(sys, P, M, lyap)
 
 
@@ -351,8 +379,9 @@ class KlapConfig:
     Attributes
     ----------
     grad_tol : float
-        Gradient-norm stopping threshold of the inner minimization.  A run
-        it stops above ``1e-8`` is certified by the KYP dual bound alone.
+        Gradient-norm stopping threshold of the inner minimization, in the
+        coordinates the run works in (see :func:`klap`).  A run it stops
+        above ``1e-8`` is certified by the KYP dual bound alone.
     obj_rel_tol : float
         Relative objective-change stop:
         ``|J_k - J_{k-1}| <= obj_rel_tol * (|J_k| + obj_rel_tol)``.  The
@@ -417,7 +446,9 @@ class LbfgsResult:
     ``status`` is one of ``"gradient"``, ``"objective-change"``,
     ``"max-iterations"``, ``"line-search"``; the first two set
     ``converged``.  ``trace`` logs ``(J, ||grad||)`` at the start and after
-    every accepted step; ``J`` is non-increasing along it.
+    every accepted step; ``J`` is non-increasing along it.  ``L``,
+    ``gradient_norm`` and the norms of ``trace`` are in the coordinates the
+    run worked in: those of ``T_inv`` where :func:`lbfgs_minimize` got one.
     """
 
     L: np.ndarray
@@ -435,6 +466,7 @@ def lbfgs_minimize(
     L0: np.ndarray,
     M: np.ndarray,
     config: KlapConfig | None = None,
+    T_inv: np.ndarray | None = None,
 ) -> LbfgsResult:
     """Minimize the squared H2 error over ``L`` by limited-memory BFGS in
     the metric of the Gramian.
@@ -455,6 +487,14 @@ def lbfgs_minimize(
     that basis, and otherwise :class:`_Objective` on the kernel's dense
     route (two Lyapunov solves per accepted step, one per rejected trial).
 
+    With ``T_inv``, the inverse of a similarity ``T``, the run works in the
+    coordinates ``x = T x'``: it minimizes over ``L' = T^T L``, from ``L0``
+    given in those coordinates, with the modal evaluation on the mapped
+    eigenbasis ``T^{-1} V`` and ``H0`` built as above from
+    ``P' = T^{-1} P T^{-T}`` (products, no Lyapunov solve).  The returned
+    ``L``, the gradient norms and the stop test are in those coordinates.
+    ``T_inv`` needs an eigenbasis of ``A`` (:class:`ValueError` otherwise).
+
     Stops when the Euclidean ``||grad|| <= grad_tol``, when the relative
     objective change drops below ``obj_rel_tol``, or after
     ``max_iterations`` accepted steps.  A failed line search returns the
@@ -463,7 +503,11 @@ def lbfgs_minimize(
     """
     cfg = config or KlapConfig()
     L0 = np.asarray(L0, dtype=float).reshape(sys.n, sys.m)
-    objective = _objective_for(sys, P, np.asarray(M, dtype=float))
+    if T_inv is not None and sys._modes()[0] is None:
+        raise ValueError("T_inv maps the eigenbasis of A, and A has none")
+    objective = _objective_for(sys, P, np.asarray(M, dtype=float), T_inv)
+    if T_inv is not None:
+        P = T_inv.dot(P).dot(T_inv.T)
     shape = (sys.n, sys.m)
     s_P, U = np.linalg.eigh(P)
     s_P = np.maximum(s_P, _PRECOND_FLOOR * s_P.max())
@@ -665,6 +709,37 @@ def restart_step(
     return None
 
 
+class _Frame(NamedTuple):
+    """The floored square-root-Gramian coordinates ``x = T x'`` of one
+    :func:`klap` run: ``T = U diag(sqrt(s))`` from ``P = U diag(s) U^T``,
+    with ``s`` floored at :data:`_GRAMIAN_FLOOR` times the largest, and
+    ``system``, the similar system ``(T^{-1} A T, T^{-1} B, C T, D)`` on
+    which the run's output maps are formed."""
+
+    T: np.ndarray
+    T_inv: np.ndarray
+    system: StateSpaceSystem
+
+
+def _gramian_frame(sys: StateSpaceSystem, P: np.ndarray) -> _Frame | None:
+    """The coordinates of :func:`klap`'s inner runs: a :class:`_Frame`
+    where the system's kernel solves in the eigenbasis of ``A``, and
+    ``None`` (``T = I``) where it solves densely, since without the modal
+    evaluation every solve in the new coordinates would be dense too."""
+    if not sys._lyapunov().diagonal:
+        _log.debug("inner runs in original coordinates (T = I): A has no "
+                   "trusted eigenbasis")
+        return None
+    s, U = np.linalg.eigh(P)
+    floor = _GRAMIAN_FLOOR * s.max()
+    r = np.sqrt(np.maximum(s, floor))
+    T, T_inv = U * r, U.T / r[:, None]
+    _log.debug("inner runs in square-root-Gramian coordinates: %d of %d Gramian "
+               "eigenvalues floored at %.0e * max, cond(T) = %.3e",
+               int((s < floor).sum()), sys.n, _GRAMIAN_FLOOR, r.max() / r.min())
+    return _Frame(T, T_inv, sys._similar(T, T_inv))
+
+
 class _Candidate(NamedTuple):
     """A point one inner run ended at (``run`` is ``None`` for a start no
     run finished from), judged once: its output map and ``J`` through the
@@ -697,7 +772,10 @@ class KlapResult:
         Passivating output map (equals ``C`` when the input was passive).
     L_final : (n, m) ndarray or None
         Factor attaining ``C_hat`` (``None`` when the input was passive
-        and no optimization ran).
+        and no optimization ran), in the original coordinates.  Where the
+        run worked in square-root-Gramian coordinates, ``C_hat`` was formed
+        there and ``L_final = T^{-T} L'`` is mapped back, so ``c_of_l``
+        of ``L_final`` gives ``C_hat`` only in exact arithmetic.
     M : (m, m) ndarray
         Square root of ``D + D^T`` used throughout the run.
     J_final : float
@@ -719,11 +797,13 @@ class KlapResult:
         (``C_hat(L)`` is passive in exact arithmetic, so rounding can break
         that; :attr:`message` then gives the margin), and either the inner
         run that produced it stopped on a convergence criterion (not
-        line-search failure / iteration cap) at a gradient norm of at most
-        ``1e-8`` and the spectral certificate passes there, or
+        line-search failure / iteration cap) at a gradient norm, in the
+        run's coordinates, of at most ``1e-8`` and the spectral certificate
+        passes there, or
         :attr:`duality_gap` is at most ``1e-7``.  True for a passive input.
     trace : tuple of (J, grad-norm) pairs
-        Per-iteration log, concatenated across restarts.
+        Per-iteration log, concatenated across restarts, as the inner runs
+        evaluated it: the gradient norm is in the run's coordinates.
     passive_input : bool
         Input system was already passive (by the Popov scan, confirmed by
         :func:`~klap.passivity.check_passive`); returned unchanged.
@@ -775,9 +855,16 @@ def klap(
 
     The run starts from ``config.L0``, or else from the Riccati start of
     :func:`initialize`.  Each round is one inner minimization of the
-    squared H2 error over the Lur'e factor, whose point is judged once, on
-    the output map and ``J`` recomputed through the system's Lyapunov
-    kernel (not the inner run's own evaluation): its model's
+    squared H2 error over the Lur'e factor.  Where the system's kernel
+    solves in the eigenbasis of ``A``, the inner runs work in floored
+    square-root-Gramian coordinates ``x = T x'`` (``T = U diag(sqrt(s))``
+    from ``P = U diag(s) U^T``, ``s`` floored at ``1e-8 * max(s)``), where
+    the Gramian is close to ``I``: every start is mapped to ``L' = T^T L``
+    and each run's output map is formed on ``(T^{-1} A T, T^{-1} B)`` and
+    mapped back by ``T^{-1}``; otherwise ``T = I``.  Each run's point is
+    judged once, in the original coordinates, on the output map and its
+    ``J`` recomputed with the system's Gramian (not the inner run's own
+    evaluation): its model's
     :func:`~klap.passivity.check_passive` verdict and the spectral
     global-optimality certificate (closed-loop spectrum on the imaginary
     axis).  The best point is the one of lowest ``J`` among those whose
@@ -871,6 +958,14 @@ def klap(
         ini = initialize(sys, rng=rng, scan=scan)
         L_start, delta, popov_min = ini.L0, ini.delta, ini.popov_min
 
+    frame = _gramian_frame(sys, P)
+    coordinates = "original" if frame is None else "square-root-Gramian"
+
+    def to_run(L: np.ndarray) -> np.ndarray:
+        """A start in the coordinates of the inner runs."""
+        return L if frame is None else frame.T.T.dot(L)
+
+    L_start = to_run(L_start)
     trace: list[tuple[float, float]] = []
     total_iterations = 0
     restarts_used = 0
@@ -881,7 +976,12 @@ def klap(
     message = "restart budget exhausted without certificate"
 
     def judge(L: np.ndarray, run: LbfgsResult | None = None) -> _Candidate:
-        C_hat = c_of_l(sys, LurePoint(L, M))
+        """Judge the point ``L`` of the run coordinates in the original ones."""
+        if frame is None:
+            C_hat = c_of_l(sys, LurePoint(L, M))
+        else:
+            C_hat = c_of_l(frame.system, LurePoint(L, M)).dot(frame.T_inv)
+            L = frame.T_inv.T.dot(L)
         return _Candidate(run, L, C_hat, h2_error_sq(sys, C_hat, P=P),
                           check_passive(sys.with_output(C_hat)),
                           global_min_certificate(sys, L))
@@ -900,7 +1000,8 @@ def klap(
 
     try:
         for round_index in range(cfg.max_restarts + 1):
-            run = lbfgs_minimize(sys, P, L_start, M, cfg)
+            run = lbfgs_minimize(sys, P, L_start, M, cfg,
+                                 T_inv=None if frame is None else frame.T_inv)
             trace.extend(run.trace)
             total_iterations += run.iterations
             cand = judge(run.L, run)
@@ -912,12 +1013,19 @@ def klap(
                 best = cand
             # the spectral test rejects true optima too: while the best point
             # is not certified, the dual bound judges every point
+            gap_text = "not evaluated"
             if not certified(best):
                 gap = _kyp_dual_gap(sys, P, cand.C_hat, cand.J)
+                gap_text = "none" if gap is None else f"{gap:.3e}"
                 if gap is not None and (
                     bound is None or cand.J * (1.0 - gap) > bound[0].J * (1.0 - bound[1])
                 ):
                     bound = (cand, gap)
+            _log.debug("round %d: %s after %d iterations, J = %.17g, ||grad J|| = %.3e "
+                       "in %s coordinates, check_passive %s (margin %.3e), dual gap %s",
+                       round_index, run.status, run.iterations, cand.J, run.gradient_norm,
+                       coordinates, "passes" if cand.verdict.passive else "fails",
+                       cand.verdict.margin, gap_text)
             if certified(best):
                 if not best.spectral:
                     message = "stationary point certified by the KYP dual bound"
@@ -931,6 +1039,7 @@ def klap(
             L_start = restart_step(sys, P, cand.C_hat)
             if L_start is None:
                 L_start = _random_factor(rng, sys, M)
+            L_start = to_run(L_start)
             restarts_used += 1
     except Exception as exc:  # contract: never raise once optimization began
         _log.warning("optimization aborted: %s", exc)

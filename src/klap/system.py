@@ -150,6 +150,18 @@ class StateSpaceSystem:
         other._set(self.A, self.B, _matrix(C, m, n, "C"), _matrix(D, m, m, "D"), self._eigen)
         return other
 
+    def _similar(self, T: np.ndarray, T_inv: np.ndarray) -> "StateSpaceSystem":
+        """The system ``(T^{-1} A T, T^{-1} B, C T, D)``, for a well-formed
+        pair ``T``, ``T_inv``.  It keeps this system's checked stability,
+        spectral abscissa and radius, which a similarity does not change,
+        and no eigenbasis: its Lyapunov kernel is the dense one, built and
+        factored on first use and kept by the new system alone."""
+        other = object.__new__(StateSpaceSystem)
+        eigen = {"abscissa": self._eigen["abscissa"], "radius": self._eigen["radius"],
+                 "modes": (None, None)}
+        other._set(T_inv @ self.A @ T, T_inv @ self.B, self.C @ T, self.D, eigen)
+        return other
+
     def _spectral_abscissa(self) -> float:
         """Largest eigenvalue real part of ``A``, kept from the stability
         check."""

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -61,6 +62,48 @@ def kron_lyapunov_oracle(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     x = np.linalg.solve(K, -W.reshape(-1, order="F"))
     X = x.reshape((n, n), order="F")
     return 0.5 * (X + X.T)
+
+
+def exact_h2_error_sq(sys, C_hat: np.ndarray, digits: int = 50) -> float:
+    """``tr((C - C_hat) P (C - C_hat)^T)`` computed with ``digits``
+    significant digits in the modal form of ``A``, rounded once to float.
+
+    The float inputs are taken as exact.  With ``A = V diag(lam) V^{-1}``
+    from ``mpmath.eig``, ``b = V^{-1} B`` and ``e = (C - C_hat) V``, the
+    modal Gramian is ``Q_ij = -(b b^H)_ij / (lam_i + conj(lam_j))`` and
+    ``J = Re tr(e Q e^H)``.  Independent of the float Gramian, whose
+    quadratic form cancels where ``C_hat`` has large entries.  ``mpmath.eig``
+    dominates the cost (tens of milliseconds at n = 8, seconds at n = 16).
+    """
+    n, m = sys.n, sys.m
+    C_hat = np.asarray(C_hat, dtype=float).reshape(m, n)
+    with mpmath.workdps(digits):
+        lam, V = mpmath.eig(mpmath.matrix(sys.A.tolist()))
+        b = mpmath.inverse(V) * mpmath.matrix(sys.B.tolist())
+        E = mpmath.matrix(sys.C.tolist()) - mpmath.matrix(C_hat.tolist())
+        e = E * V
+        Q = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                bb = mpmath.fsum(b[i, k] * mpmath.conj(b[j, k]) for k in range(m))
+                Q[i, j] = -bb / (lam[i] + mpmath.conj(lam[j]))
+        eQ = e * Q
+        J = mpmath.fsum(eQ[r, i] * mpmath.conj(e[r, i]) for r in range(m) for i in range(n))
+        return float(mpmath.re(J))
+
+
+def exact_popov_min(sys, omega: float, digits: int = 50) -> float:
+    """Smallest eigenvalue of the Popov function ``G(i w) + G(i w)^H`` at
+    ``w = omega``, computed with ``digits`` significant digits from the
+    float matrices of ``sys`` taken as exact, rounded once to float.  A
+    negative value is a witness that the system is not passive."""
+    n = sys.n
+    with mpmath.workdps(digits):
+        A = mpmath.matrix(sys.A.tolist())
+        resolvent = mpmath.inverse(mpmath.mpc(0, omega) * mpmath.eye(n) - A)
+        G = mpmath.matrix(sys.C.tolist()) * resolvent * mpmath.matrix(sys.B.tolist())
+        G += mpmath.matrix(sys.D.tolist())
+        return float(min(mpmath.eigh(G + G.H, eigvals_only=True)))
 
 
 def kyp_residual(sys, X: np.ndarray) -> np.ndarray:

@@ -114,6 +114,32 @@ def test_with_output_shares_dynamics():
     assert_allclose(other.C, [[0.0, 1.0]])
 
 
+def test_similar_system_keeps_the_checked_spectrum_and_solves_densely(monkeypatch):
+    # (T^{-1} A T, T^{-1} B, C T, D): no second stability test, no
+    # eigenbasis, and a dense kernel of its own that leaves the original's
+    # caches alone
+    sys = rand_family_system(8, 2, 4)
+    sys._lyapunov()
+    cached = dict(sys._eigen)
+    T = np.diag(np.arange(1.0, 9.0))
+    T_inv = np.diag(1.0 / np.arange(1.0, 9.0))
+
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("the stability test ran again")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    other = sys._similar(T, T_inv)
+    assert_allclose(other.A, T_inv @ sys.A @ T)
+    assert_allclose(other.B, T_inv @ sys.B)
+    assert_allclose(other.C, sys.C @ T)
+    assert other.D is sys.D
+    assert other._spectral_abscissa() == sys._spectral_abscissa()
+    assert other._spectral_radius() == sys._spectral_radius()
+    assert other._modes() == (None, None)
+    assert other._lyapunov().strategy == "dense"
+    assert sys._eigen == cached
+
+
 # ---------------------------------------------------------------------------
 # transfer and Popov evaluation
 # ---------------------------------------------------------------------------
