@@ -64,7 +64,7 @@ from .passivity import (
     _DUAL_GAP_RTOL,
     GlobalMinCertificate,
     PassivityVerdict,
-    _kyp_dual_gap,
+    _kyp_dual,
     check_passive,
     global_min_certificate,
     l_from_are,
@@ -973,6 +973,9 @@ def klap(
     # the highest KYP dual lower bound J (1 - gap) <= J* found so far: the
     # candidate it was found at and its gap there
     bound: tuple[_Candidate, float] | None = None
+    # the KYP dual bound's map (C_hat, J) -> gap, built on the first
+    # uncertified round
+    dual_gap = None
     message = "restart budget exhausted without certificate"
 
     def judge(L: np.ndarray, run: LbfgsResult | None = None) -> _Candidate:
@@ -1015,7 +1018,9 @@ def klap(
             # is not certified, the dual bound judges every point
             gap_text = "not evaluated"
             if not certified(best):
-                gap = _kyp_dual_gap(sys, P, cand.C_hat, cand.J)
+                if dual_gap is None:
+                    dual_gap = _kyp_dual(sys, P)
+                gap = dual_gap(cand.C_hat, cand.J)
                 gap_text = "none" if gap is None else f"{gap:.3e}"
                 if gap is not None and (
                     bound is None or cand.J * (1.0 - gap) > bound[0].J * (1.0 - bound[1])

@@ -34,6 +34,8 @@ certifies the points it rejects.
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -435,9 +437,12 @@ def global_min_certificate(
 #: bound certifies a point (see :func:`_kyp_dual_gap`)
 _DUAL_GAP_RTOL = 1e-7
 
-#: barrier weights ``mu / J`` of the dual's path, one Newton centering each:
-#: ``mu = J`` reaches the optimum from a far start; below ``1e-8 J`` the
-#: Cholesky test no longer guards the feasibility of the dual point
+#: barrier weights ``mu / J`` of the dual's path, one Newton centering each.
+#: A start far from the optimum runs all of them (``mu = J`` reaches the
+#: optimum from afar); a start near it enters at its first weight ``<= mu0``,
+#: the weight its own shortfall implies (see :func:`_kyp_dual_gap`).  Below
+#: ``1e-8 J`` the Cholesky test no longer guards the feasibility of the dual
+#: point
 _DUAL_MU_PATH = (1.0, 1e-2, 1e-4, 1e-6, 1e-8)
 
 #: damped Newton steps per barrier weight
@@ -445,10 +450,12 @@ _DUAL_NEWTON_STEPS = 50
 
 #: largest ``m n^4`` the dense dual takes on (n = 32 with m = 4).  A Newton
 #: step costs about ``(m + 4) m n^4`` flops and its arrays hold ``m n^3``
-#: numbers.  Timed with the whole mu path run (one BLAS thread, 2-core
-#: x86-64), one evaluation takes 0.22-0.33 s at or below the cap (rand 32x4,
-#: 24x8, 20x16), a fifth to a third of one 3,000-iteration inner run there,
-#: and grows as ``n^4`` beyond it (0.40-0.57 s at rand 40x4)
+#: numbers.  Timed at the point of a first inner run (one BLAS thread,
+#: 2-core x86-64), one evaluation takes 0.02-0.06 s at or below the cap
+#: (rand 32x4, 24x8 and 20x16, seeds 1 and 2), about 0.01 s of it the
+#: set-up that klap() builds once per run, against 0.07-0.21 s for the
+#: whole ``klap(sys, max_restarts=0)`` solve; it grows as ``n^4`` beyond the
+#: cap (0.09-0.22 s at rand 40x4)
 _DUAL_MAX_WORK = 1 << 22
 
 _EPS = float(np.finfo(float).eps)
@@ -486,46 +493,77 @@ def _kyp_dual_gap(
     ``E'``, so its values at the ``mn`` unit matrices are solved once, on
     one real Schur form of the normalized ``A``; every later ``Z11`` and
     the Newton systems are dense algebra on that basis.  Damped Newton
-    maximizes ``g + mu log det Z11`` for each ``mu`` of
-    :data:`_DUAL_MU_PATH` (times ``J``).  It starts from ``E' = C -
-    C_hat`` moved along ``-B^T P^{-1}``, which adds a multiple of ``P`` to
-    ``Z11``, far enough that ``lambda_min(Z11)`` is a tenth of its spread
-    inside; trial points where the Cholesky factorization of ``Z11`` fails
-    are rejected.  At a centered point ``J* <= g + n mu``, so the path
-    stops once ``g + n mu < (1 - _DUAL_GAP_RTOL) J``: no later point could
-    certify.  The bound is kept only if ``Z11``, solved afresh at the final
-    ``E'``, has ``lambda_min`` above ``n eps cond(T) lambda_max``, the
-    rounding level of the normalization.
+    maximizes ``g + mu log det Z11`` for weights ``mu`` of
+    :data:`_DUAL_MU_PATH` (times ``J``); trial points where the Cholesky
+    factorization of ``Z11`` fails are rejected.  At a centered point
+    ``J* <= g + n mu``, so the path stops once ``g + n mu < (1 -
+    _DUAL_GAP_RTOL) J``: no later point could certify.
 
-    The normalized Gramian is ``I`` only up to the rounding of ``P``;
-    solved again on the Schur form it is ``I + Delta``.  The Gramian
-    enters ``g`` only through ``G = E' P`` and the term ``tr(E' P E'^T) =
-    tr(G P^{-1} G^T)``: the linear term, ``Z11`` and the last term depend
-    on ``G`` alone.  So the dual point of the exact Gramian with the same
-    ``G`` (``F = E' T`` in normalized coordinates, ``F (I + Delta)^{-1}``
-    for the exact one) differs from the computed ``g`` only by ``tr(F (I -
-    (I + Delta)^{-1}) F^T) >= -||Delta||_2 / (1 - ||Delta||_2) ||F||_F^2``,
-    and the returned bound gives that up.  Not covered is the rounding of
-    the transformation and of the Schur solves themselves, at the level of
-    ``eps cond(T)``: the ``Z11`` margin guards feasibility against it, and
-    the value rests on the seeded sweeps of the tests.
+    The start is the candidate's own error ``E' = C - C_hat``, the dual's
+    maximizer when ``C_hat`` is optimal, moved along ``-B^T P^{-1}``: that
+    adds a multiple of ``P`` to ``Z11`` and lifts ``lambda_min(Z11)`` by
+    the same amount.  How far is read off the candidate.  A probe lifted
+    ``1e-5`` of ``Z11``'s spread inside gives ``g_probe``, and with it the
+    first weight ``mu0 = max((J - g_probe) / n, 1e-8 J)``, the ``mu`` whose
+    ``n mu`` matches the gap the probe leaves.  The start is lifted
+    ``min(0.1, max(1e-5, mu0 / J))`` of the spread inside (doubling the
+    lift while the Cholesky test fails: a start at the boundary swamps the
+    Newton systems), and the path runs from its first weight ``<= mu0``.
+    A far candidate (``mu0 >= J``, or an infeasible probe) starts a tenth
+    of the spread inside at ``mu = J``, which reaches the optimum from
+    afar; a nearly optimal one starts close to the boundary at a small
+    weight and needs a few steps.
 
-    Returns ``None``, with the reason logged at debug level, when ``P`` is
-    not numerically positive definite, no strictly feasible start is found,
-    the final ``Z11`` misses that margin, ``||Delta||_2 >= 1``, or
-    ``m n^4`` exceeds :data:`_DUAL_MAX_WORK`.  Uses neither the system's
-    Lyapunov kernel nor its caches, and draws no random numbers.
+    The bound is kept only if ``Z11``, solved afresh at the final ``E'``,
+    has ``lambda_min`` above ``n eps cond(T) lambda_max``, the rounding
+    level of the normalization.  The normalized Gramian is ``I`` only up
+    to the rounding of ``P``; solved again on the Schur form it is ``I +
+    Delta``.  The Gramian enters ``g`` only through ``G = E' P`` and the
+    term ``tr(E' P E'^T) = tr(G P^{-1} G^T)``: the linear term, ``Z11`` and
+    the last term depend on ``G`` alone.  So the dual point of the exact
+    Gramian with the same ``G`` (``F = E' T`` in normalized coordinates,
+    ``F (I + Delta)^{-1}`` for the exact one) differs from the computed
+    ``g`` only by ``tr(F (I - (I + Delta)^{-1}) F^T) >= -||Delta||_2 / (1 -
+    ||Delta||_2) ||F||_F^2``, and the returned bound gives that up.  Not
+    covered is the rounding of the transformation and of the Schur solves
+    themselves, at the level of ``eps cond(T)``: the ``Z11`` margin guards
+    feasibility against it, and the value rests on the seeded sweeps of the
+    tests.
+
+    Returns ``None`` when ``m n^4`` exceeds :data:`_DUAL_MAX_WORK`, ``P`` is
+    not numerically positive definite, ``||Delta||_2 >= 1`` (these three
+    are refused before any Newton step), no strictly feasible start is
+    found, or the final ``Z11`` misses that margin.  Each evaluation logs
+    one debug line: ``mu0 / J``, the start's lift, the Newton steps and how
+    it ended (certified, stopped by the ``g + n mu`` test, end of the path,
+    or refused and why).  Uses neither the system's Lyapunov kernel nor its
+    caches, and draws no random numbers.
     """
+    return _kyp_dual(sys, P)(C_hat, J)
+
+
+def _kyp_dual(
+    sys: StateSpaceSystem, P: np.ndarray
+) -> Callable[[np.ndarray, float], float | None]:
+    """The map ``(C_hat, J) -> gap`` of :func:`_kyp_dual_gap` for one
+    ``(sys, P)``.  What depends on the pair alone is built here, once: the
+    size cap, ``eigh(P)`` and its definiteness test, ``T``, the Schur form
+    of ``T^{-1} A T``, the ``mn`` basis solves of ``Z11``, the lift
+    direction and the normalization's defect.  A refused pair gets a map
+    that logs the reason and returns ``None``."""
     n, m = sys.n, sys.m
+
+    def refused(reason: str):
+        def gap(C_hat: np.ndarray, J: float) -> None:
+            _log.debug("KYP dual bound refused before the path: %s", reason)
+        return gap
+
     if m * n**4 > _DUAL_MAX_WORK:
-        _log.debug("no KYP dual bound: m n^4 = %d exceeds the dense dual's "
-                   "budget %d", m * n**4, _DUAL_MAX_WORK)
-        return None
+        return refused(f"m n^4 = {m * n**4} exceeds the dense dual's budget {_DUAL_MAX_WORK}")
     s, U = np.linalg.eigh(P)
     if not s[0] > n * _EPS * s[-1]:
-        _log.debug("no KYP dual bound: the Gramian is not numerically positive "
-                   "definite (eigenvalues %.2e to %.2e)", s[0], s[-1])
-        return None
+        return refused("the Gramian is not numerically positive definite "
+                       f"(eigenvalues {s[0]:.2e} to {s[-1]:.2e})")
     r = np.sqrt(s)
     T, T_inv = U * r, U.T / r[:, None]
     B = T_inv @ sys.B
@@ -543,6 +581,12 @@ def _kyp_dual_gap(
     units = np.eye(N).reshape(N, m, n)
     basis = np.stack([z11(F) for F in units])
     flat = basis.reshape(N, n * n)
+    # moving E' by -t B^T adds 2 t I to Z11: the normalized Gramian solved on
+    # the Schur form is -Z_dir / 2 = I + Delta
+    lift, Z_dir = B.T.ravel(), z11(B.T)
+    defect = np.linalg.norm(0.5 * Z_dir + np.eye(n), 2)
+    if not defect < 1.0:
+        return refused(f"the normalized Gramian is off the identity by {defect:.2e}")
 
     def barrier(x: np.ndarray, Z: np.ndarray, mu: float) -> tuple | None:
         """``(g + mu log det Z, g, chol(Z)^{-1})``, or ``None`` where ``Z``
@@ -557,69 +601,84 @@ def _kyp_dual_gap(
         g = 2.0 * np.vdot(C, F) - np.vdot(F, F) - np.vdot(W @ R, W)
         return g + 2.0 * mu * np.log(chol.diagonal()).sum(), g, chol_inv
 
-    # start: C - C_hat minus t B^T, which adds 2 t I to Z11; t lifts
-    # lambda_min(Z11) a tenth of its spread inside (a start at the boundary
-    # swamps the Newton systems), doubling while the Cholesky test fails
-    x = ((sys.C - C_hat) @ T).ravel()
-    Z, Z_dir = (x @ flat).reshape(n, n), z11(B.T)
-    lam = np.linalg.eigvalsh(Z)
-    t = 0.5 * (max(0.0, -lam[0]) + 0.1 * max(lam[-1] - lam[0], _EPS))
-    for _ in range(60):
-        if barrier(x - t * B.T.ravel(), Z - t * Z_dir, 0.0) is not None:
-            break
-        t *= 2.0
-    else:
-        _log.debug("no KYP dual bound: no strictly feasible start")
-        return None
-    x, Z = x - t * B.T.ravel(), Z - t * Z_dir
+    def gap(C_hat: np.ndarray, J: float) -> float | None:
+        x = ((sys.C - C_hat) @ T).ravel()
+        Z = (x @ flat).reshape(n, n)
+        lam = np.linalg.eigvalsh(Z)
+        floor, spread = max(0.0, -lam[0]), max(lam[-1] - lam[0], _EPS)
+        # the probe's shortfall J - g, spread over the n barrier terms, is
+        # the weight a centered point near it would carry
+        t = 0.5 * (floor + 1e-5 * spread)
+        probe = barrier(x - t * lift, Z - t * Z_dir, 0.0)
+        mu0 = math.inf if probe is None else max((J - probe[1]) / n, 1e-8 * J)
+        inside = min(0.1, max(1e-5, mu0 / J))
+        t = 0.5 * (floor + inside * spread)
+        for _ in range(60):
+            if barrier(x - t * lift, Z - t * Z_dir, 0.0) is not None:
+                break
+            t *= 2.0
+        else:
+            return _dual_done(mu0 / J, inside, 0, None, "refused: no strictly feasible start")
+        x, Z = x - t * lift, Z - t * Z_dir
 
-    for mu in np.multiply(_DUAL_MU_PATH, J):
-        point, centered = barrier(x, Z, mu), False
-        for _ in range(_DUAL_NEWTON_STEPS):
-            value, _, chol_inv = point
-            F = x.reshape(m, n)
-            K = chol_inv.T @ chol_inv  # Z^{-1}
-            FK = F @ K
-            grad = 2.0 * (C - F - R @ FK).ravel() + flat @ (FK.T @ R @ FK + mu * K).ravel()
-            # minus the Hessian: 2 I + 2 V V^T + mu Zh Zh^T, with
-            # V_k = M (E_k - F K Z_k) chol^{-T} and Zh_k = chol^{-1} Z_k chol^{-T}
-            V = (M @ (units - FK @ basis) @ chol_inv.T).reshape(N, -1)
-            Zh = (chol_inv @ basis @ chol_inv.T).reshape(N, -1)
-            hess = 2.0 * (V @ V.T) + mu * (Zh @ Zh.T)
-            hess[np.diag_indices(N)] += 2.0
-            try:
-                d = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:  # the barrier swamped the 2 I
-                break
-            decrement = float(grad @ d)
-            if decrement <= 1e-14 * J:
-                centered = True
-                break
-            Z_d, step = (d @ flat).reshape(n, n), 1.0
-            for _ in range(50):
-                trial = barrier(x + step * d, Z + step * Z_d, mu)
-                if trial is not None and trial[0] >= value + 1e-4 * step * decrement:
+        steps, ending = 0, "end of the path"
+        mus = np.multiply(_DUAL_MU_PATH, J)
+        for mu in mus[mus <= mu0]:
+            point, centered = barrier(x, Z, mu), False
+            for _ in range(_DUAL_NEWTON_STEPS):
+                value, _, chol_inv = point
+                F = x.reshape(m, n)
+                K = chol_inv.T @ chol_inv  # Z^{-1}
+                FK = F @ K
+                grad = 2.0 * (C - F - R @ FK).ravel() + flat @ (FK.T @ R @ FK + mu * K).ravel()
+                # minus the Hessian: 2 I + 2 V V^T + mu Zh Zh^T, with
+                # V_k = M (E_k - F K Z_k) chol^{-T} and Zh_k = chol^{-1} Z_k chol^{-T}
+                V = (M @ (units - FK @ basis) @ chol_inv.T).reshape(N, -1)
+                Zh = (chol_inv @ basis @ chol_inv.T).reshape(N, -1)
+                hess = 2.0 * (V @ V.T) + mu * (Zh @ Zh.T)
+                hess[np.diag_indices(N)] += 2.0
+                steps += 1
+                try:
+                    d = np.linalg.solve(hess, grad)
+                except np.linalg.LinAlgError:  # the barrier swamped the 2 I
                     break
-                step *= 0.5
-            else:
+                decrement = float(grad @ d)
+                if decrement <= 1e-14 * J:
+                    centered = True
+                    break
+                Z_d, step = (d @ flat).reshape(n, n), 1.0
+                for _ in range(50):
+                    trial = barrier(x + step * d, Z + step * Z_d, mu)
+                    if trial is not None and trial[0] >= value + 1e-4 * step * decrement:
+                        break
+                    step *= 0.5
+                else:
+                    break
+                x, Z, point = x + step * d, Z + step * Z_d, trial
+            if centered and point[1] + n * mu < (1.0 - _DUAL_GAP_RTOL) * J:
+                ending = f"stopped at mu = {mu / J:.0e} J by g + n mu < (1 - 1e-7) J"
                 break
-            x, Z, point = x + step * d, Z + step * Z_d, trial
-        if centered and point[1] + n * mu < (1.0 - _DUAL_GAP_RTOL) * J:
-            break
 
-    Z = z11(x.reshape(m, n))
-    lam = np.linalg.eigvalsh(Z)
-    margin = n * _EPS * (r[-1] / r[0]) * lam[-1]
-    final = barrier(x, Z, 0.0)
-    if final is None or not lam[0] > margin:
-        _log.debug("no KYP dual bound: lambda_min(Z11) = %.2e is below the "
-                   "normalization's rounding margin %.2e", lam[0], margin)
-        return None
-    # the normalized Gramian solved on the Schur form is -Z_dir / 2 = I + Delta
-    defect = np.linalg.norm(0.5 * Z_dir + np.eye(n), 2)
-    if not defect < 1.0:
-        _log.debug("no KYP dual bound: the normalized Gramian is off the "
-                   "identity by %.2e", defect)
-        return None
-    g = final[1] - defect / (1.0 - defect) * x.dot(x)
-    return float((J - g) / J)
+        Z = z11(x.reshape(m, n))
+        lam = np.linalg.eigvalsh(Z)
+        margin = n * _EPS * (r[-1] / r[0]) * lam[-1]
+        final = barrier(x, Z, 0.0)
+        if final is None or not lam[0] > margin:
+            return _dual_done(mu0 / J, inside, steps, None,
+                              f"refused: lambda_min(Z11) = {lam[0]:.2e} is below the "
+                              f"normalization's rounding margin {margin:.2e}")
+        g = final[1] - defect / (1.0 - defect) * x.dot(x)
+        value = float((J - g) / J)
+        if value <= _DUAL_GAP_RTOL:
+            ending = "certified"
+        return _dual_done(mu0 / J, inside, steps, value, f"{ending}, gap {value:.3e}")
+
+    return gap
+
+
+def _dual_done(mu0_rel: float, inside: float, steps: int, gap: float | None,
+               ending: str) -> float | None:
+    """Log one dual evaluation of :func:`_kyp_dual` and return its gap."""
+    _log.debug("KYP dual bound from mu0 = %.2e J, lifted %.0e of Z11's spread inside, "
+               "%d Newton steps: %s", mu0_rel, inside, steps, ending)
+    return gap

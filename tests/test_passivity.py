@@ -7,6 +7,8 @@ minimal root.  Strictly passive test systems are built from Lur'e data so
 passivity holds by construction with a known margin.
 """
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -644,11 +646,11 @@ def test_klap_states_a_later_bound_at_the_returned_point(monkeypatch):
 
     calls = []
 
-    def fake_gap(sys, P, C_hat, J):
+    def fake_gap(C_hat, J):
         calls.append(J)
         return None if len(calls) == 1 else 1e-8
 
-    monkeypatch.setattr(optimizer_mod, "_kyp_dual_gap", fake_gap)
+    monkeypatch.setattr(optimizer_mod, "_kyp_dual", lambda sys, P: fake_gap)
     res = klap(rand_family_system(6, 1, 2))
     J_0, J_1 = calls
     assert J_1 > J_0 == res.J_final
@@ -666,6 +668,94 @@ def test_kyp_dual_gap_leaves_the_system_caches_alone():
     gap = _kyp_dual_gap(sys, P, np.zeros((1, 6)), float(np.trace(sys.C @ P @ sys.C.T)))
     assert gap > 0.0
     assert sys._eigen == cached  # no eigenbasis and no Lyapunov kernel built
+
+
+def dual_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "klap.passivity" and "KYP dual bound" in r.getMessage()]
+
+
+@pytest.mark.parametrize("n, m, seed", [(6, 1, 2), (8, 1, 1), (8, 2, 4), (8, 4, 3)])
+def test_kyp_dual_certifies_a_near_optimum_in_few_newton_steps(n, m, seed, caplog):
+    # the candidate's own error is nearly the dual's maximizer: the start
+    # sits close to the boundary at a small first weight, and one
+    # evaluation certifies in at most 25 Newton steps (45-80 from a start a
+    # tenth of Z11's spread inside at mu = J)
+    with caplog.at_level("DEBUG", logger="klap.passivity"):
+        res = klap(rand_family_system(n, m, seed))
+    assert res.converged and not res.certificate.is_global_candidate
+    (line,) = dual_lines(caplog)
+    match = re.search(r"mu0 = (\S+) J, lifted (\S+) of .*, (\d+) Newton steps: certified", line)
+    assert match, line
+    mu0, lifted, steps = float(match[1]), float(match[2]), int(match[3])
+    assert mu0 < 1e-2 and lifted < 1e-2
+    assert steps <= 25
+
+
+def test_kyp_dual_gap_is_unchanged_far_from_the_optimum(caplog):
+    # a far candidate's probe implies mu0 >= J: the start a tenth of the
+    # spread inside and the whole mu path, bit for bit as before the warm
+    # start
+    sys = toy_system(0.125)
+    loc = klap(sys, L0=[[-2.0], [0.0]], max_restarts=0)
+    with caplog.at_level("DEBUG", logger="klap.passivity"):
+        gap = _kyp_dual_gap(sys, controllability_gramian(sys), loc.C_hat, loc.J_final)
+    assert gap == 2.0373473519103342
+    (line,) = dual_lines(caplog)
+    assert "lifted 1e-01 of" in line and float(line.split("mu0 = ")[1].split()[0]) >= 1.0
+    # nearly passive rand 6x1/2: J of order 1e-9, a gap far above the tolerance
+    base = rand_family_system(6, 1, 2)
+    C_opt = klap(base).C_hat
+    res = klap(base.with_output(C_opt + 1e-4 * (base.C - C_opt)))
+    assert res.duality_gap == 4.0096304131376215e-06
+
+
+def test_kyp_dual_gap_certifies_a_seeded_sweep():
+    # the non-passive rand n x {1,2,3} of seeds 20-25, n = 4, 6, 8, at their
+    # first runs' points: as many certified as with the cold start (all but
+    # 6x1/20 and 6x1/23, whose gaps are 3.4e-7 and 3.7e-7)
+    certified = total = 0
+    for n in (4, 6, 8):
+        for m in (1, 2, 3):
+            for seed in range(20, 26):
+                sys = rand_family_system(n, m, seed)
+                res = klap(sys, max_restarts=0)
+                if res.passive_input:
+                    continue
+                total += 1
+                gap = _kyp_dual_gap(sys, controllability_gramian(sys), res.C_hat, res.J_final)
+                certified += gap is not None and gap <= _DUAL_GAP_RTOL
+    assert total == 47 and certified == 45
+
+
+def test_klap_builds_the_dual_once_and_refuses_before_the_path(monkeypatch, caplog):
+    # rand 16x1/6's Gramian is refused by the set-up, which klap() builds
+    # once for its six uncertified rounds; no Newton step is taken
+    import klap.optimizer as optimizer_mod
+
+    built = []
+
+    def counted(sys, P):
+        built.append(P)
+        return passivity._kyp_dual(sys, P)
+
+    monkeypatch.setattr(optimizer_mod, "_kyp_dual", counted)
+    with caplog.at_level("DEBUG", logger="klap.passivity"):
+        res = klap(rand_family_system(16, 1, 6))
+    assert res.restarts == 5 and len(built) == 1
+    lines = dual_lines(caplog)
+    assert len(lines) == 6
+    assert all("not numerically positive definite" in line for line in lines)
+    assert "Newton steps" not in caplog.text
+    # a Gramian a third of the true one normalizes to I / 3: its defect
+    # ||Delta||_2 = 2 is refused before the path as well
+    sys = rand_family_system(6, 1, 2)
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="klap.passivity"):
+        gap = _kyp_dual_gap(sys, controllability_gramian(sys) / 3.0, np.zeros((1, 6)), 1.0)
+    assert gap is None
+    (line,) = dual_lines(caplog)
+    assert "off the identity by 2.00e+00" in line and "Newton steps" not in line
 
 
 # ---------------------------------------------------------------------------
