@@ -29,9 +29,10 @@ which numpy computes one triangle and mirrors it, and the adjoint
 right-hand side ``-(F + F^T)/2``).  A :class:`~klap.system.StateSpaceSystem` owns the
 kernel of its ``A``, built on first use from the eigenbasis it caches;
 the Gramian, the optimizer's dense inner loop, the restarts and the
-output maps all solve through it (the optimizer's runs in
-square-root-Gramian coordinates form their output maps through the dense
-kernel of the similar system instead).  Two strategies are provided:
+output maps all solve through it (where the optimizer's
+:class:`~klap.optimizer._Frame` maps its runs to square-root-Gramian
+coordinates, their output maps solve through the dense kernel of the
+similar system instead).  Two strategies are provided:
 
 ``"diagonalized"``
     One spectral decomposition ``A = V diag(lam) V^{-1}``, made once per

@@ -26,12 +26,12 @@ initialization, a spectral certificate of global optimality backed by the KYP
 dual bound of :mod:`klap.passivity`, and a restart strategy that escapes
 non-global stationary points, all orchestrated by :func:`klap`.
 
-Where ``A`` has a trusted eigenbasis, :func:`klap` runs every inner
-minimization in floored square-root-Gramian coordinates ``x = T x'``,
-``T = U diag(sqrt(s))`` from ``P = U diag(s) U^T``, where the Gramian is
-close to the identity: over ``L' = T^T L``, with each output map formed on
-``(T^{-1} A T, T^{-1} B)`` and mapped back by ``T^{-1}``.  ``J``, the
-passivity check and both certificates stay in the original coordinates.
+Each :func:`klap` call builds one :class:`_Frame`: the coordinates of its
+inner minimizations (floored square-root-Gramian ones where ``A`` has a
+trusted eigenbasis), the objective and the L-BFGS metric in them, and the
+map of a run's factor back to an output map.  :func:`lbfgs_minimize` is a
+plain minimizer of the objective it is given.  ``J``, the passivity check
+and both certificates stay in the original coordinates.
 """
 
 from __future__ import annotations
@@ -65,14 +65,13 @@ from .passivity import (
     GlobalMinCertificate,
     PassivityVerdict,
     _kyp_dual,
+    _passive_tolerance,
     check_passive,
     global_min_certificate,
     l_from_are,
-    scan_verdict,
     solve_are,
 )
 from .system import (
-    PopovScan,
     StateSpaceSystem,
     controllability_gramian,
     h2_error_sq,
@@ -269,11 +268,11 @@ class _ModalObjective:
     system's kernel.  The interface is :class:`_Objective`'s, with ``None``
     in place of ``X_grad``.
 
-    With ``T_inv``, the objective is that of ``L' = T^T L``, the factor of
-    the similar system ``(T^{-1} A T, T^{-1} B, C T, D)``.  Its eigenbasis
-    is ``T^{-1} V``, while ``b``, ``C V``, ``Q`` and the denominators are
-    unchanged, so only ``V`` is swapped, and the gradient is ``T^{-1}``
-    times the original one.
+    With ``T_inv`` (a :class:`_Frame`'s), the objective is that of
+    ``L' = T^T L``, the factor of the similar system ``(T^{-1} A T, T^{-1}
+    B, C T, D)``.  Its eigenbasis is ``T^{-1} V``, while ``b``, ``C V``,
+    ``Q`` and the denominators are unchanged, so only ``V`` is swapped, and
+    the gradient is ``T^{-1}`` times the original one.
     """
 
     def __init__(self, sys: StateSpaceSystem, M: np.ndarray, T_inv: np.ndarray | None = None):
@@ -318,19 +317,6 @@ class _ModalObjective:
         return grad, None
 
 
-def _objective_for(
-    sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray, T_inv: np.ndarray | None = None
-):
-    """The evaluation :func:`lbfgs_minimize` runs: :class:`_ModalObjective`
-    while the system's kernel solves in the eigenbasis of ``A`` or when
-    ``T_inv`` maps that basis, otherwise :class:`_Objective` on the
-    kernel's dense route."""
-    lyap = sys._lyapunov()
-    if lyap.diagonal or T_inv is not None:
-        return _ModalObjective(sys, M, T_inv)
-    return _Objective(sys, P, M, lyap)
-
-
 def objective_and_gradient(
     sys: StateSpaceSystem,
     P: np.ndarray,
@@ -341,9 +327,10 @@ def objective_and_gradient(
 
     Exactly two Lyapunov solves: one for ``X`` (inside the output-map
     parameterization) and one for the adjoint variable ``X_grad``.  The
-    same arithmetic :func:`lbfgs_minimize` runs when ``A`` has no trusted
-    eigenbasis; with one, it evaluates in that basis
-    (:class:`_ModalObjective`), which agrees with this to rounding.
+    same arithmetic as :func:`klap`'s inner runs where ``A`` has no trusted
+    eigenbasis; with one, they evaluate in that basis
+    (:class:`_ModalObjective`, see :class:`_Frame`), which agrees with this
+    to rounding.
 
     Parameters
     ----------
@@ -447,8 +434,8 @@ class LbfgsResult:
     ``"max-iterations"``, ``"line-search"``; the first two set
     ``converged``.  ``trace`` logs ``(J, ||grad||)`` at the start and after
     every accepted step; ``J`` is non-increasing along it.  ``L``,
-    ``gradient_norm`` and the norms of ``trace`` are in the coordinates the
-    run worked in: those of ``T_inv`` where :func:`lbfgs_minimize` got one.
+    ``gradient_norm`` and the norms of ``trace`` are in the coordinates of
+    the objective minimized (in :func:`klap`, those of its :class:`_Frame`).
     """
 
     L: np.ndarray
@@ -461,39 +448,28 @@ class LbfgsResult:
 
 
 def lbfgs_minimize(
-    sys: StateSpaceSystem,
-    P: np.ndarray,
+    objective: _Objective | _ModalObjective,
+    H0: np.ndarray,
     L0: np.ndarray,
-    M: np.ndarray,
     config: KlapConfig | None = None,
-    T_inv: np.ndarray | None = None,
 ) -> LbfgsResult:
-    """Minimize the squared H2 error over ``L`` by limited-memory BFGS in
-    the metric of the Gramian.
+    """Minimize ``objective`` over the ``n x m`` factor ``L`` by
+    limited-memory BFGS in the metric ``H0``, from ``L0``.
+
+    ``objective`` has :class:`_Objective`'s interface: ``value(L)`` returns
+    ``(J, state)``, ``(inf, None)`` where ``J`` is not finite, and
+    ``gradient(state)`` returns the gradient first.  ``H0`` (n x n) is the
+    initial inverse Hessian, acting on the ``n x m`` gradient; in
+    :func:`klap` both come from the call's :class:`_Frame`.
 
     Two-loop recursion over the last 10 curvature pairs, with the initial
-    inverse Hessian ``gamma H0``: ``H0 = U diag(1/s) U^T`` from
-    ``P = U diag(s) U^T``, ``s`` floored at ``_PRECOND_FLOOR * max(s)``,
-    acting on the ``n x m`` gradient, and ``gamma = s.y / (y . H0 y)`` of
-    the newest pair.  The search direction is ``-H0 g`` until curvature
+    inverse Hessian ``gamma H0`` and ``gamma = s.y / (y . H0 y)`` of the
+    newest pair.  The search direction is ``-H0 g`` until curvature
     information exists, with first trial step ``1 / max(1, sqrt(g . H0 g))``.
     An Armijo backtracking line search (sufficient decrease ``1e-4``, step
     halving) makes the objective strictly decreasing across accepted steps.
     The line search needs only ``J`` at a trial point, so the gradient is
     evaluated only at the start and at accepted steps.
-
-    The evaluation is :class:`_ModalObjective`, ``O(n^2 m)`` products in
-    the eigenbasis of ``A``, while the system's Lyapunov kernel solves in
-    that basis, and otherwise :class:`_Objective` on the kernel's dense
-    route (two Lyapunov solves per accepted step, one per rejected trial).
-
-    With ``T_inv``, the inverse of a similarity ``T``, the run works in the
-    coordinates ``x = T x'``: it minimizes over ``L' = T^T L``, from ``L0``
-    given in those coordinates, with the modal evaluation on the mapped
-    eigenbasis ``T^{-1} V`` and ``H0`` built as above from
-    ``P' = T^{-1} P T^{-T}`` (products, no Lyapunov solve).  The returned
-    ``L``, the gradient norms and the stop test are in those coordinates.
-    ``T_inv`` needs an eigenbasis of ``A`` (:class:`ValueError` otherwise).
 
     Stops when the Euclidean ``||grad|| <= grad_tol``, when the relative
     objective change drops below ``obj_rel_tol``, or after
@@ -502,16 +478,8 @@ def lbfgs_minimize(
     Euclidean gradient norm, as the stop test does.
     """
     cfg = config or KlapConfig()
-    L0 = np.asarray(L0, dtype=float).reshape(sys.n, sys.m)
-    if T_inv is not None and sys._modes()[0] is None:
-        raise ValueError("T_inv maps the eigenbasis of A, and A has none")
-    objective = _objective_for(sys, P, np.asarray(M, dtype=float), T_inv)
-    if T_inv is not None:
-        P = T_inv.dot(P).dot(T_inv.T)
-    shape = (sys.n, sys.m)
-    s_P, U = np.linalg.eigh(P)
-    s_P = np.maximum(s_P, _PRECOND_FLOOR * s_P.max())
-    H0 = (U / s_P).dot(U.T)
+    L0 = np.asarray(L0, dtype=float)
+    shape = L0.shape
 
     def gradient(state: tuple) -> np.ndarray:
         return objective.gradient(state)[0].ravel()
@@ -595,7 +563,7 @@ def lbfgs_minimize(
             break
 
     return LbfgsResult(
-        L=x.reshape(sys.n, sys.m),
+        L=x.reshape(shape),
         value=f,
         gradient_norm=g_norm,
         iterations=iterations,
@@ -624,12 +592,12 @@ class Initialization:
 def initialize(
     sys: StateSpaceSystem,
     rng: np.random.Generator | None = None,
-    scan: PopovScan | None = None,
+    popov_min: float | None = None,
 ) -> Initialization:
     """Riccati-based starting factor.
 
     Scan the Popov function on the default grid for its minimum
-    ``popov_min`` (or take it from ``scan``, a scan of ``sys``); enlarge the
+    ``popov_min`` (unless the caller gives it); enlarge the
     feedthrough by ``delta = max(eps, -popov_min/2 + eps)`` with margin
     ``eps = 1e-3 * |popov_min|``, which makes the
     perturbed system strictly passive; solve that system's minimal Riccati
@@ -644,9 +612,8 @@ def initialize(
     generator seeded with 0).  Any start is feasible, so the fallback costs
     optimization effort, never correctness.
     """
-    if scan is None:
-        scan = popov_scan(sys)
-    popov_min = scan.global_min
+    if popov_min is None:
+        popov_min = popov_scan(sys).global_min
     eps = 1e-3 * abs(popov_min)
     for attempt, eps_k in enumerate((eps, 10.0 * eps)):
         delta = max(eps_k, -popov_min / 2.0 + eps_k)
@@ -709,35 +676,67 @@ def restart_step(
     return None
 
 
-class _Frame(NamedTuple):
-    """The floored square-root-Gramian coordinates ``x = T x'`` of one
-    :func:`klap` run: ``T = U diag(sqrt(s))`` from ``P = U diag(s) U^T``,
-    with ``s`` floored at :data:`_GRAMIAN_FLOOR` times the largest, and
-    ``system``, the similar system ``(T^{-1} A T, T^{-1} B, C T, D)`` on
-    which the run's output maps are formed."""
+class _Frame:
+    """The coordinates of one :func:`klap` call's inner runs, and what the
+    runs evaluate in them, built once per call from the system, its
+    Gramian ``P`` and ``M``.
 
-    T: np.ndarray
-    T_inv: np.ndarray
-    system: StateSpaceSystem
+    Where the system's kernel solves in the eigenbasis of ``A``, the runs
+    work in floored square-root-Gramian coordinates ``x = T x'``, in which
+    the Gramian ``P' = T^{-1} P T^{-T}`` is close to the identity:
+    ``T = U diag(sqrt(s))`` from ``gramian = (s, U) = eigh(P)``, with ``s``
+    floored at :data:`_GRAMIAN_FLOOR` times the largest.  A run minimizes
+    the modal objective of ``L' = T^T L`` on the mapped eigenbasis ``T^{-1}
+    V`` (:class:`_ModalObjective`), and its output maps are formed on
+    ``system``, the similar system ``(T^{-1} A T, T^{-1} B, C T, D)``, and
+    mapped back by ``T^{-1}``.  Elsewhere ``T = I`` (``T`` and ``T_inv``
+    are ``None``, ``system`` is the system itself): without the modal
+    evaluation every solve in new coordinates would be dense too, so the
+    runs evaluate with :class:`_Objective` on the system's dense kernel.
 
+    ``H0`` is the runs' L-BFGS metric: ``P'^{-1}``, with the eigenvalues of
+    ``P'`` floored at :data:`_PRECOND_FLOOR` times the largest, from
+    ``gramian`` itself where ``T = I``.  ``gramian`` also serves the KYP
+    dual bound.
+    """
 
-def _gramian_frame(sys: StateSpaceSystem, P: np.ndarray) -> _Frame | None:
-    """The coordinates of :func:`klap`'s inner runs: a :class:`_Frame`
-    where the system's kernel solves in the eigenbasis of ``A``, and
-    ``None`` (``T = I``) where it solves densely, since without the modal
-    evaluation every solve in the new coordinates would be dense too."""
-    if not sys._lyapunov().diagonal:
-        _log.debug("inner runs in original coordinates (T = I): A has no "
-                   "trusted eigenbasis")
-        return None
-    s, U = np.linalg.eigh(P)
-    floor = _GRAMIAN_FLOOR * s.max()
-    r = np.sqrt(np.maximum(s, floor))
-    T, T_inv = U * r, U.T / r[:, None]
-    _log.debug("inner runs in square-root-Gramian coordinates: %d of %d Gramian "
-               "eigenvalues floored at %.0e * max, cond(T) = %.3e",
-               int((s < floor).sum()), sys.n, _GRAMIAN_FLOOR, r.max() / r.min())
-    return _Frame(T, T_inv, sys._similar(T, T_inv))
+    def __init__(self, sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray):
+        self.M = M
+        self.gramian = s, U = np.linalg.eigh(P)
+        lyap = sys._lyapunov()
+        if lyap.diagonal:
+            self.coordinates = "square-root-Gramian"
+            floor = _GRAMIAN_FLOOR * s.max()
+            r = np.sqrt(np.maximum(s, floor))
+            self.T, self.T_inv = U * r, U.T / r[:, None]
+            _log.debug("inner runs in square-root-Gramian coordinates: %d of %d Gramian "
+                       "eigenvalues floored at %.0e * max, cond(T) = %.3e",
+                       int((s < floor).sum()), sys.n, _GRAMIAN_FLOOR, r.max() / r.min())
+            self.system = sys._similar(self.T, self.T_inv)
+            self.objective = _ModalObjective(sys, M, self.T_inv)
+            s, U = np.linalg.eigh(self.T_inv.dot(P).dot(self.T_inv.T))
+        else:
+            self.coordinates = "original"
+            _log.debug("inner runs in original coordinates (T = I): A has no "
+                       "trusted eigenbasis")
+            self.T = self.T_inv = None
+            self.system = sys
+            self.objective = _Objective(sys, P, M, lyap)
+        s = np.maximum(s, _PRECOND_FLOOR * s.max())
+        self.H0 = (U / s).dot(U.T)
+
+    def to_run(self, L: np.ndarray) -> np.ndarray:
+        """A factor of the original coordinates in those of the runs."""
+        return L if self.T is None else self.T.T.dot(L)
+
+    def output_map(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(L, C_hat)`` in the original coordinates for the factor ``L``
+        of the runs' coordinates, with ``C_hat`` formed on :attr:`system`
+        through its checked kernel."""
+        C_hat = c_of_l(self.system, LurePoint(L, self.M))
+        if self.T_inv is None:
+            return L, C_hat
+        return self.T_inv.T.dot(L), C_hat.dot(self.T_inv)
 
 
 class _Candidate(NamedTuple):
@@ -855,13 +854,11 @@ def klap(
 
     The run starts from ``config.L0``, or else from the Riccati start of
     :func:`initialize`.  Each round is one inner minimization of the
-    squared H2 error over the Lur'e factor.  Where the system's kernel
-    solves in the eigenbasis of ``A``, the inner runs work in floored
-    square-root-Gramian coordinates ``x = T x'`` (``T = U diag(sqrt(s))``
-    from ``P = U diag(s) U^T``, ``s`` floored at ``1e-8 * max(s)``), where
-    the Gramian is close to ``I``: every start is mapped to ``L' = T^T L``
-    and each run's output map is formed on ``(T^{-1} A T, T^{-1} B)`` and
-    mapped back by ``T^{-1}``; otherwise ``T = I``.  Each run's point is
+    squared H2 error over the Lur'e factor, in the coordinates of the
+    call's :class:`_Frame` (floored square-root-Gramian ones where ``A``
+    has a trusted eigenbasis, the original ones otherwise), which also
+    gives every run its objective and L-BFGS metric and maps every start
+    into those coordinates.  Each run's point is
     judged once, in the original coordinates, on the output map and its
     ``J`` recomputed with the system's Gramian (not the inner run's own
     evaluation): its model's
@@ -886,9 +883,10 @@ def klap(
     certified.
 
     A passive input short-circuits: the result carries ``C_hat = C``,
-    zero error, and no certificate.  The Popov scan's verdict of passive is
-    confirmed by :func:`~klap.passivity.check_passive` first, since a
-    violation narrower than the grid spacing escapes the scan.
+    zero error, and no certificate.  A scanned Popov minimum within the
+    tolerance of :func:`~klap.passivity.check_passive` is confirmed by that
+    check first, since a violation narrower than the grid spacing escapes
+    the scan.
 
     Keyword overrides are applied on top of ``config``
     (e.g. ``klap(sys, rng_seed=3, max_restarts=0)``).
@@ -924,48 +922,39 @@ def klap(
         if not math.isfinite(J_start):
             raise DimensionMismatchError("the objective is not finite at L0")
 
-    scan = popov_scan(sys)
-    verdict = scan_verdict(scan)
-    if verdict.passive:
-        confirmed = check_passive(sys)
-        if not confirmed.passive:
-            # the grid missed the violation: start from its confirmed margin
-            verdict = confirmed
-            scan = replace(scan, global_min=confirmed.margin)
-    if verdict.passive:
-        return KlapResult(
-            C_hat=sys.C,
-            L_final=None,
-            M=M,
-            J_final=0.0,
-            h2_error=0.0,
-            iterations=0,
-            restarts=0,
-            certificate=None,
-            converged=True,
-            trace=(),
-            passive_input=True,
-            delta=0.0,
-            popov_min=verdict.margin,
-            initial_J=0.0,
-            system=sys,
-            message="input system is already passive; returned unchanged",
-        )
+    popov_min = popov_scan(sys).global_min
+    if popov_min >= -_passive_tolerance(sys):
+        verdict = check_passive(sys)
+        if verdict.passive:
+            return KlapResult(
+                C_hat=sys.C,
+                L_final=None,
+                M=M,
+                J_final=0.0,
+                h2_error=0.0,
+                iterations=0,
+                restarts=0,
+                certificate=None,
+                converged=True,
+                trace=(),
+                passive_input=True,
+                delta=0.0,
+                popov_min=popov_min,
+                initial_J=0.0,
+                system=sys,
+                message="input system is already passive; returned unchanged",
+            )
+        # the grid missed the violation: start from the confirmed margin
+        popov_min = verdict.margin
 
     rng = np.random.default_rng(cfg.rng_seed)
-    delta, popov_min = 0.0, verdict.margin
+    delta = 0.0
     if L_start is None:
-        ini = initialize(sys, rng=rng, scan=scan)
-        L_start, delta, popov_min = ini.L0, ini.delta, ini.popov_min
+        ini = initialize(sys, rng=rng, popov_min=popov_min)
+        L_start, delta = ini.L0, ini.delta
 
-    frame = _gramian_frame(sys, P)
-    coordinates = "original" if frame is None else "square-root-Gramian"
-
-    def to_run(L: np.ndarray) -> np.ndarray:
-        """A start in the coordinates of the inner runs."""
-        return L if frame is None else frame.T.T.dot(L)
-
-    L_start = to_run(L_start)
+    frame = _Frame(sys, P, M)
+    L_start = frame.to_run(L_start)
     trace: list[tuple[float, float]] = []
     total_iterations = 0
     restarts_used = 0
@@ -980,11 +969,7 @@ def klap(
 
     def judge(L: np.ndarray, run: LbfgsResult | None = None) -> _Candidate:
         """Judge the point ``L`` of the run coordinates in the original ones."""
-        if frame is None:
-            C_hat = c_of_l(sys, LurePoint(L, M))
-        else:
-            C_hat = c_of_l(frame.system, LurePoint(L, M)).dot(frame.T_inv)
-            L = frame.T_inv.T.dot(L)
+        L, C_hat = frame.output_map(L)
         return _Candidate(run, L, C_hat, h2_error_sq(sys, C_hat, P=P),
                           check_passive(sys.with_output(C_hat)),
                           global_min_certificate(sys, L))
@@ -1003,8 +988,7 @@ def klap(
 
     try:
         for round_index in range(cfg.max_restarts + 1):
-            run = lbfgs_minimize(sys, P, L_start, M, cfg,
-                                 T_inv=None if frame is None else frame.T_inv)
+            run = lbfgs_minimize(frame.objective, frame.H0, L_start, cfg)
             trace.extend(run.trace)
             total_iterations += run.iterations
             cand = judge(run.L, run)
@@ -1019,7 +1003,7 @@ def klap(
             gap_text = "not evaluated"
             if not certified(best):
                 if dual_gap is None:
-                    dual_gap = _kyp_dual(sys, P)
+                    dual_gap = _kyp_dual(sys, *frame.gramian)
                 gap = dual_gap(cand.C_hat, cand.J)
                 gap_text = "none" if gap is None else f"{gap:.3e}"
                 if gap is not None and (
@@ -1029,7 +1013,7 @@ def klap(
             _log.debug("round %d: %s after %d iterations, J = %.17g, ||grad J|| = %.3e "
                        "in %s coordinates, check_passive %s (margin %.3e), dual gap %s",
                        round_index, run.status, run.iterations, cand.J, run.gradient_norm,
-                       coordinates, "passes" if cand.verdict.passive else "fails",
+                       frame.coordinates, "passes" if cand.verdict.passive else "fails",
                        cand.verdict.margin, gap_text)
             if certified(best):
                 if not best.spectral:
@@ -1044,7 +1028,7 @@ def klap(
             L_start = restart_step(sys, P, cand.C_hat)
             if L_start is None:
                 L_start = _random_factor(rng, sys, M)
-            L_start = to_run(L_start)
+            L_start = frame.to_run(L_start)
             restarts_used += 1
     except Exception as exc:  # contract: never raise once optimization began
         _log.warning("optimization aborted: %s", exc)

@@ -26,7 +26,7 @@ stabilizing solution the initialization starts from.  ``X_max`` is never
 formed: the coincidence ``X_min = X_max`` — a closed-loop spectrum
 entirely on the imaginary axis — is what :func:`global_min_certificate`
 tests to certify that a candidate passivation cannot be improved upon.
-That test also rejects true optima; :func:`_kyp_dual_gap` bounds the
+That test also rejects true optima; :func:`_kyp_dual` bounds the
 optimum from below through the dual of the convex KYP problem and
 certifies the points it rejects.
 """
@@ -46,7 +46,7 @@ from .exceptions import (
     SingularFeedthroughError,
 )
 from .linalg import _bartels_stewart, _real_schur, sqrtm_psd
-from .system import PopovScan, StateSpaceSystem, popov_eval, popov_scan
+from .system import StateSpaceSystem, popov_eval, popov_scan
 
 __all__ = [
     "AreSolution",
@@ -63,8 +63,8 @@ _log = logging.getLogger(__name__)
 #: relative eigenvalue floor below which ``D + D^T`` counts as singular
 FEEDTHROUGH_RTOL = 1e-12
 
-#: relative margin tolerance of :func:`check_passive` and :func:`scan_verdict`:
-#: boundary systems produced by passivation land within ``-PASSIVE_TOL * scale``
+#: relative margin tolerance of :func:`check_passive`: boundary systems
+#: produced by passivation land within ``-PASSIVE_TOL * scale``
 PASSIVE_TOL = 1e-8
 
 #: Newton step budget of each Riccati solve
@@ -298,14 +298,11 @@ class PassivityVerdict:
     margin: float
 
 
-def scan_verdict(scan: PopovScan) -> PassivityVerdict:
-    """Passivity verdict of a Popov scan: passive iff the grid minimum is
-    ``>= -PASSIVE_TOL * scale`` with ``scale = max(1, max |lambda_min|)``
-    over the grid.  A violation narrower than the grid spacing escapes it;
-    :func:`klap.optimizer.klap`, which scans its input once, takes it as a
-    first look and confirms a passive verdict by :func:`check_passive`."""
-    scale = max(1.0, float(np.abs(scan.min_eigenvalues).max()))
-    return PassivityVerdict(scan.global_min >= -PASSIVE_TOL * scale, scan.global_min)
+def _passive_tolerance(sys: StateSpaceSystem) -> float:
+    """The tolerance ``eps = PASSIVE_TOL * max(1, ||R||_2, ||Phi(0)||_2)``,
+    ``R = D + D^T``, of :func:`check_passive`."""
+    return PASSIVE_TOL * max(1.0, float(np.linalg.norm(sys.D + sys.D.T, 2)),
+                             float(np.linalg.norm(popov_eval(sys, 0.0), 2)))
 
 
 def _hamiltonian_matrix(sys: StateSpaceSystem, R: np.ndarray) -> np.ndarray:
@@ -336,9 +333,7 @@ def check_passive(sys: StateSpaceSystem) -> PassivityVerdict:
     violation better than a midpoint does.
     """
     R = sys.D + sys.D.T
-    scale = max(1.0, float(np.linalg.norm(R, 2)),
-                float(np.linalg.norm(popov_eval(sys, 0.0), 2)))
-    eps = PASSIVE_TOL * scale
+    eps = _passive_tolerance(sys)
     lam_R = float(np.linalg.eigvalsh(R)[0])
     if lam_R < -eps:
         return PassivityVerdict(False, lam_R)
@@ -434,13 +429,13 @@ def global_min_certificate(
 
 
 #: relative duality gap ``(J - g) / J`` at or below which the KYP dual
-#: bound certifies a point (see :func:`_kyp_dual_gap`)
+#: bound certifies a point (see :func:`_kyp_dual`)
 _DUAL_GAP_RTOL = 1e-7
 
 #: barrier weights ``mu / J`` of the dual's path, one Newton centering each.
 #: A start far from the optimum runs all of them (``mu = J`` reaches the
 #: optimum from afar); a start near it enters at its first weight ``<= mu0``,
-#: the weight its own shortfall implies (see :func:`_kyp_dual_gap`).  Below
+#: the weight its own shortfall implies (see :func:`_kyp_dual`).  Below
 #: ``1e-8 J`` the Cholesky test no longer guards the feasibility of the dual
 #: point
 _DUAL_MU_PATH = (1.0, 1e-2, 1e-4, 1e-6, 1e-8)
@@ -463,14 +458,17 @@ _EPS = float(np.finfo(float).eps)
 _TRTRI = scipy.linalg.get_lapack_funcs("trtri", dtype=np.float64)
 
 
-def _kyp_dual_gap(
-    sys: StateSpaceSystem,
-    P: np.ndarray,
-    C_hat: np.ndarray,
-    J: float,
-) -> float | None:
-    """Relative gap ``(J - g) / J`` between the objective ``J > 0`` at the
-    passive output map ``C_hat`` and a lower bound ``g`` on the optimum.
+def _kyp_dual(
+    sys: StateSpaceSystem, s: np.ndarray, U: np.ndarray
+) -> Callable[[np.ndarray, float], float | None]:
+    """The map ``(C_hat, J) -> (J - g) / J``, the relative gap between the
+    objective ``J > 0`` at the passive output map ``C_hat`` and a lower
+    bound ``g`` on the optimum, for ``sys`` and its Gramian ``P = U diag(s)
+    U^T`` (the ``eigh`` of ``P``).  What depends on the system alone is
+    built here, once: the size cap, the Gramian's definiteness test, ``T``,
+    the Schur form of ``T^{-1} A T``, the ``mn`` basis solves of ``Z11``,
+    the lift direction and the normalization's defect.  A refused system
+    gets a map that logs the reason and returns ``None``.
 
     The bound is the Lagrangian dual of the convex problem: minimize
     ``tr((C - C_hat) P (C - C_hat)^T)`` over ``(X, C_hat)`` subject to the
@@ -530,27 +528,15 @@ def _kyp_dual_gap(
     feasibility against it, and the value rests on the seeded sweeps of the
     tests.
 
-    Returns ``None`` when ``m n^4`` exceeds :data:`_DUAL_MAX_WORK`, ``P`` is
-    not numerically positive definite, ``||Delta||_2 >= 1`` (these three
-    are refused before any Newton step), no strictly feasible start is
-    found, or the final ``Z11`` misses that margin.  Each evaluation logs
+    The map returns ``None`` when ``m n^4`` exceeds :data:`_DUAL_MAX_WORK`,
+    ``P`` is not numerically positive definite, ``||Delta||_2 >= 1`` (these
+    three are refused before any Newton step), no strictly feasible start
+    is found, or the final ``Z11`` misses that margin.  Each evaluation logs
     one debug line: ``mu0 / J``, the start's lift, the Newton steps and how
     it ended (certified, stopped by the ``g + n mu`` test, end of the path,
     or refused and why).  Uses neither the system's Lyapunov kernel nor its
     caches, and draws no random numbers.
     """
-    return _kyp_dual(sys, P)(C_hat, J)
-
-
-def _kyp_dual(
-    sys: StateSpaceSystem, P: np.ndarray
-) -> Callable[[np.ndarray, float], float | None]:
-    """The map ``(C_hat, J) -> gap`` of :func:`_kyp_dual_gap` for one
-    ``(sys, P)``.  What depends on the pair alone is built here, once: the
-    size cap, ``eigh(P)`` and its definiteness test, ``T``, the Schur form
-    of ``T^{-1} A T``, the ``mn`` basis solves of ``Z11``, the lift
-    direction and the normalization's defect.  A refused pair gets a map
-    that logs the reason and returns ``None``."""
     n, m = sys.n, sys.m
 
     def refused(reason: str):
@@ -560,7 +546,6 @@ def _kyp_dual(
 
     if m * n**4 > _DUAL_MAX_WORK:
         return refused(f"m n^4 = {m * n**4} exceeds the dense dual's budget {_DUAL_MAX_WORK}")
-    s, U = np.linalg.eigh(P)
     if not s[0] > n * _EPS * s[-1]:
         return refused("the Gramian is not numerically positive definite "
                        f"(eigenvalues {s[0]:.2e} to {s[-1]:.2e})")

@@ -13,9 +13,11 @@ from klap.optimizer import (
     KlapConfig,
     LbfgsResult,
     LurePoint,
-    _objective_for,
+    _ModalObjective,
+    _Objective,
     _random_factor,
 )
+from klap.passivity import _kyp_dual
 from klap.system import StateSpaceSystem
 
 
@@ -180,27 +182,49 @@ def reference_objective(sys, P, M, L):
     return J, grad, X, X_grad
 
 
-def eager_lbfgs(sys, P, L0, M, config=None, preconditioned=True) -> LbfgsResult:
-    """Reference L-BFGS that evaluates ``J`` and the gradient at every
-    line-search trial, accepted or not.
+def original_coordinates(sys, P, M) -> tuple:
+    """``(objective, H0)`` of an L-BFGS run over ``L`` itself: the
+    library's objective on the system's kernel, modal where it solves in
+    the eigenbasis of ``A``, and the metric ``P^{-1}`` with the Gramian's
+    eigenvalues floored at ``_PRECOND_FLOOR`` times the largest.  The
+    inputs of :func:`klap.optimizer.lbfgs_minimize` for a run in the
+    original coordinates, where ``klap()`` would map a system with an
+    eigenbasis to square-root-Gramian ones."""
+    M = np.asarray(M, dtype=float)
+    lyap = sys._lyapunov()
+    objective = _ModalObjective(sys, M) if lyap.diagonal else _Objective(sys, P, M, lyap)
+    eigenvalues, U = np.linalg.eigh(P)
+    floored = np.maximum(eigenvalues, _PRECOND_FLOOR * eigenvalues.max())
+    return objective, (U / floored).dot(U.T)
+
+
+def kyp_dual_gap(sys, P, C_hat, J):
+    """The KYP dual gap ``(J - g) / J`` at ``C_hat`` (see
+    :func:`klap.passivity._kyp_dual`), with ``sys``'s dual set up afresh
+    from the ``eigh`` of ``P``."""
+    return _kyp_dual(sys, *np.linalg.eigh(P))(C_hat, J)
+
+
+def eager_lbfgs(objective, P, L0, config=None, preconditioned=True) -> LbfgsResult:
+    """Reference L-BFGS of ``objective`` that evaluates ``J`` and the
+    gradient at every line-search trial, accepted or not.
 
     The iteration of :func:`klap.optimizer.lbfgs_minimize`, written
     independently: ``@`` and ``zip`` in the two-loop recursion, the
-    preconditioner ``P^{-1}`` (Gramian eigenvalues floored at
-    ``_PRECOND_FLOOR`` times the largest) applied to the ``n x m`` matrix
-    of each vector, and the metric scaling ``s.y / y.P^{-1} y`` recomputed
-    every step.  It evaluates with the objective the library picks for
-    ``sys`` (modal or dense).  A rejected trial's gradient is never used,
-    so the two must agree bit for bit.  With ``preconditioned=False`` the
-    preconditioner is the identity: the plain L-BFGS the library ran before
-    it searched in the Gramian metric.
+    preconditioner ``P^{-1}`` (eigenvalues of ``P``, the Gramian in the
+    coordinates of ``objective``, floored at ``_PRECOND_FLOOR`` times the
+    largest) applied to the ``n x m`` matrix of each vector, and the metric
+    scaling ``s.y / y.P^{-1} y`` recomputed every step.  A rejected trial's
+    gradient is never used, so the two must agree bit for bit.  With
+    ``preconditioned=False`` the preconditioner is the identity: the plain
+    L-BFGS the library ran before it searched in the Gramian metric.
     """
     cfg = config or KlapConfig()
-    objective = _objective_for(sys, P, np.asarray(M, dtype=float))
-    shape = (sys.n, sys.m)
+    L0 = np.asarray(L0, dtype=float)
+    shape = L0.shape
     eigenvalues, U = np.linalg.eigh(P)
     floored = np.maximum(eigenvalues, _PRECOND_FLOOR * eigenvalues.max())
-    P_inv = (U / floored).dot(U.T) if preconditioned else np.eye(sys.n)
+    P_inv = (U / floored).dot(U.T) if preconditioned else np.eye(shape[0])
 
     def evaluate(flat):
         J, state = objective.value(flat.reshape(shape))
@@ -209,7 +233,7 @@ def eager_lbfgs(sys, P, L0, M, config=None, preconditioned=True) -> LbfgsResult:
     def apply_p_inv(flat):
         return P_inv.dot(flat.reshape(shape)).ravel()
 
-    x = np.asarray(L0, dtype=float).reshape(shape).ravel().copy()
+    x = L0.ravel().copy()
     f, g = evaluate(x)
     g_norm = math.sqrt(g.dot(g))
     trace = [(f, g_norm)]

@@ -37,7 +37,13 @@ from klap.system import (
     transfer_eval,
 )
 
-from oracles import kron_lyapunov_oracle, lure_point, maximal_riccati_oracle, random_start
+from oracles import (
+    kron_lyapunov_oracle,
+    lure_point,
+    maximal_riccati_oracle,
+    original_coordinates,
+    random_start,
+)
 
 
 def random_hurwitz(rng, n, margin=0.5):
@@ -121,7 +127,7 @@ def test_criterion_2_toy_restart_escapes_local_minimum():
     P = controllability_gramian(sys)
     M = np.array([[0.5]])
 
-    inner = lbfgs_minimize(sys, P, np.array([[-2.0], [0.0]]), M)
+    inner = lbfgs_minimize(*original_coordinates(sys, P, M), np.array([[-2.0], [0.0]]))
     C_loc = c_of_l(sys, LurePoint(inner.L, M))
     assert_allclose(C_loc, [[0.0, 1.0]], atol=0.01)
 

@@ -343,6 +343,22 @@ def test_passivate_already_passive_input(tmp_path, capsys):
     assert_array_equal(out_sys.C, [[1.0]])
 
 
+def test_check_and_passivate_agree_within_the_passivity_tolerance(tmp_path, capsys):
+    # Popov minimum -1.0e-7, inside check's tolerance 1e-8 * ||D + D^T||_2:
+    # check calls the model passive, and passivate returns it unchanged
+    path = tmp_path / "boundary.json"
+    write_model(StateSpaceSystem(np.diag([-1.0, -1.0]), np.eye(2),
+                                 np.diag([1.0, -(0.5 + 5e-8)]), np.diag([50.0, 0.5])), path)
+    code, out, _ = run_cli(["check", str(path)], capsys)
+    assert code == 0 and out.startswith("passive")
+    report_path = tmp_path / "r.json"
+    code, _, _ = run_cli(["passivate", str(path), "--out", str(tmp_path / "o.json"),
+                          "--report", str(report_path)], capsys)
+    assert code == 0
+    report = json.load(open(report_path))
+    assert report["passive_input"] is True and report["converged"] is True
+
+
 def test_passivated_models_pass_check(tmp_path, capsys):
     # a compressed version of the randomized pipeline property: every model
     # written by the passivate command is accepted by the check command

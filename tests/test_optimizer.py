@@ -29,7 +29,7 @@ from klap.optimizer import (
 from klap.passivity import check_passive, global_min_certificate
 from klap.system import StateSpaceSystem, controllability_gramian, h2_error_sq, popov_scan
 
-from oracles import lure_point, rand_family_system, random_start
+from oracles import lure_point, original_coordinates, rand_family_system, random_start
 
 
 def toy_system(d=0.0):
@@ -226,7 +226,8 @@ def test_objective_toy_near_optimum():
     assert ev.J == pytest.approx(0.94, abs=0.01)
     assert np.linalg.norm(ev.grad) <= 2e-2
     # refining from here barely moves the value: the point is near-stationary
-    refined = lbfgs_minimize(sys, P, np.array([[0.96], [-0.48]]), np.zeros((1, 1)))
+    refined = lbfgs_minimize(*original_coordinates(sys, P, np.zeros((1, 1))),
+                             np.array([[0.96], [-0.48]]))
     assert abs(refined.value - ev.J) <= 5e-6 * ev.J
 
 
@@ -286,7 +287,8 @@ def test_exactly_two_lyapunov_solves_per_evaluation(monkeypatch):
     P = controllability_gramian(sys)
     calls.update(standard=0, transposed=0)
     values = gradients = 0
-    run = lbfgs_minimize(sys, P, np.random.default_rng(1).standard_normal((4, 1)), [[0.5]])
+    run = lbfgs_minimize(*original_coordinates(sys, P, [[0.5]]),
+                         np.random.default_rng(1).standard_normal((4, 1)))
     assert gradients == run.iterations + 1
     assert values > gradients
     assert calls == {"standard": gradients, "transposed": values}
@@ -309,7 +311,8 @@ def test_dense_kernel_factors_each_orientation_once(monkeypatch):
     sys = acc_system(0.125)
     assert not sys._lyapunov().diagonal
     P = controllability_gramian(sys)
-    run = lbfgs_minimize(sys, P, np.random.default_rng(1).standard_normal((4, 1)), [[0.5]])
+    run = lbfgs_minimize(*original_coordinates(sys, P, [[0.5]]),
+                         np.random.default_rng(1).standard_normal((4, 1)))
     assert run.iterations >= 10
     assert len(factored) == 2
     assert np.array_equal(factored[0], sys.A) and np.array_equal(factored[1], sys.A.T)
@@ -324,19 +327,21 @@ def test_lbfgs_first_trace_entry_equals_objective_and_gradient(sys, diagonal):
     # where the system's kernel solves in the cached eigenbasis (rand) the
     # run evaluates modally, which equals objective_and_gradient to
     # rounding; where A has none (acc is defective) both solve densely
-    # through the system's own kernel, bit for bit
+    # through the system's own kernel, bit for bit.  klap()'s frame picks
+    # the same evaluation, in its own coordinates
     import klap.optimizer as mod
 
     assert (sys._lyapunov().V is not None) == diagonal
     P = controllability_gramian(sys)
     M = sqrtm_psd(sys.D + sys.D.T)
+    assert isinstance(mod._Frame(sys, P, M).objective, mod._ModalObjective) == diagonal
     L0 = np.random.default_rng(1).standard_normal((sys.n, sys.m))
     ev = objective_and_gradient(sys, P, LurePoint(L0, M))
-    objective = mod._objective_for(sys, P, M)
+    objective, H0 = original_coordinates(sys, P, M)
     assert isinstance(objective, mod._ModalObjective) == diagonal
     J, state = objective.value(L0)
     grad = objective.gradient(state)[0]
-    run = lbfgs_minimize(sys, P, L0, M, KlapConfig(max_iterations=3))
+    run = lbfgs_minimize(objective, H0, L0, KlapConfig(max_iterations=3))
     J0, g0 = run.trace[0]
     assert J0 == J
     assert g0 == float(np.linalg.norm(grad))
@@ -359,18 +364,23 @@ def test_lbfgs_first_trace_entry_equals_objective_and_gradient(sys, diagonal):
 def test_lbfgs_matches_the_eager_oracle_bit_for_bit(sys, L0):
     # the gradient is evaluated only at accepted steps; a rejected trial's
     # gradient was never used, so the run is the eager loop's, bit for bit,
-    # preconditioner included.  The default objective tolerance, 1e-14,
-    # makes the runs stop near stationarity (75 iterations on rand 8x2/4
-    # from the Riccati start).
+    # preconditioner included: klap()'s first round, in the coordinates of
+    # its frame, against the oracle's metric built from the Gramian in
+    # those coordinates.  The default objective tolerance, 1e-14, makes the
+    # runs stop near stationarity.
+    import klap.optimizer as mod
     from oracles import eager_lbfgs
 
     P = controllability_gramian(sys)
     M = sqrtm_psd(sys.D + sys.D.T)
     if L0 is None:
         L0 = initialize(sys).L0
+    frame = mod._Frame(sys, P, M)
+    L0 = frame.to_run(L0)
+    P_run = P if frame.T is None else frame.T_inv.dot(P).dot(frame.T_inv.T)
     cfg = KlapConfig()
-    run = lbfgs_minimize(sys, P, L0, M, cfg)
-    ref = eager_lbfgs(sys, P, L0, M, cfg)
+    run = lbfgs_minimize(frame.objective, frame.H0, L0, cfg)
+    ref = eager_lbfgs(frame.objective, P_run, L0, cfg)
     assert run.iterations >= 10
     assert run.trace == ref.trace
     assert_array_equal(run.L, ref.L)
@@ -449,8 +459,8 @@ def test_modal_objective_matches_objective_and_gradient(sys):
 
     P = controllability_gramian(sys)
     M = sqrtm_psd(sys.D + sys.D.T)
-    objective = mod._objective_for(sys, P, M)
-    assert isinstance(objective, mod._ModalObjective)
+    assert sys._lyapunov().diagonal
+    objective = mod._ModalObjective(sys, M)
     rng = np.random.default_rng(3)
     for scale in (0.1, 1.0, 10.0):
         L = scale * rng.standard_normal((sys.n, sys.m))
@@ -471,9 +481,9 @@ def test_mapped_modal_objective_is_the_objective_of_t_transpose_l(sys):
 
     P = controllability_gramian(sys)
     M = sqrtm_psd(sys.D + sys.D.T)
-    T, T_inv, _ = mod._gramian_frame(sys, P)
-    original = mod._objective_for(sys, P, M)
-    mapped = mod._objective_for(sys, P, M, T_inv)
+    frame = mod._Frame(sys, P, M)
+    T, mapped = frame.T, frame.objective
+    original = mod._ModalObjective(sys, M)
     rng = np.random.default_rng(5)
     for scale in (0.1, 1.0, 10.0):
         L = scale * rng.standard_normal((sys.n, sys.m))
@@ -483,12 +493,6 @@ def test_mapped_modal_objective_is_the_objective_of_t_transpose_l(sys):
         grad_mapped = mapped.gradient(state_mapped)[0]
         assert J_mapped == pytest.approx(J, rel=1e-8, abs=0.0)
         assert np.linalg.norm(T @ grad_mapped - grad) <= 1e-8 * np.linalg.norm(grad)
-
-
-def test_lbfgs_refuses_a_mapped_basis_where_a_has_none():
-    with pytest.raises(ValueError, match="has none"):
-        lbfgs_minimize(acc_system(0.125), controllability_gramian(acc_system(0.125)),
-                       np.ones((4, 1)), np.eye(1) * 0.5, T_inv=np.eye(4))
 
 
 def test_preconditioned_and_plain_lbfgs_reach_the_same_J():
@@ -503,8 +507,9 @@ def test_preconditioned_and_plain_lbfgs_reach_the_same_J():
     M = sqrtm_psd(sys.D + sys.D.T)
     L0 = initialize(sys).L0
     cfg = KlapConfig()
-    preconditioned = eager_lbfgs(sys, P, L0, M, cfg)
-    plain = eager_lbfgs(sys, P, L0, M, cfg, preconditioned=False)
+    objective, _ = original_coordinates(sys, P, M)
+    preconditioned = eager_lbfgs(objective, P, L0, cfg)
+    plain = eager_lbfgs(objective, P, L0, cfg, preconditioned=False)
     assert preconditioned.converged and plain.converged
     assert preconditioned.value == pytest.approx(plain.value, rel=1e-8, abs=0.0)
     assert 10 * preconditioned.iterations < plain.iterations
@@ -545,7 +550,7 @@ def test_lbfgs_stops_when_the_line_search_fails(monkeypatch):
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
     L0 = np.array([[-2.0], [0.0]])
-    run = lbfgs_minimize(sys, P, L0, [[0.5]])
+    run = lbfgs_minimize(*original_coordinates(sys, P, [[0.5]]), L0)
     assert run.status == "line-search"
     assert run.converged is False
     assert run.iterations == 0
@@ -576,7 +581,7 @@ def test_lbfgs_backs_off_from_a_non_finite_trial(monkeypatch):
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
     with np.errstate(over="ignore", invalid="ignore"):
-        run = lbfgs_minimize(sys, P, np.array([[-2.0], [0.0]]), [[0.5]])
+        run = lbfgs_minimize(*original_coordinates(sys, P, [[0.5]]), np.array([[-2.0], [0.0]]))
         assert values[1] == math.inf
         assert run.converged and math.isfinite(run.value)
         assert run.value < values[0]
@@ -601,9 +606,10 @@ def test_lbfgs_stationary_start_returns_quickly():
     sys = toy_system(0.0)
     P = controllability_gramian(sys)
     M = np.zeros((1, 1))
-    first = lbfgs_minimize(sys, P, np.array([[0.96], [-0.48]]), M)
+    objective, H0 = original_coordinates(sys, P, M)
+    first = lbfgs_minimize(objective, H0, np.array([[0.96], [-0.48]]))
     assert first.converged
-    again = lbfgs_minimize(sys, P, first.L, M)
+    again = lbfgs_minimize(objective, H0, first.L)
     assert again.iterations <= 2
     # "same J" at the optimizer's own objective resolution
     assert again.value == pytest.approx(first.value, rel=1e-6)
@@ -614,7 +620,7 @@ def test_lbfgs_stationary_start_returns_quickly():
 def test_lbfgs_toy_converges_to_local_factor():
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
-    res = lbfgs_minimize(sys, P, np.array([[-2.0], [0.0]]), [[0.5]])
+    res = lbfgs_minimize(*original_coordinates(sys, P, [[0.5]]), np.array([[-2.0], [0.0]]))
     assert res.converged
     assert_allclose(res.L, [[-1.0], [0.0]], atol=0.01)
     assert res.value == pytest.approx(2.5, abs=1e-3)
@@ -628,9 +634,9 @@ def test_lbfgs_monotone_decrease():
         np.diag([0.4, 0.9]),
     )
     P = controllability_gramian(sys)
-    M = sqrtm_psd(sys.D + sys.D.T)
+    objective, H0 = original_coordinates(sys, P, sqrtm_psd(sys.D + sys.D.T))
     for _ in range(20):
-        res = lbfgs_minimize(sys, P, rng.standard_normal((3, 2)), M)
+        res = lbfgs_minimize(objective, H0, rng.standard_normal((3, 2)))
         values = [j for j, _ in res.trace]
         assert all(b <= a + 1e-14 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
 
@@ -639,7 +645,7 @@ def test_lbfgs_respects_iteration_cap():
     sys = toy_system(0.125)
     P = controllability_gramian(sys)
     cfg = KlapConfig(max_iterations=2, obj_rel_tol=1e-15, grad_tol=1e-15)
-    res = lbfgs_minimize(sys, P, np.array([[-2.0], [0.0]]), [[0.5]], cfg)
+    res = lbfgs_minimize(*original_coordinates(sys, P, [[0.5]]), np.array([[-2.0], [0.0]]), cfg)
     assert res.iterations == 2 and not res.converged
     assert res.status == "max-iterations"
 
@@ -697,7 +703,7 @@ def test_initialize_random_fallback_on_tiny_margin():
     # shift stays far too small: the perturbed system is still not passive,
     # both Riccati attempts fail and the start is random
     sys = toy_system(0.125)
-    ini = initialize(sys, scan=miss_scan(sys))
+    ini = initialize(sys, popov_min=miss_scan(sys).global_min)
     assert ini.source == "random"
     assert ini.delta == 0.0
     assert ini.L0.shape == (2, 1)
@@ -705,8 +711,8 @@ def test_initialize_random_fallback_on_tiny_margin():
 
 def test_initialize_random_fallback_is_seeded():
     sys = toy_system(0.125)
-    a = initialize(sys, rng=np.random.default_rng(5), scan=miss_scan(sys))
-    b = initialize(sys, rng=np.random.default_rng(5), scan=miss_scan(sys))
+    a = initialize(sys, rng=np.random.default_rng(5), popov_min=miss_scan(sys).global_min)
+    b = initialize(sys, rng=np.random.default_rng(5), popov_min=miss_scan(sys).global_min)
     assert_array_equal(a.L0, b.L0)
 
 
@@ -730,7 +736,7 @@ def test_restart_step_escapes_toy_local_minimum(caplog):
     assert "restart step accepted at alpha=1.0e-08" in caplog.text
     # continuing the minimization from the recovered factor reaches the
     # global output map
-    res = lbfgs_minimize(sys, P, L_new, [[0.5]])
+    res = lbfgs_minimize(*original_coordinates(sys, P, [[0.5]]), L_new)
     C_hat = c_of_l(sys, LurePoint(res.L, np.array([[0.5]])))
     assert_allclose(C_hat, [[0.84, 0.34]], atol=0.01)
     assert res.value < 2.5  # strictly better than the local value
@@ -979,6 +985,96 @@ def test_klap_builds_one_lyapunov_kernel_per_run(monkeypatch):
     assert sys._lyapunov() is own and res.system._lyapunov() is own and own.diagonal
     assert mapped.strategy == "dense" and list(mapped._schur) == [True]
     assert set(sys._eigen) == {"abscissa", "radius", "modes", "lyapunov"}
+
+
+def count_frame_work(monkeypatch):
+    """Counters of the ``_ModalObjective`` builds and of the ``eigh`` calls
+    per matrix size that follow this call."""
+    import klap.optimizer as mod
+
+    builds, eighs = [], []
+    orig_init, orig_eigh = mod._ModalObjective.__init__, np.linalg.eigh
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        orig_init(self, *args, **kwargs)
+
+    def counting_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a)[0])
+        return orig_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(mod._ModalObjective, "__init__", counting_init)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return builds, eighs
+
+
+def test_klap_builds_one_frame_per_call(monkeypatch):
+    # rand 16x1/6 runs six rounds and builds the KYP dual once: one modal
+    # objective and two 16 x 16 eigh, of P (the coordinates and the dual)
+    # and of the mapped Gramian (the L-BFGS metric)
+    builds, eighs = count_frame_work(monkeypatch)
+    res = klap(rand_family_system(16, 1, 6))
+    assert res.restarts == 5
+    assert len(builds) == 1
+    assert eighs.count(16) == 2
+
+
+def test_klap_reuses_the_frame_gramian_where_a_has_no_trusted_eigenbasis(monkeypatch):
+    # acc: T = I, so the one 4 x 4 eigh of P gives the L-BFGS metric of
+    # every round and the KYP dual bound evaluated after each of them
+    import klap.optimizer as mod
+
+    duals = []
+    orig = mod._kyp_dual
+
+    def counting_dual(*args):
+        duals.append(orig(*args))
+        return duals[-1]
+
+    monkeypatch.setattr(mod, "_kyp_dual", counting_dual)
+    builds, eighs = count_frame_work(monkeypatch)
+    res = klap(acc_system(0.0), grad_tol=1e3)
+    assert not res.converged and res.duality_gap is not None
+    assert len(duals) == 1 and not builds
+    assert eighs.count(4) == 1
+
+
+# klap() on the five bundled cases and the six rand-small instances of the
+# benchmark: repr(J_final), iterations, restarts and converged, which every
+# change that means to keep the trajectories must keep bit for bit
+BIT_IDENTICAL_SOLVES = {
+    "acc": ("1.0724407176780966", 17, 0, True),
+    "acc/d=0.125": ("0.7592796900319777", 16, 0, True),
+    "toy-m0": ("0.9423076923076922", 8, 0, True),
+    "toy-m1": ("0.12751294803962643", 8, 0, True),
+    "toy-m1/l0=-2,0": ("0.12751294803962654", 24, 1, True),
+    "rand-6x1/2": ("0.10048794924832612", 29, 0, True),
+    "rand-8x1/1": ("0.06436599351888793", 40, 0, True),
+    "rand-8x1/2": ("0.0", 0, 0, True),
+    "rand-8x2/4": ("3.5739031696366346", 81, 0, True),
+    "rand-8x4/3": ("25.906437019308722", 97, 0, True),
+    "rand-16x1/6": ("0.12130546273147047", 96, 5, False),
+}
+
+
+@pytest.mark.parametrize("key", list(BIT_IDENTICAL_SOLVES))
+def test_klap_trajectories_are_bit_identical(key):
+    from klap import benchmark_path, load_model_file
+
+    options = {}
+    if key.startswith("rand-"):
+        n, m, seed = (int(x) for x in key[5:].replace("x", "/").split("/"))
+        sys = rand_family_system(n, m, seed)
+    else:
+        model, _, variant = key.partition("/")
+        sys = load_model_file(benchmark_path(model)).system
+        if variant == "d=0.125":
+            sys = sys.with_feedthrough(0.125 * np.eye(sys.m))
+        elif variant == "l0=-2,0":
+            options["L0"] = np.array([[-2.0], [0.0]])
+    res = klap(sys, **options)
+    assert (repr(res.J_final), res.iterations, res.restarts, res.converged) \
+        == BIT_IDENTICAL_SOLVES[key]
 
 
 def test_klap_keeps_one_kernel_where_a_has_no_trusted_eigenbasis(monkeypatch):

@@ -21,15 +21,15 @@ from klap.optimizer import klap
 from klap.passivity import (
     _DUAL_GAP_RTOL,
     _closed_loop,
-    _kyp_dual_gap,
+    _passive_tolerance,
     check_passive,
     global_min_certificate,
     l_from_are,
-    scan_verdict,
     solve_are,
 )
 from klap.system import StateSpaceSystem, controllability_gramian, popov_scan
 from oracles import (
+    kyp_dual_gap,
     kyp_residual,
     lure_residuals,
     maximal_riccati_oracle,
@@ -370,10 +370,9 @@ def test_check_passive_strict_construction():
     for _ in range(5):
         sys = random_passive_system(rng, int(rng.integers(2, 7)), int(rng.integers(1, 3)), margin)
         assert check_passive(sys).passive
-        assert scan_verdict(popov_scan(sys)).passive
+        assert popov_scan(sys).global_min >= -_passive_tolerance(sys)
     # the scan margin reflects the feedthrough enlargement
-    verdict = scan_verdict(popov_scan(sys))
-    assert verdict.margin >= 1.9 * margin
+    assert popov_scan(sys).global_min >= 1.9 * margin
 
 
 def test_check_passive_known_non_passive():
@@ -402,12 +401,12 @@ def test_check_passive_hamiltonian_agrees_with_scan():
             sys = random_passive_system(rng, n, m)
         else:
             sys = random_indefinite_system(rng, n, m)
-        scan = scan_verdict(popov_scan(sys))
-        scale = max(1.0, abs(scan.margin))
-        if abs(scan.margin) <= 1e-6 * scale:
+        scan_min = popov_scan(sys).global_min
+        if abs(scan_min) <= 1e-6 * max(1.0, abs(scan_min)):
             continue  # too close to the boundary for a meaningful comparison
         ham = check_passive(sys)
-        assert ham.passive == scan.passive, f"disagreement on system {k}"
+        assert ham.passive == (scan_min >= -_passive_tolerance(sys)), \
+            f"disagreement on system {k}"
         checked += 1
     assert checked >= 45
 
@@ -426,7 +425,7 @@ def test_check_passive_samples_the_crossing_frequencies():
     C_hat = klap(sys).C_hat
     assert check_passive(sys.with_output(C_hat)).passive
     stepped = sys.with_output(C_hat + 1e-6 * (sys.C - C_hat))
-    assert scan_verdict(popov_scan(stepped)).passive
+    assert popov_scan(stepped).global_min >= -_passive_tolerance(stepped)
     verdict = check_passive(stepped)
     assert not verdict.passive
     assert verdict.margin == pytest.approx(-1.0995e-6, rel=1e-3)
@@ -499,6 +498,24 @@ def test_klap_optimizes_a_zero_feedthrough_input_whose_violation_the_grid_misses
     assert res.popov_min == verdict.margin
 
 
+def test_klap_returns_an_input_check_passive_passes_unchanged():
+    # the Popov minimum, -1.0e-7 at w = 0, is within check_passive's
+    # tolerance 1e-8 * ||D + D^T||_2 = 1e-6 but not within 1e-8 times the
+    # largest |lambda_min| over the grid (1.0 at w = 0): klap() judges its
+    # input by check_passive's tolerance, so both call it passive
+    sys = StateSpaceSystem(np.diag([-1.0, -1.0]), np.eye(2), np.diag([1.0, -(0.5 + 5e-8)]),
+                           np.diag([50.0, 0.5]))
+    scan_min = popov_scan(sys).global_min
+    assert scan_min == pytest.approx(-1e-7, rel=1e-6)
+    assert scan_min < -1e-8 * np.abs(popov_scan(sys).min_eigenvalues).max()
+    verdict = check_passive(sys)
+    assert verdict.passive and _passive_tolerance(sys) == pytest.approx(1e-6, rel=0.05)
+    res = klap(sys)
+    assert res.passive_input and res.converged
+    assert res.J_final == 0.0 and res.C_hat is sys.C
+    assert res.popov_min == scan_min
+
+
 # ---------------------------------------------------------------------------
 # KYP dual bound
 # ---------------------------------------------------------------------------
@@ -512,7 +529,7 @@ def test_klap_optimizes_an_input_whose_violation_the_grid_misses(t):
     sys = rand_family_system(6, 1, 2)
     C_opt = klap(sys).C_hat
     near = sys.with_output(C_opt + t * (sys.C - C_opt))
-    assert scan_verdict(popov_scan(near)).passive
+    assert popov_scan(near).global_min >= -_passive_tolerance(near)
     verdict = check_passive(near)
     assert not verdict.passive
     assert verdict.margin == pytest.approx(-1.1 * t, rel=0.01)
@@ -539,7 +556,7 @@ def test_kyp_dual_gap_bounds_the_optimum_on_a_random_sweep():
         P = controllability_gramian(sys)
         J_min = min(run.J_final for run in runs)
         for run in runs:
-            gap = _kyp_dual_gap(sys, P, run.C_hat, run.J_final)
+            gap = kyp_dual_gap(sys, P, run.C_hat, run.J_final)
             if gap is not None:
                 bounded += 1
                 assert run.J_final * (1.0 - gap) <= J_min + 1e-12 * J_min, (k, gap)
@@ -566,7 +583,7 @@ def test_kyp_dual_gap_exposes_a_non_global_point():
     sys = toy_system(0.125)
     loc = klap(sys, L0=[[-2.0], [0.0]], max_restarts=0)
     assert loc.J_final == pytest.approx(2.5, rel=1e-9)
-    gap = _kyp_dual_gap(sys, controllability_gramian(sys), loc.C_hat, loc.J_final)
+    gap = kyp_dual_gap(sys, controllability_gramian(sys), loc.C_hat, loc.J_final)
     assert gap >= 0.9
     # so klap() still restarts once; the spectral test passes the new point
     res = klap(sys, L0=[[-2.0], [0.0]])
@@ -582,7 +599,7 @@ def test_kyp_dual_gap_refuses_a_numerically_singular_gramian(caplog):
     sys = rand_family_system(16, 1, 6)
     P = controllability_gramian(sys)
     with caplog.at_level("DEBUG", logger="klap.passivity"):
-        gap = _kyp_dual_gap(sys, P, np.zeros((1, 16)), 1.0)
+        gap = kyp_dual_gap(sys, P, np.zeros((1, 16)), 1.0)
     assert gap is None
     assert "not numerically positive definite" in caplog.text
     res = klap(sys)
@@ -629,7 +646,7 @@ def test_kyp_dual_gap_refuses_a_system_above_the_size_cap(monkeypatch, caplog):
     sys = rand_family_system(6, 1, 2)
     monkeypatch.setattr(passivity, "_DUAL_MAX_WORK", 6**4 - 1)
     with caplog.at_level("DEBUG", logger="klap.passivity"):
-        gap = _kyp_dual_gap(sys, controllability_gramian(sys), np.zeros((1, 6)), 1.0)
+        gap = kyp_dual_gap(sys, controllability_gramian(sys), np.zeros((1, 6)), 1.0)
     assert gap is None
     assert "exceeds the dense dual's budget" in caplog.text
     res = klap(sys)
@@ -650,7 +667,7 @@ def test_klap_states_a_later_bound_at_the_returned_point(monkeypatch):
         calls.append(J)
         return None if len(calls) == 1 else 1e-8
 
-    monkeypatch.setattr(optimizer_mod, "_kyp_dual", lambda sys, P: fake_gap)
+    monkeypatch.setattr(optimizer_mod, "_kyp_dual", lambda sys, s, U: fake_gap)
     res = klap(rand_family_system(6, 1, 2))
     J_0, J_1 = calls
     assert J_1 > J_0 == res.J_final
@@ -665,7 +682,7 @@ def test_kyp_dual_gap_leaves_the_system_caches_alone():
     sys = rand_family_system(6, 1, 2)
     P = controllability_gramian(sys, strategy="dense")
     cached = dict(sys._eigen)
-    gap = _kyp_dual_gap(sys, P, np.zeros((1, 6)), float(np.trace(sys.C @ P @ sys.C.T)))
+    gap = kyp_dual_gap(sys, P, np.zeros((1, 6)), float(np.trace(sys.C @ P @ sys.C.T)))
     assert gap > 0.0
     assert sys._eigen == cached  # no eigenbasis and no Lyapunov kernel built
 
@@ -699,7 +716,7 @@ def test_kyp_dual_gap_is_unchanged_far_from_the_optimum(caplog):
     sys = toy_system(0.125)
     loc = klap(sys, L0=[[-2.0], [0.0]], max_restarts=0)
     with caplog.at_level("DEBUG", logger="klap.passivity"):
-        gap = _kyp_dual_gap(sys, controllability_gramian(sys), loc.C_hat, loc.J_final)
+        gap = kyp_dual_gap(sys, controllability_gramian(sys), loc.C_hat, loc.J_final)
     assert gap == 2.0373473519103342
     (line,) = dual_lines(caplog)
     assert "lifted 1e-01 of" in line and float(line.split("mu0 = ")[1].split()[0]) >= 1.0
@@ -723,7 +740,7 @@ def test_kyp_dual_gap_certifies_a_seeded_sweep():
                 if res.passive_input:
                     continue
                 total += 1
-                gap = _kyp_dual_gap(sys, controllability_gramian(sys), res.C_hat, res.J_final)
+                gap = kyp_dual_gap(sys, controllability_gramian(sys), res.C_hat, res.J_final)
                 certified += gap is not None and gap <= _DUAL_GAP_RTOL
     assert total == 47 and certified == 45
 
@@ -735,9 +752,9 @@ def test_klap_builds_the_dual_once_and_refuses_before_the_path(monkeypatch, capl
 
     built = []
 
-    def counted(sys, P):
-        built.append(P)
-        return passivity._kyp_dual(sys, P)
+    def counted(sys, s, U):
+        built.append(s)
+        return passivity._kyp_dual(sys, s, U)
 
     monkeypatch.setattr(optimizer_mod, "_kyp_dual", counted)
     with caplog.at_level("DEBUG", logger="klap.passivity"):
@@ -752,7 +769,7 @@ def test_klap_builds_the_dual_once_and_refuses_before_the_path(monkeypatch, capl
     sys = rand_family_system(6, 1, 2)
     caplog.clear()
     with caplog.at_level("DEBUG", logger="klap.passivity"):
-        gap = _kyp_dual_gap(sys, controllability_gramian(sys) / 3.0, np.zeros((1, 6)), 1.0)
+        gap = kyp_dual_gap(sys, controllability_gramian(sys) / 3.0, np.zeros((1, 6)), 1.0)
     assert gap is None
     (line,) = dual_lines(caplog)
     assert "off the identity by 2.00e+00" in line and "Newton steps" not in line

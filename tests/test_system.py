@@ -341,7 +341,7 @@ def test_a_failed_diagonalized_solve_makes_the_kernel_dense_for_good(monkeypatch
     # leak check; from then on every solve of the kernel is dense
     import klap.linalg as mod
     from klap.linalg import sqrtm_psd
-    from klap.optimizer import KlapConfig, lbfgs_minimize
+    from klap.optimizer import KlapConfig, _Frame, lbfgs_minimize
 
     caplog.set_level(logging.DEBUG, logger="klap.linalg")
     sys = nearly_defective_system(1e-9, seed=3)
@@ -359,7 +359,9 @@ def test_a_failed_diagonalized_solve_makes_the_kernel_dense_for_good(monkeypatch
     assert np.array_equal(P, controllability_gramian(sys, strategy="dense"))
     M = sqrtm_psd(sys.D + sys.D.T)
     L0 = np.random.default_rng(0).standard_normal((sys.n, sys.m))
-    run = lbfgs_minimize(sys, P, L0, M, KlapConfig(max_iterations=20))
+    frame = _Frame(sys, P, M)  # T = I: the kernel no longer solves in the basis
+    assert frame.T is None
+    run = lbfgs_minimize(frame.objective, frame.H0, L0, KlapConfig(max_iterations=20))
     assert run.iterations == 20
     assert attempts == 1
     assert sum("dense solve for every later" in r.getMessage() for r in caplog.records) == 1
