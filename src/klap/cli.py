@@ -17,12 +17,17 @@ partial results are still written).
 All randomness is seeded (``--seed``, default 0), so every command is
 reproducible.  Set ``KLAP_LOG=debug`` or ``KLAP_LOG=info`` for progress
 logging on stderr.
+
+:func:`main` may be called repeatedly in one process: it returns the exit
+code, argparse usage errors raise ``SystemExit(2)``, and the argument
+parser is built once per process and shared by every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import os
@@ -340,7 +345,11 @@ def _cmd_h2(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process.  Parsing
+    leaves it unchanged, and it holds no command: :func:`main` dispatches
+    on the parsed subcommand name at call time."""
     parser = argparse.ArgumentParser(
         prog="klap",
         description="H2-optimal passivation of LTI state-space models.",
@@ -352,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("model")
     p_check.add_argument("--feedthrough", type=float, default=None,
                          help="replace D by this scalar times the identity")
-    p_check.set_defaults(func=_cmd_check)
 
     p_pass = sub.add_parser("passivate", help="replace C by the closest passivating map")
     p_pass.add_argument("model")
@@ -373,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pass.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
     p_pass.add_argument("--trace", default=None, metavar="CSV",
                         help="write the per-iteration (J, grad-norm) log as CSV")
-    p_pass.set_defaults(func=_cmd_passivate)
 
     p_popov = sub.add_parser("popov", help="sample the Popov function over a frequency grid")
     p_popov.add_argument("model")
@@ -386,14 +393,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_popov.add_argument("--wmax", type=float, default=None, help="highest scan frequency")
     p_popov.add_argument("--points", type=int, default=500,
                          help="number of scan frequencies (default 500)")
-    p_popov.set_defaults(func=_cmd_popov)
 
     p_h2 = sub.add_parser("h2", help="H2 distance between two models")
     p_h2.add_argument("model_a")
     p_h2.add_argument("model_b")
     p_h2.add_argument("--general", action="store_true",
                       help="allow different realizations (A, B may differ)")
-    p_h2.set_defaults(func=_cmd_h2)
 
     return parser
 
@@ -427,8 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_merge_factor_values(argv))
+    command = {"check": _cmd_check, "passivate": _cmd_passivate,
+               "popov": _cmd_popov, "h2": _cmd_h2}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except _UsageError as exc:
         parser.error(str(exc))  # exits with code 2
     except KlapError as exc:

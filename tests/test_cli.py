@@ -2,13 +2,17 @@
 
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from klap.benchmarks import acc_system, benchmark_path, toy_system
-from klap.cli import main
+from klap.cli import _build_parser, main
 from klap.modelio import load_model, write_model
 from klap.passivity import check_passive
 from klap.system import StateSpaceSystem
@@ -590,3 +594,51 @@ def test_log_env_variable_smoke(toy_m0_path, capsys, monkeypatch):
     monkeypatch.setenv("KLAP_LOG", "debug")
     code, _, _ = run_cli(["check", toy_m0_path], capsys)
     assert code == 1
+
+
+def test_repeated_calls_share_one_parser_and_match_calls_run_alone(
+        toy_m1_path, tmp_path, capsys):
+    # main() builds its parser once per process; each call of a sequence,
+    # usage error and --version included, must give the exit code, output
+    # and files it gives after a freshly built parser
+    calls = [
+        ["passivate", toy_m1_path, "--l0", "-2,0"],
+        ["passivate", toy_m1_path],
+        ["check", toy_m1_path],
+        ["check", toy_m1_path, "--bogus"],
+        ["--version"],
+        ["passivate", toy_m1_path],
+    ]
+
+    def outcome(argv):
+        code, out, err = run_cli(argv, capsys)
+        files = {}
+        for path in sorted(tmp_path.iterdir()):
+            if str(path) == toy_m1_path:
+                continue
+            content = json.loads(path.read_text())
+            content.pop("wall_seconds", None)
+            content.pop("seconds_per_iteration", None)
+            files[path.name] = content
+            path.unlink()
+        return code, re.sub(r"wall time +\S+ s", "wall time", out), err, files
+
+    _build_parser.cache_clear()
+    in_sequence = [outcome(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(outcome(argv))
+    assert [(code, len(files)) for code, _, _, files in in_sequence] == [
+        (0, 2), (0, 2), (1, 0), (2, 0), (0, 0), (0, 2)]
+    assert in_sequence == alone
+
+
+def test_the_shell_entry_point_gives_the_in_process_verdict(toy_m1_path, capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "klap.cli", "check", toy_m1_path],
+                          env=env, capture_output=True, text=True, timeout=120)
+    code, out, _ = run_cli(["check", toy_m1_path], capsys)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert out.startswith("not passive (margin ")

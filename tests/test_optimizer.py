@@ -6,8 +6,13 @@ hand-derived closed forms; and the full driver against the frozen
 benchmark values of the two reference systems.
 """
 
+import json
 import logging
 import math
+import os
+import subprocess
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -1039,9 +1044,10 @@ def test_klap_reuses_the_frame_gramian_where_a_has_no_trusted_eigenbasis(monkeyp
     assert eighs.count(4) == 1
 
 
-# klap() on the five bundled cases and the six rand-small instances of the
-# benchmark: repr(J_final), iterations, restarts and converged, which every
-# change that means to keep the trajectories must keep bit for bit
+# klap() on the five bundled cases and the six rand-small and four
+# rand-large instances of the benchmark: repr(J_final), iterations, restarts
+# and converged, which every change that means to keep the trajectories must
+# keep bit for bit
 BIT_IDENTICAL_SOLVES = {
     "acc": ("1.0724407176780966", 17, 0, True),
     "acc/d=0.125": ("0.7592796900319777", 16, 0, True),
@@ -1054,17 +1060,28 @@ BIT_IDENTICAL_SOLVES = {
     "rand-8x2/4": ("3.5739031696366346", 81, 0, True),
     "rand-8x4/3": ("25.906437019308722", 97, 0, True),
     "rand-16x1/6": ("0.12130546273147047", 96, 5, False),
+    "rand-64x2/1": ("10.743816756090382", 72, 0, False),
+    "rand-64x4/2": ("56.32248739089118", 89, 0, False),
+    "rand-128x2/3": ("20.159177893390734", 70, 0, False),
+    "rand-128x4/4": ("133.306261835467", 121, 0, False),
 }
+#: the rand-large instances, solved as the benchmark solves them: capped at
+#: 200 iterations without restarts, with one BLAS thread, since threaded
+#: OpenBLAS sums the n = 128 products in another order
+RAND_LARGE = ("rand-64x2/1", "rand-64x4/2", "rand-128x2/3", "rand-128x4/4")
 
 
-@pytest.mark.parametrize("key", list(BIT_IDENTICAL_SOLVES))
-def test_klap_trajectories_are_bit_identical(key):
+def bit_identical_solve(key: str) -> tuple:
+    """``(repr(J_final), iterations, restarts, converged)`` of the
+    :data:`BIT_IDENTICAL_SOLVES` case ``key``."""
     from klap import benchmark_path, load_model_file
 
     options = {}
     if key.startswith("rand-"):
         n, m, seed = (int(x) for x in key[5:].replace("x", "/").split("/"))
         sys = rand_family_system(n, m, seed)
+        if key in RAND_LARGE:
+            options = {"max_iterations": 200, "max_restarts": 0}
     else:
         model, _, variant = key.partition("/")
         sys = load_model_file(benchmark_path(model)).system
@@ -1073,8 +1090,31 @@ def test_klap_trajectories_are_bit_identical(key):
         elif variant == "l0=-2,0":
             options["L0"] = np.array([[-2.0], [0.0]])
     res = klap(sys, **options)
-    assert (repr(res.J_final), res.iterations, res.restarts, res.converged) \
-        == BIT_IDENTICAL_SOLVES[key]
+    return repr(res.J_final), res.iterations, res.restarts, res.converged
+
+
+@pytest.fixture(scope="module")
+def rand_large_solves():
+    """The :data:`RAND_LARGE` solves, run in one subprocess that starts with
+    one BLAS thread (the count is fixed when numpy loads)."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    code = ("import json, sys; from test_optimizer import bit_identical_solve; "
+            "print(json.dumps([bit_identical_solve(key) for key in sys.argv[1:]]))")
+    done = subprocess.run([executable, "-c", code, *RAND_LARGE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return dict(zip(RAND_LARGE, map(tuple, json.loads(done.stdout))))
+
+
+@pytest.mark.parametrize("key", list(BIT_IDENTICAL_SOLVES))
+def test_klap_trajectories_are_bit_identical(key, request):
+    if key in RAND_LARGE:
+        solved = request.getfixturevalue("rand_large_solves")[key]
+    else:
+        solved = bit_identical_solve(key)
+    assert solved == BIT_IDENTICAL_SOLVES[key]
 
 
 def test_klap_keeps_one_kernel_where_a_has_no_trusted_eigenbasis(monkeypatch):

@@ -7,7 +7,9 @@ minimal root.  Strictly passive test systems are built from Lur'e data so
 passivity holds by construction with a known margin.
 """
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from klap import passivity
 from klap.benchmarks import benchmark_system
 from klap.exceptions import NoSolutionError, SingularFeedthroughError
 from klap.linalg import solve_lyapunov_transposed
-from klap.optimizer import klap
+from klap.optimizer import _GRAMIAN_FLOOR, klap
 from klap.passivity import (
     _DUAL_GAP_RTOL,
     _closed_loop,
@@ -485,6 +487,33 @@ def test_check_passive_indefinite_feedthrough_margin():
     verdict = check_passive(sys)
     assert not verdict.passive
     assert verdict.margin == np.linalg.eigvalsh(D + D.T)[0]
+
+
+# klap(max_restarts=0, max_iterations=300) on rand 8x1/11, 12x1/23 and
+# 12x1/31, with the returned output map stepped back to C_hat + t (C - C_hat)
+# for t = 1e-6, 1e-8 and 1e-5: violations of 4 to 13 times the tolerance.
+# The axis tolerance 1e-9 ||H||_F is large on such models, so most
+# Hamiltonian eigenvalues count as crossings (16 of 16, 16 of 24 and 24 of
+# 24) and each adds a sample.  Taking that tolerance on the balanced
+# Hamiltonian instead samples far fewer frequencies and passes all three.
+# The matrices are stored literally, so no later change to klap's
+# trajectories can move them off the boundary.
+NEAR_BOUNDARY_MODELS = json.loads(
+    (Path(__file__).parent / "data" / "near_boundary_models.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(NEAR_BOUNDARY_MODELS))
+def test_check_passive_rejects_a_violation_just_beyond_its_tolerance(name):
+    sys = StateSpaceSystem(**NEAR_BOUNDARY_MODELS[name])
+    # the same model in klap's floored square-root-Gramian coordinates
+    s, U = np.linalg.eigh(controllability_gramian(sys))
+    r = np.sqrt(np.maximum(s, _GRAMIAN_FLOOR * s.max()))
+    T, T_inv = U * r, U.T / r[:, None]
+    similar = StateSpaceSystem(T_inv @ sys.A @ T, T_inv @ sys.B, sys.C @ T, sys.D)
+    for model in (sys, similar):
+        verdict = check_passive(model)
+        assert not verdict.passive
+        assert verdict.margin < -_passive_tolerance(model)
 
 
 def test_klap_optimizes_a_zero_feedthrough_input_whose_violation_the_grid_misses():
