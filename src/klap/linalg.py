@@ -62,6 +62,7 @@ closed loop, which also gives that closed loop's stability test.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -199,13 +200,25 @@ def _no_sort(re, im):  # pragma: no cover - gees calls it only when sorting
     return None
 
 
-def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.cache
+def _gees_lwork(n: int) -> int:
+    """The ``gees`` workspace SciPy's ``schur`` queries for order ``n``
+    (with Schur vectors): the query reads the order alone, so it is made
+    once per order and kept."""
+    return int(_GEES(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
+def _real_schur(a: np.ndarray, vectors: bool = True) -> tuple:
     """Real Schur form ``a = Z T Z^T`` of a real square matrix, as
-    ``(T, Z, re)`` with ``re`` the real parts of the eigenvalues.
+    ``(T, Z, re)`` with ``re`` the real parts of the eigenvalues; ``Z`` is
+    ``None`` without ``vectors``.
 
     SciPy's ``schur(a, output="real")`` call of LAPACK ``gees``, with the
-    same queried workspace and no sorting, so ``T`` and ``Z`` are SciPy's
-    bit for bit; the eigenvalues come from the same factorization.
+    same queried workspace (:func:`_gees_lwork`) and no sorting, so ``T``
+    and ``Z`` are SciPy's bit for bit; the eigenvalues come from the same
+    factorization.  Without ``vectors`` the call skips the Schur vectors
+    but keeps that workspace, which sets ``gees``'s shift and deflation
+    sizes, so ``T`` and ``re`` stay those of the call with vectors.
 
     Raises
     ------
@@ -215,13 +228,13 @@ def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    lwork = int(_GEES(_no_sort, a, lwork=-1)[-2][0])
-    T, _, re, _, Z, _, info = _GEES(_no_sort, a, lwork=lwork)
+    T, _, re, _, Z, _, info = _GEES(_no_sort, a, compute_v=int(vectors),
+                                    lwork=_gees_lwork(a.shape[0]))
     if info < 0:  # pragma: no cover - argument error
         raise ValueError(f"illegal value in {-info}-th argument of internal gees")
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    return T, Z, re
+    return T, Z if vectors else None, re
 
 
 def _bartels_stewart(schur: tuple, q: np.ndarray) -> np.ndarray:

@@ -22,7 +22,11 @@ whose solution set is an ordered lattice: the extremal solutions
 ``X_min <= X <= X_max`` are characterized through the closed-loop matrix
 ``Y(X) = A - B R^{-1} (C - B^T X)`` having spectrum in the closed left
 (respectively right) half-plane.  :func:`solve_are` computes ``X_min``, the
-stabilizing solution the initialization starts from.  ``X_max`` is never
+stabilizing solution the initialization starts from, by Kleinman's damped
+Newton iteration; at its first damped step that does not halve the
+residual it hands over to a Hamiltonian-Schur solve, which is returned iff
+it meets the residual tolerance at its own scale with a stable closed
+loop.  ``X_max`` is never
 formed: the coincidence ``X_min = X_max`` — a closed-loop spectrum
 entirely on the imaginary axis — is what :func:`global_min_certificate`
 tests to certify that a candidate passivation cannot be improved upon.
@@ -89,8 +93,9 @@ class AreSolution:
         Symmetric solution.
     closed_loop_max_real : float
         Largest eigenvalue real part of ``Y(X) = A - B R^{-1} (C - B^T X)``,
-        read off the real Schur form of ``Y(X)^T`` that the Newton
-        iteration's last stability test computed; approximately ``<= 0``.
+        read off the real Schur form of ``Y(X)^T`` that the last stability
+        test (of the Newton iterate or of the Hamiltonian-Schur solve)
+        computed; approximately ``<= 0``.
     newton_iterations : int
         Accepted Newton steps performed.
     residual : float
@@ -138,48 +143,58 @@ def _newton_minimal(
 
     Each accepted step solves one Lyapunov equation with the current
     closed loop ``Y_k = A - B K_k``; step damping keeps the closed loop
-    Hurwitz and the residual non-increasing.  When the iteration stalls
-    above tolerance (near-marginal problems), a Hamiltonian-Schur solve
-    refines the iterate.  The iteration starts from the zero gain, which
-    needs ``A`` Hurwitz.  Returns ``X``, the accepted steps, the residual
-    norm and the largest real part of the closed-loop spectrum at ``X``.
-    Raises :class:`NoSolutionError` if no acceptable solution is found.
+    Hurwitz and the residual non-increasing.  The iteration starts from the
+    zero gain, which needs ``A`` Hurwitz.  Returns ``X``, the accepted
+    steps, the residual norm and the largest real part of the closed-loop
+    spectrum at ``X``.  Raises :class:`NoSolutionError` if no acceptable
+    solution is found.
+
+    Newton returns the first iterate whose residual is at most ``tol *
+    max(1, ||X||_F)``.  It hands over to a Hamiltonian-Schur solve of the
+    Riccati equation (near-marginal problems, where the Newton basin
+    collapses against the imaginary axis) at the first accepted step that
+    was damped and did not halve the residual, after five steps in a row
+    that did not halve it, when no damping trial is acceptable, or when
+    the step budget is spent.  That solve is judged on its own: it is
+    returned iff its residual meets the same tolerance at its own scale and
+    its closed loop's spectral abscissa is at most ``1e-8 max(1,
+    ||A||_F)``; otherwise :class:`NoSolutionError` is raised.  Every
+    Newton iterate that met the tolerance was already returned, so no
+    iterate is kept for comparison.  Each solve logs one debug line: the
+    Newton iterations, how Newton ended and, where it ran, the refinement's
+    residual against its tolerance and whether it was returned.
 
     The zero-gain start's first step is taken in closed form: its
     Lyapunov right-hand side ``Q(0)`` vanishes, so its Newton iterate and
     every damping trial is ``X = 0``, with gain ``R^{-1} C``.  That step
-    is one Schur form of ``(A - B R^{-1} C)^T``: accepted (with the
-    residual unchanged, so it counts as a stall) when that closed loop is
-    Hurwitz, and otherwise no Newton step is acceptable and the
-    Hamiltonian-Schur refinement runs at once.
+    is one Schur form of ``(A - B R^{-1} C)^T``: accepted undamped (with
+    the residual unchanged, so it counts as a stall) when that closed loop
+    is Hurwitz, and otherwise no Newton step is acceptable and the
+    refinement runs at once.
 
-    Every closed loop is factored once, into the real Schur form of
-    ``Y^T``: each damping trial computes its gain ``F_t = R^{-1} (C - B^T
-    X_t)`` once, and the Schur form of ``(A - B F_t)^T`` gives the trial's
-    stability test; the accepted trial's gain and Schur form are the next
-    step's ``K`` and Lyapunov factorization (the closed loop of that step
-    is the same matrix).
+    Every closed loop that decides a step is factored once, into the real
+    Schur form of ``Y^T``: each damping trial computes its gain ``F_t =
+    R^{-1} (C - B^T X_t)`` and its residual; a trial whose residual rises
+    is rejected without a factorization, and otherwise the Schur form of
+    ``(A - B F_t)^T`` gives its stability test.  The accepted trial's gain
+    and Schur form are the next step's ``K`` and Lyapunov factorization
+    (the closed loop of that step is the same matrix); a trial that meets
+    the tolerance ends the iteration, so it is factored without Schur
+    vectors.
     """
     n = A.shape[0]
     X = np.zeros((n, n))
-    F0 = _gain(B, C, R, X)
-    res_norm = np.linalg.norm(_are_residual(A, B, C, X, F0), "fro")
-    # (X, accepted steps, residual, closed-loop max real part or None)
-    best: tuple[np.ndarray, int, float, float | None] | None = None
-    iterations = 0
-    stalls = 0
-    steps = _NEWTON_STEPS
-    K, schur = F0, _real_schur((A - B @ F0).T)
+    K = _gain(B, C, R, X)
+    res_norm = np.linalg.norm(_are_residual(A, B, C, X, K), "fro")
+    schur = _real_schur((A - B @ K).T)
     abscissa = _max_real(schur)
+    iterations, stalls, ending = 0, 0, "stopped: no acceptable trial"
     if abscissa < 0:
-        iterations, steps = 1, _NEWTON_STEPS - 1
-        stalls = 1 if res_norm > 0.5 * res_norm else 0
         if res_norm <= tol:  # the residual scale max(1, ||X||) is 1 at X = 0
-            return X, iterations, res_norm, abscissa
-        best = (X, iterations, res_norm, abscissa)
-    else:
-        steps = 0  # no Newton step is acceptable: refine at once
-    for _ in range(steps):
+            _log.debug("Riccati solve: 1 Newton iteration, converged")
+            return X, 1, res_norm, abscissa
+        iterations, stalls, ending = 1, 1, "stopped: step budget spent"
+    for _ in range(_NEWTON_STEPS - 1 if iterations else 0):
         Q = C.T @ K + K.T @ C - K.T @ R @ K
         X_full = _bartels_stewart(schur, -Q)
         X_full = 0.5 * (X_full + X_full.T)
@@ -190,48 +205,55 @@ def _newton_minimal(
         for _ in range(25):
             X_t = X + t * (X_full - X)
             F_t = _gain(B, C, R, X_t)
-            schur_t = _real_schur((A - B @ F_t).T)
-            abscissa = _max_real(schur_t)
-            if abscissa < 0:
-                r_t = np.linalg.norm(_are_residual(A, B, C, X_t, F_t), "fro")
-                if r_t <= res_norm or iterations == 0:
-                    stalls = stalls + 1 if r_t > 0.5 * res_norm else 0
-                    X, res_norm, accepted = X_t, r_t, True
+            r_t = np.linalg.norm(_are_residual(A, B, C, X_t, F_t), "fro")
+            if r_t <= res_norm:
+                done = r_t <= tol * max(1.0, float(np.linalg.norm(X_t, "fro")))
+                schur_t = _real_schur((A - B @ F_t).T, vectors=not done)
+                abscissa = _max_real(schur_t)
+                if abscissa < 0:
+                    accepted = True
                     break
             t *= 0.5
         if not accepted:
+            ending = "stopped: no acceptable trial"
             break
         iterations += 1
-        K, schur = F_t, schur_t
-        scale = max(1.0, float(np.linalg.norm(X, "fro")))
-        if res_norm <= tol * scale:
-            return X, iterations, res_norm, abscissa
-        if best is None or res_norm < best[2]:
-            best = (X, iterations, res_norm, abscissa)
+        if done:
+            _log.debug("Riccati solve: %d Newton iterations, converged", iterations)
+            return X_t, iterations, r_t, abscissa
+        stalled = r_t > 0.5 * res_norm
+        stalls = stalls + 1 if stalled else 0
+        X, res_norm, K, schur = X_t, r_t, F_t, schur_t
+        if stalled and t < 1.0:
+            ending = "stopped at a damped stall"
+            break
         if stalls >= 5:
+            ending = "stopped after five stalls"
             break
 
-    # Hamiltonian-Schur refinement for near-marginal problems where the
-    # Newton basin collapses against the imaginary axis.
-    if best is None:
-        best = (X, iterations, res_norm, None)
+    scale = max(1.0, float(np.linalg.norm(X, "fro")))
+    ending = f"{ending} at residual {res_norm:.3e}"
     try:
         X_schur = scipy.linalg.solve_continuous_are(
             A, B, np.zeros_like(A), -R, s=-C.T
         )
-        X_schur = 0.5 * (X_schur + X_schur.T)
-        r_schur = _residual_norm(A, B, C, R, X_schur)
-        if r_schur < best[2]:
-            best = (X_schur, iterations, r_schur, None)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        _log.debug("Hamiltonian-Schur refinement unavailable: %s", exc)
-
-    X, iterations, res_norm, abscissa = best
-    scale = max(1.0, float(np.linalg.norm(X, "fro")))
-    if res_norm <= tol * scale:
-        if abscissa is None:
-            abscissa = _max_real(_real_schur(_closed_loop(A, B, C, R, X).T))
-        if abscissa <= 1e-8 * max(1.0, float(np.linalg.norm(A, "fro"))):
+        _log.debug("Riccati solve: %d Newton iterations, %s; Hamiltonian-Schur refinement "
+                   "unavailable: %s", iterations, ending, exc)
+    else:
+        X = 0.5 * (X_schur + X_schur.T)
+        res_norm = _residual_norm(A, B, C, R, X)
+        scale = max(1.0, float(np.linalg.norm(X, "fro")))
+        verdict = "rejected: residual above tolerance"
+        if res_norm <= tol * scale:
+            abscissa = _max_real(_real_schur(_closed_loop(A, B, C, R, X).T, vectors=False))
+            verdict = f"rejected: closed-loop abscissa {abscissa:.3e}"
+            if abscissa <= 1e-8 * max(1.0, float(np.linalg.norm(A, "fro"))):
+                verdict = "returned"
+        _log.debug("Riccati solve: %d Newton iterations, %s; Hamiltonian-Schur refinement "
+                   "residual %.3e vs tolerance %.3e: %s",
+                   iterations, ending, res_norm, tol * scale, verdict)
+        if verdict == "returned":
             return X, iterations, res_norm, abscissa
     raise NoSolutionError(
         f"Riccati iteration did not converge (residual {res_norm:.3e} vs "
@@ -247,9 +269,17 @@ def solve_are(
     """Minimal (stabilizing) solution of the passivity Riccati equation.
 
     The damped Newton iteration of :func:`_newton_minimal`, started from
-    the zero gain since ``A`` is Hurwitz; each of its closed loops is
-    factored once, into the real Schur form that tests its stability and
-    serves the next Lyapunov solve.
+    the zero gain since ``A`` is Hurwitz; each closed loop that decides a
+    step is factored once, into the real Schur form that tests its
+    stability and serves the next Lyapunov solve.  At the first accepted
+    step that was damped and did not halve the residual (or after five
+    steps in a row that did not halve it, or when no damping trial is
+    acceptable) Newton hands over to a Hamiltonian-Schur solve, which is
+    returned iff it meets ``tol`` at its own scale and its closed loop is
+    stable to ``1e-8 max(1, ||A||_F)``.  Each solve logs one debug line
+    on the ``klap.passivity`` logger: the Newton iterations, how Newton
+    ended and, where it ran, the refinement's residual against its
+    tolerance and whether it was returned.
 
     Parameters
     ----------
@@ -269,8 +299,10 @@ def solve_are(
     SingularFeedthroughError
         If ``D + D^T`` is singular at working precision.
     NoSolutionError
-        If the iteration fails — in particular when the system is not
-        passivatable by its feedthrough, so no stabilizing solution exists.
+        If Newton stops short of ``tol`` and the Hamiltonian-Schur solve
+        fails, misses ``tol`` or has an unstable closed loop — in
+        particular when the system is not passivatable by its feedthrough,
+        so no stabilizing solution exists.
     """
     if kind != "minimal":
         raise ValueError(f"kind must be 'minimal', got {kind!r}")

@@ -308,11 +308,17 @@ def newton_riccati_oracle(A, B, C, R, K0=None, tol: float = 1e-10, max_iteration
     ``numpy.linalg.eigvals`` for every stability test, recomputing
     ``F = R^{-1} (C - B^T X)`` wherever it is used.  It starts from the
     stabilizing gain ``K0`` when one is given, and otherwise from the zero
-    gain, which needs ``A`` Hurwitz.  The library factors each closed loop
-    once and reuses the factorization; the Lyapunov arithmetic is the
-    same, so from the zero gain ``X``, the step count and the residual
-    must agree with ``solve_are`` bit for bit.  Raises
-    :class:`NoSolutionError` where the library does, with the same message.
+    gain, which needs ``A`` Hurwitz.  Newton returns the first iterate that
+    meets ``tol * max(1, ||X||_F)``; it stops at the first accepted step
+    that was damped and did not halve the residual, after five steps in a
+    row that did not halve it, or when no damping trial is acceptable, and
+    then SciPy's ``solve_continuous_are`` is returned iff it meets the same
+    tolerance at its own scale and its closed loop is stable to ``1e-8
+    max(1, ||A||_F)``.  The library factors each closed loop once and
+    reuses the factorization; the Lyapunov arithmetic is the same, so from
+    the zero gain ``X``, the step count and the residual must agree with
+    ``solve_are`` bit for bit.  Raises :class:`NoSolutionError` where the
+    library does, with the same message.
     """
     n = A.shape[0]
 
@@ -330,7 +336,6 @@ def newton_riccati_oracle(A, B, C, R, K0=None, tol: float = 1e-10, max_iteration
         raise ValueError("the start gain must make A - B K0 Hurwitz")
     X = np.zeros((n, n))
     res_norm = residual(X)
-    best = None
     iterations = stalls = 0
     for _ in range(max_iterations):
         Y = A - B @ K
@@ -346,7 +351,8 @@ def newton_riccati_oracle(A, B, C, R, K0=None, tol: float = 1e-10, max_iteration
             if abscissa(X_t) < 0:
                 r_t = residual(X_t)
                 if r_t <= res_norm or iterations == 0:
-                    stalls = stalls + 1 if r_t > 0.5 * res_norm else 0
+                    stalled = r_t > 0.5 * res_norm
+                    stalls = stalls + 1 if stalled else 0
                     X, res_norm, accepted = X_t, r_t, True
                     break
             t *= 0.5
@@ -357,24 +363,20 @@ def newton_riccati_oracle(A, B, C, R, K0=None, tol: float = 1e-10, max_iteration
         scale = max(1.0, float(np.linalg.norm(X, "fro")))
         if res_norm <= tol * scale:
             return 0.5 * (X + X.T), iterations, res_norm
-        if best is None or res_norm < best[2]:
-            best = (X, iterations, res_norm)
-        if stalls >= 5:
+        if (stalled and t < 1.0) or stalls >= 5:
             break
-    if best is None:
-        best = (X, iterations, res_norm)
+    scale = max(1.0, float(np.linalg.norm(X, "fro")))
     try:
         X_schur = scipy.linalg.solve_continuous_are(A, B, np.zeros_like(A), -R, s=-C.T)
-        X_schur = 0.5 * (X_schur + X_schur.T)
-        r_schur = residual(X_schur)
-        if r_schur < best[2]:
-            best = (X_schur, iterations, r_schur)
     except (np.linalg.LinAlgError, ValueError):
         pass
-    X, iterations, res_norm = best
-    scale = max(1.0, float(np.linalg.norm(X, "fro")))
-    if res_norm <= tol * scale and abscissa(X) <= 1e-8 * max(1.0, float(np.linalg.norm(A, "fro"))):
-        return 0.5 * (X + X.T), iterations, res_norm
+    else:
+        X = 0.5 * (X_schur + X_schur.T)
+        res_norm = residual(X)
+        scale = max(1.0, float(np.linalg.norm(X, "fro")))
+        if (res_norm <= tol * scale
+                and abscissa(X) <= 1e-8 * max(1.0, float(np.linalg.norm(A, "fro")))):
+            return X, iterations, res_norm
     raise NoSolutionError(
         f"Riccati iteration did not converge (residual {res_norm:.3e} vs "
         f"tolerance {tol * scale:.3e}); the system is likely not strictly passive"

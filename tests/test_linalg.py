@@ -332,6 +332,33 @@ def test_bartels_stewart_pair_equals_scipy_bit_for_bit(n):
         assert np.array_equal(X, scipy.linalg.solve_continuous_lyapunov(a, Q))
 
 
+def test_real_schur_queries_the_workspace_once_per_order(monkeypatch):
+    # the gees workspace depends on the order alone: one query per order,
+    # then one LAPACK call per factorization, with or without Schur vectors;
+    # without them T and the eigenvalues are those of the call with them
+    import klap.linalg as linalg_mod
+
+    calls = []
+    gees = linalg_mod._GEES
+
+    def counting_gees(*args, **kwargs):
+        calls.append(kwargs["lwork"])
+        return gees(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "_GEES", counting_gees)
+    linalg_mod._gees_lwork.cache_clear()
+    rng = np.random.default_rng(5)
+    for n, vectors in ((5, True), (5, False), (80, True), (5, True), (80, False)):
+        a = random_hurwitz(rng, n)
+        T, Z, re = _real_schur(a, vectors)
+        T_ref, Z_ref = scipy.linalg.schur(a, output="real")
+        assert np.array_equal(T, T_ref) and np.array_equal(re, _real_schur(a)[2])
+        assert np.array_equal(Z, Z_ref) if vectors else Z is None
+    queries = [lwork for lwork in calls if lwork == -1]
+    assert len(queries) == 2 and len(calls) == 2 + 5 + 5
+    linalg_mod._gees_lwork.cache_clear()
+
+
 def test_bartels_stewart_pair_keeps_scipys_rescaled_result_and_checks():
     # trsyl scales this equation by 1e-300 to avoid overflow; the pair, like
     # SciPy, multiplies by the scale (the kernel's residual test rejects it)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from klap import passivity
@@ -169,22 +170,48 @@ def test_are_minimal_random_passive_systems():
         assert sol.closed_loop_max_real <= 1e-8 * (1 + np.linalg.norm(sys.A))
 
 
-@pytest.mark.parametrize("n, m, seed", [(8, 2, 3), (16, 3, 4)])
-def test_solve_are_computes_each_closed_loop_spectrum_once(monkeypatch, n, m, seed):
-    # each closed loop is factored once, into the real Schur form of its
-    # transpose: (A - B R^{-1} C)^T for the zero-gain start's first step,
-    # taken in closed form (its iterate is X = 0, so it needs no Lyapunov
-    # solve), then one form per damping trial, whose eigenvalues test the
-    # trial and, once it is accepted, whose factorization the next
-    # Lyapunov solve uses; A^T itself is never factored; no eigvals call
-    sys = random_passive_system(np.random.default_rng(seed), n, m)
-    real_schur, bartels_stewart = passivity._real_schur, passivity._bartels_stewart
-    factored, forms, solved_with = [], [], []
+# inputs of the test below: random passive systems n-m-seed, and rand 8x1/2
+# at initialize's first shift
+SPECTRUM_ONCE_INPUTS = {
+    "8-2-3": lambda: random_passive_system(np.random.default_rng(3), 8, 2),
+    "16-3-4": lambda: random_passive_system(np.random.default_rng(4), 16, 3),
+    "rand-8x1/2": lambda: _initialize_shift("rand-8x1/2", 0),
+}
 
-    def counting_schur(a):
+
+@pytest.mark.parametrize("name", list(SPECTRUM_ONCE_INPUTS))
+def test_solve_are_computes_each_closed_loop_spectrum_once(monkeypatch, name):
+    # each closed loop that decides a step is factored once, into the real
+    # Schur form of its transpose: (A - B R^{-1} C)^T for the zero-gain
+    # start's first step, taken in closed form (its iterate is X = 0, so it
+    # needs no Lyapunov solve), then one form per damping trial whose
+    # residual did not rise, whose eigenvalues test the trial and, once it
+    # is accepted, whose factorization the next Lyapunov solve uses.  A
+    # trial whose residual rose is rejected unfactored (rand 8x1/2 at
+    # initialize's first shift has one, then stops at a damped stall), and
+    # the last form, of the trial that meets the tolerance or of the
+    # refinement's closed loop, carries no Schur vectors; A^T itself is
+    # never factored, and eigvals is never called
+    sys = SPECTRUM_ONCE_INPUTS[name]()
+    n = sys.n
+    real_schur, bartels_stewart = passivity._real_schur, passivity._bartels_stewart
+    are_residual, residual_norm = passivity._are_residual, passivity._residual_norm
+    factored, forms, solved_with, events = [], [], [], []
+
+    def counting_schur(a, vectors=True):
         factored.append(a.copy())
-        forms.append(real_schur(a))
+        forms.append(real_schur(a, vectors))
+        events.append(("schur", forms[-1]))
         return forms[-1]
+
+    def recording_residual(A, B, C, X, F):
+        out = are_residual(A, B, C, X, F)
+        events.append(("residual", np.linalg.norm(out, "fro")))
+        return out
+
+    def refinement_residual(*args):
+        events.append(("refinement", None))
+        return residual_norm(*args)
 
     def recording_solve(schur, q):
         solved_with.append(schur)
@@ -194,6 +221,8 @@ def test_solve_are_computes_each_closed_loop_spectrum_once(monkeypatch, n, m, se
         raise AssertionError("eigvals called inside the Newton iteration")
 
     monkeypatch.setattr(passivity, "_real_schur", counting_schur)
+    monkeypatch.setattr(passivity, "_are_residual", recording_residual)
+    monkeypatch.setattr(passivity, "_residual_norm", refinement_residual)
     monkeypatch.setattr(passivity, "_bartels_stewart", recording_solve)
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     sol = solve_are(sys, "minimal")
@@ -207,7 +236,28 @@ def test_solve_are_computes_each_closed_loop_spectrum_once(monkeypatch, n, m, se
     assert all(any(s is f for f in forms) for s in solved_with)
     Y = _closed_loop(sys.A, sys.B, sys.C, R, sol.X)
     assert np.array_equal(factored[-1], Y.T)
-    assert sol.closed_loop_max_real == float(real_schur(Y.T)[2].max())
+    assert forms[-1][1] is None and all(f[1] is not None for f in forms[:-1])
+    T, _, re = real_schur(Y.T)
+    assert np.array_equal(forms[-1][0], T) and np.array_equal(forms[-1][2], re)
+    assert sol.closed_loop_max_real == float(re.max())
+    # replay the Newton phase: the zero start's residual, then its
+    # closed-form step's form; after it a trial is factored iff its residual
+    # is at most the accepted one, and accepted iff its form is also Hurwitz
+    refined = ("refinement", None) in events
+    if refined:
+        events = events[:events.index(("refinement", None))]
+    assert refined == (name == "rand-8x1/2")
+    (_, res_norm), (kind, _), *trials = events
+    assert kind == "schur"
+    rose = 0
+    for (kind, r_t), following in zip(trials, trials[1:] + [("end", None)]):
+        if kind != "residual":
+            continue
+        assert (following[0] == "schur") == (r_t <= res_norm)
+        rose += r_t > res_norm
+        if following[0] == "schur" and following[1][2].max() < 0:
+            res_norm = r_t
+    assert (rose > 0) == refined
 
 
 # (n, m) of the seeded random inputs of the Riccati sweep below
@@ -231,6 +281,16 @@ def _riccati_sweep_input(name):
                             0.05 * np.eye(m))
 
 
+def _initialize_shift(name, attempt):
+    """The system :func:`klap.optimizer.initialize` solves at its first
+    (``attempt = 0``) or tenfold (``1``) feedthrough shift of ``name``."""
+    sys = _riccati_sweep_input(name)
+    popov_min = popov_scan(sys).global_min
+    eps = 1e-3 * abs(popov_min) * (1.0, 10.0)[attempt]
+    delta = max(eps, -popov_min / 2.0 + eps)
+    return sys.with_feedthrough(sys.D + delta * np.eye(sys.m))
+
+
 @pytest.mark.parametrize("attempt", [0, 1])
 @pytest.mark.parametrize(
     "name",
@@ -240,11 +300,7 @@ def _riccati_sweep_input(name):
 def test_solve_are_matches_the_newton_oracle_bit_for_bit(name, attempt):
     # the feedthrough shifts of optimizer.initialize: both attempts, so the
     # sweep includes toy-m0's and toy-m1's failing first shift
-    sys = _riccati_sweep_input(name)
-    popov_min = popov_scan(sys).global_min
-    eps = 1e-3 * abs(popov_min) * (1.0, 10.0)[attempt]
-    delta = max(eps, -popov_min / 2.0 + eps)
-    shifted = sys.with_feedthrough(sys.D + delta * np.eye(sys.m))
+    shifted = _initialize_shift(name, attempt)
 
     def outcome(solve):
         try:
@@ -263,6 +319,81 @@ def test_solve_are_matches_the_newton_oracle_bit_for_bit(name, attempt):
         X, iterations, residual = want
         assert np.array_equal(got.X, X)
         assert (got.newton_iterations, got.residual) == (iterations, residual)
+
+
+def riccati_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "klap.passivity" and r.getMessage().startswith("Riccati solve")]
+
+
+# the debug line of one Riccati solve at initialize's first shift of each input
+RICCATI_LOG_LINES = {
+    # a damped stall after the closed-form step and one damped step, then
+    # the refinement is returned
+    "acc": r"2 Newton iterations, stopped at a damped stall at residual (\S+); "
+           r"Hamiltonian-Schur refinement residual (\S+) vs tolerance (\S+): returned",
+    # Newton converges: no refinement runs
+    "rand-8x1/1": r"(\d+) Newton iterations, converged",
+    # the failing first shift: the refinement misses its tolerance
+    "toy-m0": r"8 Newton iterations, stopped at a damped stall at residual (\S+); "
+              r"Hamiltonian-Schur refinement residual (\S+) vs tolerance (\S+): "
+              r"rejected: residual above tolerance",
+}
+
+
+@pytest.mark.parametrize("name", list(RICCATI_LOG_LINES))
+def test_solve_are_logs_one_line_per_solve(name, caplog):
+    outcome = RICCATI_LOG_LINES[name]
+    shifted = _initialize_shift(name, 0)
+    with caplog.at_level("DEBUG", logger="klap.passivity"):
+        try:
+            sol = solve_are(shifted, "minimal")
+        except NoSolutionError as exc:
+            sol = exc
+    (line,) = riccati_lines(caplog)
+    match = re.fullmatch(f"Riccati solve: {outcome}", line)
+    assert match, line
+    if name == "rand-8x1/1":
+        assert int(match[1]) == sol.newton_iterations
+        return
+    newton, refined, tolerance = map(float, match.groups())
+    assert newton > tolerance
+    if name == "acc":
+        assert sol.newton_iterations == 2
+        assert refined <= tolerance and f"{sol.residual:.3e}" == match[2]
+    else:
+        assert refined > tolerance
+        assert str(sol).startswith(f"Riccati iteration did not converge (residual {match[2]} "
+                                   f"vs tolerance {match[3]})")
+
+
+def test_solve_are_judges_the_refinement_on_its_own_tolerance(monkeypatch, caplog):
+    # acc at initialize's tenfold shift stops Newton at a damped stall, at
+    # residual 0.229 and relative residual 0.18, so tol = 0.1 keeps the
+    # same Newton path.  A refinement returning 1.2 X_min has the larger
+    # residual 0.434 but meets tol at its own scale (0.54), and its closed
+    # loop is stable, so it is returned: judged against the stalled iterate's
+    # residual, it would have been discarded
+    shifted = _initialize_shift("acc", 1)
+    care = scipy.linalg.solve_continuous_are
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are",
+                        lambda *args, **kwargs: 1.2 * care(*args, **kwargs))
+    with caplog.at_level("DEBUG", logger="klap.passivity"):
+        sol = solve_are(shifted, "minimal", tol=0.1)
+    monkeypatch.undo()
+    (line,) = riccati_lines(caplog)
+    match = re.search(r"stopped at a damped stall at residual (\S+); Hamiltonian-Schur "
+                      r"refinement residual (\S+) vs tolerance (\S+): returned", line)
+    assert match, line
+    newton, refined, tolerance = map(float, match.groups())
+    assert newton < refined <= tolerance
+    A, B, C, R = shifted.A, shifted.B, shifted.C, shifted.D + shifted.D.T
+    X = 1.2 * care(A, B, np.zeros_like(A), -R, s=-C.T)
+    X = 0.5 * (X + X.T)
+    assert np.array_equal(sol.X, X)
+    assert sol.residual == passivity._residual_norm(A, B, C, R, X)
+    assert sol.closed_loop_max_real == pytest.approx(closed_loop_abscissa(shifted, X), abs=1e-12)
+    assert sol.closed_loop_max_real < 0
 
 
 def test_are_extremal_ordering():
