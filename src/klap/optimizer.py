@@ -66,6 +66,7 @@ from .passivity import (
     PassivityVerdict,
     _kyp_dual,
     _passive_tolerance,
+    _sampled_verdict,
     check_passive,
     global_min_certificate,
     l_from_are,
@@ -656,14 +657,15 @@ def restart_step(
     stepped system sits near the passive boundary, where the Riccati
     equation is close to marginal.
 
-    The stepped system is judged by :func:`~klap.passivity.check_passive`,
-    so a violation narrower than the Popov grid's spacing also rejects the
-    step.
+    The stepped system is judged by the verdict of
+    :func:`~klap.passivity.check_passive`, so a violation narrower than the
+    Popov grid's spacing also rejects the step.  The margin of a rejected
+    step is never read, so the check's default-grid rescan is not run.
     """
     grad_c = 2.0 * (C_star - sys.C) @ P
     for alpha in (_RESTART_ALPHA, _RESTART_ALPHA / 10.0):
         candidate = sys.with_output(C_star - alpha * grad_c)
-        if not check_passive(candidate).passive:
+        if not _sampled_verdict(candidate)[0].passive:
             continue
         try:
             sol = solve_are(candidate, "minimal", tol=1e-6)
@@ -697,7 +699,9 @@ class _Frame:
     ``H0`` is the runs' L-BFGS metric: ``P'^{-1}``, with the eigenvalues of
     ``P'`` floored at :data:`_PRECOND_FLOOR` times the largest, from
     ``gramian`` itself where ``T = I``.  ``gramian`` also serves the KYP
-    dual bound.
+    dual bound.  :func:`klap` drops ``objective`` once its last run has
+    returned, so that run's judgement does not hold it (at n = 128 about
+    four ``n x n`` complex arrays).
     """
 
     def __init__(self, sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray):
@@ -743,13 +747,17 @@ class _Candidate(NamedTuple):
     """A point one inner run ended at (``run`` is ``None`` for a start no
     run finished from), judged once: its output map and ``J`` through the
     system's checked kernel, not the run's own (possibly modal) evaluation,
-    its model's passivity verdict and its spectral certificate."""
+    its model's passivity verdict and its spectral certificate.
+
+    ``verdict`` is ``None`` where the point could not become the returned
+    one: the best point so far passes the check and this ``J`` is not below
+    its ``J``, so no verdict would change the outcome."""
 
     run: LbfgsResult | None
     L: np.ndarray
     C_hat: np.ndarray
     J: float
-    verdict: PassivityVerdict
+    verdict: PassivityVerdict | None
     certificate: GlobalMinCertificate | None
 
     @property
@@ -868,9 +876,12 @@ def klap(
     model passes the check (``C_hat(L)`` is passive in exact arithmetic,
     but its rounding grows with ``||L||^2``), or, when none passes, the
     one of lowest ``J``, returned with a warning and the margin in
-    :attr:`KlapResult.message`.  While the best point is not certified,
-    the KYP dual bound is evaluated at each round's point, and the highest
-    bound found is kept.  The best point is certified when its model passes
+    :attr:`KlapResult.message`.  So the verdict is computed only where the
+    point can become the best: there is no best yet, the best fails the
+    check, or this ``J`` is below the best's.  A point whose ``J`` is not
+    below a passing best is left without one.  While the best point is not
+    certified, the KYP dual bound is evaluated at each round's point, and
+    the highest bound found is kept.  The best point is certified when its model passes
     the check and either its run stopped on a convergence criterion at a
     gradient norm of at most ``1e-8`` and the spectral test passes there
     (the cheap first gate) or its ``J`` is within ``1e-7`` (relative) of
@@ -886,7 +897,8 @@ def klap(
     zero error, and no certificate.  A scanned Popov minimum within the
     tolerance of :func:`~klap.passivity.check_passive` is confirmed by that
     check first, since a violation narrower than the grid spacing escapes
-    the scan.
+    the scan; the default-grid scan the check takes the margin of a
+    violation from is the one already made.
 
     Keyword overrides are applied on top of ``config``
     (e.g. ``klap(sys, rng_seed=3, max_restarts=0)``).
@@ -924,7 +936,7 @@ def klap(
 
     popov_min = popov_scan(sys).global_min
     if popov_min >= -_passive_tolerance(sys):
-        verdict = check_passive(sys)
+        verdict = _sampled_verdict(sys)[0]
         if verdict.passive:
             return KlapResult(
                 C_hat=sys.C,
@@ -944,8 +956,9 @@ def klap(
                 system=sys,
                 message="input system is already passive; returned unchanged",
             )
-        # the grid missed the violation: start from the confirmed margin
-        popov_min = verdict.margin
+        # the grid missed the violation: start from the confirmed margin,
+        # check_passive's own, whose default-grid scan is the one above
+        popov_min = min(verdict.margin, popov_min)
 
     rng = np.random.default_rng(cfg.rng_seed)
     delta = 0.0
@@ -968,11 +981,14 @@ def klap(
     message = "restart budget exhausted without certificate"
 
     def judge(L: np.ndarray, run: LbfgsResult | None = None) -> _Candidate:
-        """Judge the point ``L`` of the run coordinates in the original ones."""
+        """Judge the point ``L`` of the run coordinates in the original ones;
+        its model is checked only where the point can become the best."""
         L, C_hat = frame.output_map(L)
-        return _Candidate(run, L, C_hat, h2_error_sq(sys, C_hat, P=P),
-                          check_passive(sys.with_output(C_hat)),
-                          global_min_certificate(sys, L))
+        J = h2_error_sq(sys, C_hat, P=P)
+        verdict = None
+        if best is None or not best.verdict.passive or J < best.J:
+            verdict = check_passive(sys.with_output(C_hat))
+        return _Candidate(run, L, C_hat, J, verdict, global_min_certificate(sys, L))
 
     def gap_at(c: _Candidate) -> float | None:
         """Relative gap of the highest bound at ``c``, restated where it was
@@ -989,14 +1005,16 @@ def klap(
     try:
         for round_index in range(cfg.max_restarts + 1):
             run = lbfgs_minimize(frame.objective, frame.H0, L_start, cfg)
+            if round_index == cfg.max_restarts:
+                frame.objective = None  # the last run is done; no judgement evaluates it
             trace.extend(run.trace)
             total_iterations += run.iterations
             cand = judge(run.L, run)
             # a model that fails the passivity check is the best only while
             # no model that passes it has been found
-            if best is None or (
+            if cand.verdict is not None and (best is None or (
                 (not cand.verdict.passive, cand.J) < (not best.verdict.passive, best.J)
-            ):
+            )):
                 best = cand
             # the spectral test rejects true optima too: while the best point
             # is not certified, the dual bound judges every point
@@ -1010,11 +1028,16 @@ def klap(
                     bound is None or cand.J * (1.0 - gap) > bound[0].J * (1.0 - bound[1])
                 ):
                     bound = (cand, gap)
+            if cand.verdict is None:
+                verdict_text = (f"check_passive not run: J {cand.J:.17g} not below the "
+                                f"passing best {best.J:.17g}")
+            else:
+                verdict_text = (f"check_passive {'passes' if cand.verdict.passive else 'fails'}"
+                                f" (margin {cand.verdict.margin:.3e})")
             _log.debug("round %d: %s after %d iterations, J = %.17g, ||grad J|| = %.3e "
-                       "in %s coordinates, check_passive %s (margin %.3e), dual gap %s",
+                       "in %s coordinates, %s, dual gap %s",
                        round_index, run.status, run.iterations, cand.J, run.gradient_norm,
-                       frame.coordinates, "passes" if cand.verdict.passive else "fails",
-                       cand.verdict.margin, gap_text)
+                       frame.coordinates, verdict_text, gap_text)
             if certified(best):
                 if not best.spectral:
                     message = "stationary point certified by the KYP dual bound"

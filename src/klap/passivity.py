@@ -345,6 +345,29 @@ def _hamiltonian_matrix(sys: StateSpaceSystem, R: np.ndarray) -> np.ndarray:
     return np.block([[Abar, -B @ RinvBt], [C.T @ RinvC, -Abar.T]])
 
 
+def _sampled_verdict(sys: StateSpaceSystem) -> tuple[PassivityVerdict, bool]:
+    """:func:`check_passive`'s verdict without its default-grid rescan.
+
+    Returns the verdict and whether its margin is the sampled minimum
+    (``False`` where ``lambda_min(R) < -eps`` gives it): the margin of a
+    failing sampled verdict is that minimum alone.  For a caller that
+    discards the margin of a violation, or already holds the default
+    scan's minimum, this is the whole check.
+    """
+    R = sys.D + sys.D.T
+    eps = _passive_tolerance(sys)
+    lam_R = float(np.linalg.eigvalsh(R)[0])
+    if lam_R < -eps:
+        return PassivityVerdict(False, lam_R), False
+    H = _hamiltonian_matrix(sys, R + eps * np.eye(sys.m))
+    ev = np.linalg.eigvals(H)
+    axis_tol = 1e-9 * max(1.0, float(np.linalg.norm(H, "fro")))
+    crossings = np.unique(np.abs(ev.imag[np.abs(ev.real) <= axis_tol]))
+    grid = np.concatenate(([0.0], 0.5 * (crossings[1:] + crossings[:-1])))
+    sampled = popov_scan(sys, grid=grid).global_min
+    return PassivityVerdict(bool(sampled >= -eps), sampled), True
+
+
 def check_passive(sys: StateSpaceSystem) -> PassivityVerdict:
     """Decide whether ``lambda_min(Phi(i w)) >= -eps`` at every frequency,
     ``eps = PASSIVE_TOL * max(1, ||R||_2, ||Phi(0)||_2)``, ``R = D + D^T``.
@@ -360,24 +383,15 @@ def check_passive(sys: StateSpaceSystem) -> PassivityVerdict:
     crossings decide the verdict.  Near-axis eigenvalues count as
     crossings; a spurious one only adds a sample.
 
-    The margin of a violation is the lower of the sampled minimum and the
-    minimum of the default Popov scan, which reads the depth of a wide
-    violation better than a midpoint does.
+    The verdict is that of the crossings and samples alone; the margin of
+    a sampled violation is then lowered to the minimum of the default
+    Popov scan, which reads the depth of a wide violation better than a
+    midpoint does.
     """
-    R = sys.D + sys.D.T
-    eps = _passive_tolerance(sys)
-    lam_R = float(np.linalg.eigvalsh(R)[0])
-    if lam_R < -eps:
-        return PassivityVerdict(False, lam_R)
-    H = _hamiltonian_matrix(sys, R + eps * np.eye(sys.m))
-    ev = np.linalg.eigvals(H)
-    axis_tol = 1e-9 * max(1.0, float(np.linalg.norm(H, "fro")))
-    crossings = np.unique(np.abs(ev.imag[np.abs(ev.real) <= axis_tol]))
-    grid = np.concatenate(([0.0], 0.5 * (crossings[1:] + crossings[:-1])))
-    sampled = popov_scan(sys, grid=grid).global_min
-    if sampled >= -eps:
-        return PassivityVerdict(True, sampled)
-    return PassivityVerdict(False, min(sampled, popov_scan(sys).global_min))
+    verdict, sampled = _sampled_verdict(sys)
+    if verdict.passive or not sampled:
+        return verdict
+    return PassivityVerdict(False, min(verdict.margin, popov_scan(sys).global_min))
 
 
 def l_from_are(sys: StateSpaceSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

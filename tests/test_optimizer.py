@@ -756,6 +756,30 @@ def test_restart_step_reinitialize_when_step_leaves_passive_set(monkeypatch):
     assert restart_step(sys, P, toy_local_map(sys)) is None
 
 
+@pytest.mark.parametrize("alpha", [1e-8, 10.0], ids=["accepted", "leaves-passive-set"])
+def test_restart_step_does_not_rescan_the_default_grid(monkeypatch, alpha):
+    # the step reads only the verdict of the stepped system, so a rejected
+    # step does not pay check_passive's default-grid scan for its margin
+    import klap.optimizer as mod
+    import klap.passivity as pas_mod
+
+    grids = []
+    orig = pas_mod.popov_scan
+
+    def recording_scan(sys_, grid=None):
+        grids.append(grid)
+        return orig(sys_, grid)
+
+    monkeypatch.setattr(mod, "_RESTART_ALPHA", alpha)
+    monkeypatch.setattr(pas_mod, "popov_scan", recording_scan)
+    monkeypatch.setattr(mod, "popov_scan", recording_scan)
+    sys = toy_system(0.125)
+    L_new = restart_step(sys, controllability_gramian(sys), toy_local_map(sys))
+    assert (L_new is None) == (alpha == 10.0)
+    assert len(grids) == (1 if alpha == 1e-8 else 2)
+    assert all(grid is not None for grid in grids)
+
+
 # ---------------------------------------------------------------------------
 # full driver
 # ---------------------------------------------------------------------------
@@ -1105,28 +1129,90 @@ def bit_identical_solve(key: str) -> tuple:
     return repr(res.J_final), res.iterations, res.restarts, res.converged
 
 
+# the passivity judgements of klap() on every benchmark instance at instance
+# seed 0: Hamiltonian eigensolves (one per verdict of check_passive) and
+# Popov scans on the default grid.  A round whose J is not below a passing
+# best is not judged, restart steps and the check of a near-passive input
+# do not rescan the default grid, and rand 16x1/6's five restarts take 6
+# verdicts, one per step tried
+JUDGEMENTS = {
+    "acc": (1, 1),
+    "acc/d=0.125": (1, 1),
+    "toy-m0": (1, 1),
+    "toy-m1": (1, 1),
+    "toy-m1/l0=-2,0": (3, 1),
+    "rand-6x1/2": (1, 1),
+    "rand-8x1/1": (1, 1),
+    "rand-8x1/2": (1, 1),
+    "rand-8x2/4": (1, 1),
+    "rand-8x4/3": (1, 1),
+    "rand-16x1/6": (7, 1),
+    "rand-64x2/1": (1, 1),
+    "rand-64x4/2": (1, 1),
+    "rand-128x2/3": (1, 1),
+    "rand-128x4/4": (1, 1),
+}
+
+
+def judged_solve(key: str) -> tuple:
+    """:func:`bit_identical_solve` of ``key`` and the ``(Hamiltonian
+    eigensolves, default-grid Popov scans)`` it made."""
+    import klap.optimizer as opt_mod
+    import klap.passivity as pas_mod
+
+    counts = [0, 0]
+    hamiltonian, scan = pas_mod._hamiltonian_matrix, pas_mod.popov_scan
+
+    def counting_hamiltonian(*args):
+        counts[0] += 1
+        return hamiltonian(*args)
+
+    def counting_scan(sys_, grid=None):
+        counts[1] += grid is None
+        return scan(sys_, grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pas_mod, "_hamiltonian_matrix", counting_hamiltonian)
+        patch.setattr(pas_mod, "popov_scan", counting_scan)
+        patch.setattr(opt_mod, "popov_scan", counting_scan)
+        solved = bit_identical_solve(key)
+    return solved, tuple(counts)
+
+
 @pytest.fixture(scope="module")
 def rand_large_solves():
-    """The :data:`RAND_LARGE` solves, run in one subprocess that starts with
-    one BLAS thread (the count is fixed when numpy loads)."""
+    """:func:`judged_solve` of the :data:`RAND_LARGE` cases, run in one
+    subprocess that starts with one BLAS thread (the count is fixed when
+    numpy loads)."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    code = ("import json, sys; from test_optimizer import bit_identical_solve; "
-            "print(json.dumps([bit_identical_solve(key) for key in sys.argv[1:]]))")
+    code = ("import json, sys; from test_optimizer import judged_solve; "
+            "print(json.dumps([judged_solve(key) for key in sys.argv[1:]]))")
     done = subprocess.run([executable, "-c", code, *RAND_LARGE], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    return dict(zip(RAND_LARGE, map(tuple, json.loads(done.stdout))))
+    return {key: (tuple(solved), tuple(counts))
+            for key, (solved, counts) in zip(RAND_LARGE, json.loads(done.stdout))}
 
 
 @pytest.mark.parametrize("key", list(BIT_IDENTICAL_SOLVES))
 def test_klap_trajectories_are_bit_identical(key, request):
     if key in RAND_LARGE:
-        solved = request.getfixturevalue("rand_large_solves")[key]
+        solved = request.getfixturevalue("rand_large_solves")[key][0]
     else:
         solved = bit_identical_solve(key)
     assert solved == BIT_IDENTICAL_SOLVES[key]
+
+
+@pytest.mark.parametrize("key", list(JUDGEMENTS))
+def test_klap_makes_only_the_passivity_judgements_that_can_change_its_result(key, request):
+    if key in RAND_LARGE:
+        solved, counts = request.getfixturevalue("rand_large_solves")[key]
+    else:
+        solved, counts = judged_solve(key)
+    assert solved == BIT_IDENTICAL_SOLVES[key]
+    assert counts == JUDGEMENTS[key]
 
 
 def test_klap_keeps_one_kernel_where_a_has_no_trusted_eigenbasis(monkeypatch):
@@ -1216,25 +1302,35 @@ def test_klap_returns_passive_models_at_large_factors(seed):
     assert res.J_final == h2_error_sq(sys, res.C_hat)
 
 
-def _failing_check(failing):
-    """A ``check_passive`` that reports ``margin = -1e-6`` for every system
-    ``failing(system)`` selects."""
-    from klap.passivity import PassivityVerdict
+def _fail_passivity_checks(monkeypatch, failing):
+    """Make klap's ``check_passive``, and the verdict it wraps, report
+    ``margin = -1e-6`` for every system ``failing(system)`` selects; returns
+    the list of the systems ``check_passive`` is called on."""
+    import klap.optimizer as mod
+    from klap.passivity import PassivityVerdict, _sampled_verdict
+
+    checked = []
 
     def check(system):
+        checked.append(system)
         if failing(system):
             return PassivityVerdict(False, -1e-6)
         return check_passive(system)
 
-    return check
+    def sampled(system):
+        if failing(system):
+            return PassivityVerdict(False, -1e-6), True
+        return _sampled_verdict(system)
+
+    monkeypatch.setattr(mod, "check_passive", check)
+    monkeypatch.setattr(mod, "_sampled_verdict", sampled)
+    return checked
 
 
 def test_klap_reports_a_returned_model_that_fails_the_passivity_check(monkeypatch, caplog):
     # C_hat(L) is passive only in exact arithmetic: when the returned model
     # fails the check, the result says so and does not claim convergence
-    import klap.optimizer as mod
-
-    monkeypatch.setattr(mod, "check_passive", _failing_check(lambda system: True))
+    _fail_passivity_checks(monkeypatch, lambda system: True)
     with caplog.at_level(logging.WARNING, logger="klap.optimizer"):
         res = klap(toy_system(0.125), max_restarts=0)
     assert res.converged is False
@@ -1249,21 +1345,83 @@ def test_klap_prefers_a_passing_model_to_a_lower_failing_one(monkeypatch):
     # the global optimum; with the optimum's model failing the check, the
     # local point is returned, and the loop does not stop at the optimum's
     # certificate, since that certifies a point it does not return
-    import klap.optimizer as mod
-
     sys = toy_system(0.125)
     C_opt = klap(sys).C_hat
 
     def near_opt(system):
         return np.allclose(system.C, C_opt, atol=1e-6)
 
-    monkeypatch.setattr(mod, "check_passive", _failing_check(near_opt))
+    _fail_passivity_checks(monkeypatch, near_opt)
     res = klap(sys, L0=[[-2.0], [0.0]], max_restarts=2)
     assert res.J_final == pytest.approx(2.5, abs=1e-3)
     assert res.restarts == 2
     assert res.converged is False
     assert res.message == "restart budget exhausted without certificate"
     assert check_passive(res.system).passive
+
+
+def test_klap_judges_a_round_above_a_failing_best(monkeypatch):
+    # round 0 ends at the global optimum, whose model is made to fail the
+    # check; its restart step fails too, and round 1 runs from the random
+    # start of seed 4 to the local point (J = 2.5): its J is above the
+    # best's, but a failing best can be displaced, so it is judged, and
+    # it is returned
+    sys = toy_system(0.125)
+    C_opt = klap(sys).C_hat
+    checked = _fail_passivity_checks(
+        monkeypatch, lambda system: np.allclose(system.C, C_opt, atol=1e-6))
+    res = klap(sys, rng_seed=4, max_restarts=1)
+    assert len(checked) == 2
+    assert_allclose(checked[0].C, C_opt, atol=1e-6)
+    assert res.restarts == 1
+    assert res.J_final == pytest.approx(2.5, abs=1e-3)
+    assert_array_equal(res.C_hat, checked[1].C)
+    assert res.message == "restart budget exhausted without certificate"
+
+
+def test_klap_does_not_judge_a_round_above_a_passing_best(caplog):
+    # rand 16x1/6: round 0 ends at the lowest J and passes the check; the
+    # five restarts end above it, so none of their verdicts could change
+    # the result, and none is computed
+    with caplog.at_level(logging.DEBUG, logger="klap.optimizer"):
+        solved, counts = judged_solve("rand-16x1/6")
+    assert solved == BIT_IDENTICAL_SOLVES["rand-16x1/6"]
+    rounds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("round ")]
+    assert len(rounds) == 6
+    assert "check_passive passes" in rounds[0]
+    best_J = float(rounds[0].split("J = ")[1].split(",")[0])
+    for line in rounds[1:]:
+        assert "check_passive not run: J " in line
+        assert f"not below the passing best {best_J:.17g}" in line
+    # 7 verdicts: round 0's and one per restart step tried (12 when every
+    # round was judged)
+    assert counts == (7, 1)
+
+
+def test_klap_drops_the_objective_before_its_last_judgement(monkeypatch):
+    # toy-m1 from [-2, 0] with one restart: the modal objective is alive
+    # while round 0 is judged and freed once the last run has returned
+    import weakref
+
+    import klap.optimizer as mod
+
+    objectives, alive = [], []
+    orig_lbfgs, orig_check = mod.lbfgs_minimize, mod.check_passive
+
+    def recording_lbfgs(objective, *args):
+        objectives.append(weakref.ref(objective))
+        return orig_lbfgs(objective, *args)
+
+    def recording_check(system):
+        alive.append(objectives[-1]() is not None)
+        return orig_check(system)
+
+    monkeypatch.setattr(mod, "lbfgs_minimize", recording_lbfgs)
+    monkeypatch.setattr(mod, "check_passive", recording_check)
+    res = klap(toy_system(0.125), L0=[[-2.0], [0.0]], max_restarts=1)
+    assert res.restarts == 1 and res.converged
+    assert len(objectives) == 2
+    assert alive == [True, False]
 
 
 def test_klap_deterministic_given_seed():

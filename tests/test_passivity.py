@@ -647,6 +647,34 @@ def test_check_passive_rejects_a_violation_just_beyond_its_tolerance(name):
         assert verdict.margin < -_passive_tolerance(model)
 
 
+def test_klap_confirms_a_near_passive_input_with_its_own_default_scan(monkeypatch):
+    # the default grid passes this model and check_passive fails it: klap
+    # takes the margin of the verdict from the scan it made itself, so the
+    # input is scanned on the default grid once, and the run starts from
+    # check_passive's own margin as before
+    import klap.optimizer as optimizer_mod
+
+    sys = StateSpaceSystem(**NEAR_BOUNDARY_MODELS["rand-8x1/11, t = 1e-06"])
+    assert popov_scan(sys).global_min >= -_passive_tolerance(sys)
+    margin = check_passive(sys).margin
+    assert margin < -_passive_tolerance(sys)
+    scanned = []
+    orig = passivity.popov_scan
+
+    def recording_scan(sys_, grid=None):
+        scanned.append((sys_, grid))
+        return orig(sys_, grid)
+
+    monkeypatch.setattr(passivity, "popov_scan", recording_scan)
+    monkeypatch.setattr(optimizer_mod, "popov_scan", recording_scan)
+    res = klap(sys)
+    assert sum(s is sys and grid is None for s, grid in scanned) == 1
+    assert not res.passive_input
+    assert res.popov_min == margin
+    assert (repr(res.popov_min), repr(res.delta), repr(res.J_final)) == (
+        "-3.1070512704345354e-07", "0.0", "8.390671214484105e-14")
+
+
 def test_klap_optimizes_a_zero_feedthrough_input_whose_violation_the_grid_misses():
     sys = benchmark_system("acc")
     C_opt = klap(sys).C_hat
