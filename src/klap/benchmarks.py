@@ -15,9 +15,9 @@ documentation and the benchmark harness:
   the objective landscape (one global and one non-global stationary
   point) is known in closed form.
 
-Each benchmark also ships as a JSON model file (see
-:func:`benchmark_path`), which the command-line tool passivates like any
-other model file, e.g.
+Each benchmark is defined once, by its shipped JSON model file (see
+:func:`benchmark_path`); the constructors here read that file.  The
+command-line tool passivates it like any other model file, e.g.
 ``klap passivate src/klap/data/models/acc.json --feedthrough 0.125 --out acc.passive.json``.
 """
 
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from importlib.resources import files
 
-import numpy as np
-
+from .modelio import load_model_file
 from .system import StateSpaceSystem
 
 __all__ = [
@@ -43,37 +42,19 @@ BENCHMARK_NAMES = ("acc", "toy-m0", "toy-m1")
 def acc_system(feedthrough: float = 0.0) -> StateSpaceSystem:
     """The 4-state ACC benchmark system, optionally with a scalar
     feedthrough (the standard passivation exercise uses ``1/8``)."""
-    A = np.array(
-        [
-            [-0.25, 1.0, 0.0, 0.0],
-            [0.0, -0.25, 1.0, 0.0],
-            [0.0, 0.0, -0.25, 1.0],
-            [0.0, 0.0, -2.0, -0.25],
-        ]
-    )
-    B = np.array([[0.0], [0.0], [0.0], [1.0]])
-    C = np.array([[1.0, 0.0, 0.0, 0.0]])
-    return StateSpaceSystem(A, B, C, [[float(feedthrough)]])
+    return benchmark_system("acc").with_feedthrough([[float(feedthrough)]])
 
 
 def toy_system(feedthrough: float = 0.0) -> StateSpaceSystem:
     """The 2-state oscillator benchmark, optionally with a scalar
     feedthrough (``1/8`` gives the two-stationary-point landscape)."""
-    A = np.array([[-1.0, 4.0], [-2.0, -1.0]])
-    B = np.array([[1.0], [2.0]])
-    C = np.array([[1.0, 0.0]])
-    return StateSpaceSystem(A, B, C, [[float(feedthrough)]])
+    return benchmark_system("toy-m0").with_feedthrough([[float(feedthrough)]])
 
 
 def benchmark_system(name: str) -> StateSpaceSystem:
-    """Benchmark system by name (one of :data:`BENCHMARK_NAMES`)."""
-    if name == "acc":
-        return acc_system()
-    if name == "toy-m0":
-        return toy_system()
-    if name == "toy-m1":
-        return toy_system(0.125)
-    raise ValueError(f"unknown benchmark {name!r}; choose from {', '.join(BENCHMARK_NAMES)}")
+    """Benchmark system by name (one of :data:`BENCHMARK_NAMES`), read
+    from its shipped model file."""
+    return load_model_file(benchmark_path(name)).system
 
 
 def benchmark_path(name: str):

@@ -5,10 +5,13 @@
     klap check MODEL         passivity verdict and margin (exit 0 passive, 1 not)
     klap passivate MODEL     H2-optimal passivation; writes model + report
     klap popov MODEL         Popov-function frequency sweep as CSV
-    klap h2 MODEL MODEL      H2 distance between two models
+    klap h2 MODEL MODEL      H2 distance between two models on the same (A, B, D)
 
-The bundled benchmark models are ordinary model files
+Every MODEL is a JSON model file (:mod:`klap.modelio`).  The bundled
+benchmark models are ordinary model files
 (:func:`klap.benchmarks.benchmark_path`), run with ``klap passivate``.
+``klap h2`` measures the distance klap minimizes: between two output maps
+that share ``(A, B, D)``, such as a model and its passivation.
 
 Exit codes follow a scripting-friendly contract: 0 success (for
 ``check``: passive), 1 not passive, 2 any error (including a passivation
@@ -42,14 +45,7 @@ from .exceptions import KlapError
 from .modelio import load_model_file, write_model
 from .optimizer import KlapConfig, KlapResult, klap
 from .passivity import check_passive
-from .system import (
-    StateSpaceSystem,
-    controllability_gramian,
-    default_popov_grid,
-    h2_error_sq,
-    popov_eval,
-    popov_scan,
-)
+from .system import StateSpaceSystem, default_popov_grid, h2_error_sq, popov_scan
 
 __all__ = ["main"]
 
@@ -65,14 +61,18 @@ def _configure_logging() -> None:
 
 
 def _grid_from_args(sys_: StateSpaceSystem, args: argparse.Namespace) -> np.ndarray:
-    if args.wmin is not None and args.wmax is not None and args.wmin >= args.wmax:
-        raise _UsageError(f"--wmin must be below --wmax (got {args.wmin} >= {args.wmax})")
     if args.points < 1:
         raise _UsageError("--points must be at least 1")
     if args.points == 1:
+        # a single frequency: --wmin, else --wmax, else 1
+        if args.wmin is not None and args.wmax is not None and args.wmin >= args.wmax:
+            raise _UsageError(f"--wmin must be below --wmax (got {args.wmin} >= {args.wmax})")
         w = args.wmin if args.wmin is not None else args.wmax
         return np.array([1.0 if w is None else float(w)])
-    return default_popov_grid(sys_, points=args.points, wmin=args.wmin, wmax=args.wmax)
+    try:
+        return default_popov_grid(sys_, points=args.points, wmin=args.wmin, wmax=args.wmax)
+    except ValueError as exc:
+        raise _UsageError(f"--wmin/--wmax: {exc}") from exc
 
 
 class _UsageError(Exception):
@@ -112,14 +112,8 @@ def _write_trace(path: str, result: KlapResult) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> KlapConfig:
     overrides = {"rng_seed": args.seed}
-    for attr, field_name in (
-        ("grad_tol", "grad_tol"),
-        ("obj_tol", "obj_rel_tol"),
-        ("max_restarts", "max_restarts"),
-        ("max_iterations", "max_iterations"),
-        ("l0", "L0"),
-    ):
-        value = getattr(args, attr)
+    for field_name in ("grad_tol", "obj_rel_tol", "max_restarts", "max_iterations", "L0"):
+        value = getattr(args, field_name)
         if value is not None:
             overrides[field_name] = value
     try:
@@ -219,8 +213,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_passivate(args: argparse.Namespace) -> int:
     mf, sys_ = _load(args.model, args.feedthrough)
-    if args.l0 is not None:
-        args.l0 = _parse_factor(args.l0, sys_.n, sys_.m)
+    if args.L0 is not None:
+        args.L0 = _parse_factor(args.L0, sys_.n, sys_.m)
     cfg = _config_from_args(args)
 
     start = time.perf_counter()
@@ -263,17 +257,8 @@ def _cmd_popov(args: argparse.Namespace) -> int:
     _, sys_ = _load(args.model, args.feedthrough)
     grid = _grid_from_args(sys_, args)
     scan = popov_scan(sys_, grid)
-    if args.per_eigenvalue:
-        header = ["omega", "lambda_min"] + [f"lambda_{k + 1}" for k in range(sys_.m)]
-        rows = []
-        for w, lam_min in zip(scan.frequencies, scan.min_eigenvalues):
-            eigs = np.linalg.eigvalsh(popov_eval(sys_, w))
-            rows.append([w, lam_min, *eigs])
-    else:
-        header = ["omega", "lambda_min"]
-        rows = zip(scan.frequencies, scan.min_eigenvalues)
     with _output_stream(args.out) as fh:
-        _write_csv(fh, header, rows)
+        _write_csv(fh, ["omega", "lambda_min"], zip(scan.frequencies, scan.min_eigenvalues))
     _log.info(
         "popov minimum %.6e at omega = %.6e", scan.global_min, scan.argmin_frequency
     )
@@ -305,36 +290,18 @@ def _cmd_h2(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    same_realization = (
+    if not (
         sys_a.n == sys_b.n
         and _matrices_match(sys_a.A, sys_b.A)
         and _matrices_match(sys_a.B, sys_b.B)
-    )
-    if same_realization:
-        j = h2_error_sq(sys_a, sys_b.C)
-    elif args.general:
-        # realize the difference of the two transfer functions on the
-        # block-diagonal joint state space and take its exact H2 norm
-        n_a, n_b = sys_a.n, sys_b.n
-        A_err = np.block(
-            [
-                [sys_a.A, np.zeros((n_a, n_b))],
-                [np.zeros((n_b, n_a)), sys_b.A],
-            ]
-        )
-        B_err = np.vstack([sys_a.B, sys_b.B])
-        C_err = np.hstack([sys_a.C, -sys_b.C])
-        err_sys = StateSpaceSystem(A_err, B_err, C_err, np.zeros((sys_a.m, sys_a.m)))
-        P = controllability_gramian(err_sys)
-        j = float(np.trace(C_err @ P @ C_err.T))
-    else:
+    ):
         print(
-            "error: models are different realizations (A or B differ); "
-            "pass --general to compare transfer functions directly",
+            "error: models are different realizations (A or B differ); the H2 "
+            "distance is defined here only between output maps on the same (A, B, D)",
             file=sys.stderr,
         )
         return 2
-    j = max(float(j), 0.0)
+    j = max(h2_error_sq(sys_a, sys_b.C), 0.0)
     print(f"h2_error_squared = {j!r}")
     print(f"h2_error = {float(np.sqrt(j))!r}")
     return 0
@@ -369,13 +336,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run-report JSON path (default: alongside the output model)")
     p_pass.add_argument("--feedthrough", type=float, default=None,
                         help="replace D by this scalar times the identity before passivating")
-    p_pass.add_argument("--l0", default=None, metavar="VALUES",
+    p_pass.add_argument("--l0", dest="L0", default=None, metavar="VALUES",
                         help="explicit starting factor, comma-separated row-major values "
                              "(default: the Riccati start)")
     p_pass.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p_pass.add_argument("--grad-tol", dest="grad_tol", type=float, default=None,
                         help="gradient-norm stopping tolerance")
-    p_pass.add_argument("--obj-tol", dest="obj_tol", type=float, default=None,
+    p_pass.add_argument("--obj-tol", dest="obj_rel_tol", type=float, default=None,
                         help="relative objective-change stopping tolerance (default 1e-14)")
     p_pass.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
     p_pass.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
@@ -387,18 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_popov.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_popov.add_argument("--feedthrough", type=float, default=None,
                          help="replace D by this scalar times the identity")
-    p_popov.add_argument("--per-eigenvalue", action="store_true",
-                         help="add one column per Popov eigenvalue")
     p_popov.add_argument("--wmin", type=float, default=None, help="lowest scan frequency")
     p_popov.add_argument("--wmax", type=float, default=None, help="highest scan frequency")
     p_popov.add_argument("--points", type=int, default=500,
                          help="number of scan frequencies (default 500)")
 
-    p_h2 = sub.add_parser("h2", help="H2 distance between two models")
+    p_h2 = sub.add_parser("h2", help="H2 distance between two models on the same (A, B, D)")
     p_h2.add_argument("model_a")
     p_h2.add_argument("model_b")
-    p_h2.add_argument("--general", action="store_true",
-                      help="allow different realizations (A, B may differ)")
 
     return parser
 

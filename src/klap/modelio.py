@@ -1,18 +1,11 @@
 """Reading and writing state-space model files.
 
-Two formats are supported:
-
-* **JSON** (primary): a single object ``{"name"?, "n", "m", "A", "B",
-  "C", "D", "metadata"?}`` where each matrix is a flat row-major array of
-  numbers (nested row arrays are also accepted on input).  Numbers are
-  written with Python's shortest round-tripping decimal representation,
-  so ``load_model(write_model(sys))`` reproduces every matrix bit for
-  bit.
-* **Text** (secondary, for hand-authored fixtures): four matrix blocks,
-  each introduced by a line containing only ``A``, ``B``, ``C``, or
-  ``D``, followed by one whitespace-separated row per line.  ``#``
-  starts a comment; blank lines are ignored.  Dimensions are inferred
-  from the block shapes.
+A model file is one JSON object ``{"name"?, "n", "m", "A", "B", "C",
+"D", "metadata"?}`` where each matrix is a flat row-major array of
+numbers (nested row arrays are also accepted on input).  Numbers are
+written with Python's shortest round-tripping decimal representation,
+so ``load_model(write_model(sys))`` reproduces every matrix bit for
+bit.
 
 Parsing failures raise :class:`~klap.exceptions.ParseError` naming the
 offending line or field.  A model whose ``A`` is not Hurwitz raises
@@ -34,8 +27,6 @@ from .exceptions import NotHurwitzError, ParseError
 from .system import StateSpaceSystem
 
 __all__ = ["ModelFile", "load_model", "load_model_file", "write_model", "dumps_model"]
-
-_MATRIX_KEYS = ("A", "B", "C", "D")
 
 # relative stability margin below which a (still Hurwitz) A triggers a warning
 _BORDERLINE_RTOL = 1e-6
@@ -116,7 +107,23 @@ def _positive_int(doc: dict, key: str, source: str) -> int:
     return value
 
 
-def _parse_json(text: str, source: str) -> ModelFile:
+def load_model_file(path: str | os.PathLike) -> ModelFile:
+    """Parse a JSON model file with its annotations.  See the module
+    docstring for the format."""
+    source = os.fspath(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{source}: cannot read file: {exc.strerror or exc}") from exc
+    stripped = text.lstrip()
+    if not stripped:
+        raise ParseError(f"{source}: file is empty")
+    if not stripped.startswith("{"):
+        raise ParseError(
+            f'{source}: expected a JSON object {{"n", "m", "A", "B", "C", "D"}} at the top level'
+        )
+
     def reject_constant(token: str):
         raise ParseError(f"{source}: non-finite number {token!r}")
 
@@ -124,8 +131,6 @@ def _parse_json(text: str, source: str) -> ModelFile:
         doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{source}: expected a JSON object at the top level")
 
     n = _positive_int(doc, "n", source)
     m = _positive_int(doc, "m", source)
@@ -144,94 +149,8 @@ def _parse_json(text: str, source: str) -> ModelFile:
     return ModelFile(_stable_system(A, B, C, D, source), name, dict(metadata))
 
 
-def _parse_text(text: str, source: str) -> ModelFile:
-    blocks: dict[str, list[list[float]]] = {}
-    current: str | None = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) == 1 and tokens[0] in _MATRIX_KEYS:
-            key = tokens[0]
-            if key in blocks:
-                raise ParseError(f"{source}: line {lineno}: duplicate block '{key}'")
-            blocks[key] = []
-            current = key
-            continue
-        if current is None:
-            raise ParseError(
-                f"{source}: line {lineno}: data before any matrix header "
-                f"(expected one of {', '.join(_MATRIX_KEYS)})"
-            )
-        row = []
-        for tok in tokens:
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise ParseError(
-                    f"{source}: line {lineno}: invalid number {tok!r} in block '{current}'"
-                ) from None
-            if not np.isfinite(row[-1]):
-                raise ParseError(
-                    f"{source}: line {lineno}: non-finite value in block '{current}'"
-                )
-        blocks[current].append(row)
-
-    for key in _MATRIX_KEYS:
-        if key not in blocks:
-            raise ParseError(f"{source}: missing block '{key}'")
-        if not blocks[key]:
-            raise ParseError(f"{source}: block '{key}' has no rows")
-
-    def matrix(key: str, rows: int | None, cols: int | None) -> np.ndarray:
-        data = blocks[key]
-        width = len(data[0])
-        for i, row in enumerate(data):
-            if len(row) != width:
-                raise ParseError(
-                    f"{source}: block '{key}': row {i + 1} has {len(row)} "
-                    f"entries, expected {width}"
-                )
-        if rows is not None and len(data) != rows:
-            raise ParseError(f"{source}: block '{key}': expected {rows} rows, got {len(data)}")
-        if cols is not None and width != cols:
-            raise ParseError(f"{source}: block '{key}': expected {cols} columns, got {width}")
-        return np.array(data, dtype=float)
-
-    A = matrix("A", None, None)
-    if A.shape[0] != A.shape[1]:
-        raise ParseError(
-            f"{source}: block 'A': expected a square matrix, got {A.shape[0]}x{A.shape[1]}"
-        )
-    n = A.shape[0]
-    B = matrix("B", n, None)
-    m = B.shape[1]
-    C = matrix("C", m, n)
-    D = matrix("D", m, m)
-
-    return ModelFile(_stable_system(A, B, C, D, source), None, {})
-
-
-def load_model_file(path: str | os.PathLike) -> ModelFile:
-    """Parse a model file (JSON or text, detected by content) with its
-    annotations.  See the module docstring for both formats."""
-    source = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{source}: cannot read file: {exc.strerror or exc}") from exc
-    stripped = text.lstrip()
-    if not stripped:
-        raise ParseError(f"{source}: file is empty")
-    if stripped[0] in "{[":
-        return _parse_json(text, source)
-    return _parse_text(text, source)
-
-
 def load_model(path: str | os.PathLike) -> StateSpaceSystem:
-    """Load a state-space model from a JSON or text model file."""
+    """Load a state-space model from a JSON model file."""
     return load_model_file(path).system
 
 

@@ -16,7 +16,7 @@ from klap.cli import _build_parser, main
 from klap.modelio import load_model, write_model
 from klap.passivity import check_passive
 from klap.system import StateSpaceSystem
-from oracles import rand_family_system
+from oracles import exact_h2_error_sq, rand_family_system
 
 
 def run_cli(args, capsys):
@@ -138,12 +138,17 @@ def test_check_removed_flags_are_usage_errors(toy_m1_path, flag, value, capsys):
     assert f"unrecognized arguments: {flag} {value}" in err
 
 
-def test_check_text_format_model(tmp_path, capsys):
+def test_check_non_json_model_is_an_error(tmp_path, capsys):
+    # model files are JSON; a matrix-block text file is refused, not parsed
     path = tmp_path / "toy.txt"
     path.write_text("A\n-1 4\n-2 -1\nB\n1\n2\nC\n1 0\nD\n0.125\n")
-    code, out, _ = run_cli(["check", str(path)], capsys)
-    assert code == 1
-    assert "not passive" in out
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f'error: {path}: expected a JSON object {{"n", "m", "A", "B", "C", "D"}} '
+        "at the top level"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +425,35 @@ def test_popov_single_point_grid(toy_m1_path, capsys):
     assert float(lines[1].split(",")[0]) == 2.0
 
 
-def test_popov_per_eigenvalue_columns(toy_m1_path, capsys):
-    code, out, _ = run_cli(
-        ["popov", toy_m1_path, "--per-eigenvalue", "--points", "4"], capsys
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "omega,lambda_min,lambda_1"
-    for line in lines[1:]:
-        w, lam_min, lam_1 = map(float, line.split(","))
-        assert lam_min == pytest.approx(lam_1)  # single output: identical
-
-
-def test_popov_bad_window_is_usage_error(toy_m1_path, capsys):
-    code, _, err = run_cli(
-        ["popov", toy_m1_path, "--wmin", "10", "--wmax", "1"], capsys
-    )
+@pytest.mark.parametrize(
+    "window, message",
+    [(["--wmin", "10", "--wmax", "1"], "need 0 < wmin < wmax, got [10.0, 1.0]"),
+     (["--wmin", "-1"], "need 0 < wmin < wmax, got [-1.0, "),
+     (["--wmax", "1e-9"], ", 1e-09]"),
+     (["--points", "1", "--wmin", "10", "--wmax", "1"],
+      "--wmin must be below --wmax (got 10.0 >= 1.0)")],
+    ids=["inverted", "negative-wmin", "tiny-wmax", "single-point-inverted"],
+)
+def test_popov_bad_window_is_usage_error(toy_m1_path, window, message, capsys):
+    code, out, err = run_cli(["popov", toy_m1_path, *window], capsys)
     assert code == 2
-    assert "--wmin must be below --wmax" in err
+    assert out == ""
+    assert "klap: error: --wmin" in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["popov", "MODEL", "--per-eigenvalue"], ["h2", "MODEL", "MODEL", "--general"]],
+    ids=["popov-per-eigenvalue", "h2-general"],
+)
+def test_removed_popov_and_h2_flags_are_usage_errors(toy_m1_path, argv, capsys):
+    # h2 compares output maps on one (A, B, D); popov writes lambda_min only
+    argv = [toy_m1_path if a == "MODEL" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-1]}" in err
 
 
 def test_popov_to_file(toy_m1_path, tmp_path, capsys):
@@ -479,38 +495,30 @@ def test_h2_original_vs_passivated(toy_m0_path, tmp_path, capsys):
 
 
 def test_h2_mismatched_realizations_exit_two(toy_m0_path, acc8_path, tmp_path, capsys):
-    # different D: no finite H2 distance, with or without --general
+    # different D: no finite H2 distance
     code, _, err = run_cli(["h2", toy_m0_path, acc8_path], capsys)
     assert code == 2
     assert "feedthrough" in err
 
-    # same D, different A: refused without --general, exact with it
+    # same D, different A: not two output maps on one (A, B, D)
     other = str(tmp_path / "other.json")
     write_model(
         StateSpaceSystem([[-2.0, 0.0], [1.0, -3.0]], [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]),
         other,
     )
-    code, _, err = run_cli(["h2", toy_m0_path, other], capsys)
+    code, out, err = run_cli(["h2", toy_m0_path, other], capsys)
     assert code == 2
-    assert "--general" in err
-
-    code, out, _ = run_cli(["h2", toy_m0_path, other, "--general"], capsys)
-    assert code == 0
-    j = float(out.splitlines()[0].split("=")[1])
-    assert j > 0 and np.isfinite(j)
+    assert out == ""
+    assert "different realizations" in err and "(A, B, D)" in err
 
 
-def test_h2_general_agrees_with_gramian_path(toy_m0_path, tmp_path, capsys):
-    # same realization computed both ways must agree
+def test_h2_agrees_with_the_exact_oracle(toy_m0_path, tmp_path, capsys):
     variant = str(tmp_path / "variant.json")
     write_model(toy_system().with_output([[0.46, 0.80]]), variant)
-    code, out_same, _ = run_cli(["h2", toy_m0_path, variant], capsys)
+    code, out, _ = run_cli(["h2", toy_m0_path, variant], capsys)
     assert code == 0
-    code, out_gen, _ = run_cli(["h2", toy_m0_path, variant, "--general"], capsys)
-    assert code == 0
-    j_same = float(out_same.splitlines()[0].split("=")[1])
-    j_gen = float(out_gen.splitlines()[0].split("=")[1])
-    assert j_gen == pytest.approx(j_same, rel=1e-10)
+    j = float(out.splitlines()[0].split("=")[1])
+    assert j == pytest.approx(exact_h2_error_sq(toy_system(), [[0.46, 0.80]]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

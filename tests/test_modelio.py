@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from klap.benchmarks import BENCHMARK_NAMES, benchmark_path, benchmark_system
+from klap.benchmarks import (
+    BENCHMARK_NAMES,
+    acc_system,
+    benchmark_path,
+    benchmark_system,
+    toy_system,
+)
 from klap.exceptions import NotHurwitzError, ParseError
 from klap.modelio import dumps_model, load_model, load_model_file, write_model
 from klap.system import StateSpaceSystem
@@ -139,9 +145,52 @@ def test_bad_dimension_fields(tmp_path):
             load_model(path)
 
 
-def test_top_level_must_be_object(tmp_path):
-    with pytest.raises(ParseError, match="top level"):
-        load_model(_write(tmp_path, "[1, 2, 3]"))
+_TOY_FIELDS = {"n": 2, "m": 1, "A": [-1.0, 4.0, -2.0, -1.0], "B": [1.0, 2.0],
+               "C": [1.0, 0.0], "D": [0.125]}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("A", [[-1.0, 4.0]], "field 'A': expected 2 rows, got 1"),
+        ("B", [1.0], "field 'B': expected 2 numbers (row-major 2x1), got 1"),
+        ("C", [[1.0]], "field 'C': row 1 has 1 entries, expected 2"),
+        ("C", [[1.0, "x"]], "field 'C', row 1: expected a number, got 'x'"),
+        ("A", [-1.0, True, -2.0, -1.0], "field 'A', entry 2: expected a number, got True"),
+        ("D", "1e999", "field 'D', entry 1: non-finite value inf"),
+        ("B", {"0": 1.0}, "field 'B': expected an array, got dict"),
+        ("name", 3, "field 'name' must be a string"),
+        ("metadata", [1], "field 'metadata' must be an object"),
+    ],
+    ids=["rows", "flat-length", "row-length", "row-entry", "bool-entry", "overflow",
+         "not-an-array", "name", "metadata"],
+)
+def test_field_diagnostics_name_field_and_place(tmp_path, field, value, message):
+    # the shape and value checks on each field of a toy model that is valid without the edit
+    text = json.dumps({**_TOY_FIELDS, field: value})
+    if value == "1e999":  # a literal that json reads as inf, not a string
+        text = text.replace('"1e999"', "[1e999]")
+    path = _write(tmp_path, text)
+    with pytest.raises(ParseError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_toy_fields_load(tmp_path):
+    # the base of the diagnostics above is itself a valid model: each failure is the edit's
+    sys = load_model(_write(tmp_path, json.dumps(_TOY_FIELDS)))
+    assert_array_equal(sys.A, [[-1.0, 4.0], [-2.0, -1.0]])
+    assert_array_equal(sys.B, [[1.0], [2.0]])
+    assert_array_equal(sys.C, [[1.0, 0.0]])
+    assert_array_equal(sys.D, [[0.125]])
+
+
+@pytest.mark.parametrize("text", ["[1, 2, 3]","A\n-1 4\n-2 -1\nB\n1\n2\nC\n1 0\nD\n0\n"])
+def test_top_level_must_be_object(tmp_path, text):
+    # one diagnostic for any non-object file, matrix-block text included
+    expected = r'expected a JSON object \{"n", "m", "A", "B", "C", "D"\} at the top level'
+    with pytest.raises(ParseError, match=expected):
+        load_model(_write(tmp_path, text))
 
 
 def test_empty_and_missing_files(tmp_path):
@@ -149,58 +198,6 @@ def test_empty_and_missing_files(tmp_path):
         load_model(_write(tmp_path, "   \n"))
     with pytest.raises(ParseError, match="cannot read"):
         load_model(tmp_path / "does-not-exist.json")
-
-
-# ---------------------------------------------------------------------------
-# text format
-# ---------------------------------------------------------------------------
-
-TOY_TEXT = """\
-# two-state oscillator, hand-authored
-A
--1  4   # first row
--2 -1
-B
-1
-2
-C
-1 0
-D
-0.125
-"""
-
-
-def test_text_format_parses(tmp_path):
-    path = tmp_path / "toy.txt"
-    path.write_text(TOY_TEXT)
-    sys = load_model(path)
-    assert sys.n == 2 and sys.m == 1
-    assert_array_equal(sys.A, [[-1.0, 4.0], [-2.0, -1.0]])
-    assert_array_equal(sys.B, [[1.0], [2.0]])
-    assert_array_equal(sys.C, [[1.0, 0.0]])
-    assert_array_equal(sys.D, [[0.125]])
-
-
-@pytest.mark.parametrize(
-    "text, pattern",
-    [
-        ("A\n-1 4\n-2 -1\nA\n-1 4\n-2 -1\nB\n1\n2\nC\n1 0\nD\n0", r"line 4: duplicate block 'A'"),
-        ("-1 4\nA\n-1 4\n-2 -1", r"line 1: data before any matrix header"),
-        ("A\n-1 four\nB\n1\nC\n1\nD\n0", r"line 2: invalid number 'four' in block 'A'"),
-        ("A\n-1 4\n-2\nB\n1\n2\nC\n1 0\nD\n0", r"block 'A': row 2 has 1 entries, expected 2"),
-        ("A\n-1 4\n-2 -1\nB\n1\n2\nC\n1 0", r"missing block 'D'"),
-        ("A\n-1 4\n-2 -1\nB\n1\n2\nC\n1 0\nD", r"block 'D' has no rows"),
-        ("A\n-1 4\nB\n1\nC\n1 0\nD\n0", r"block 'A': expected a square matrix"),
-        ("A\n-1 4\n-2 -1\nB\n1\nC\n1 0\nD\n0", r"block 'B': expected 2 rows"),
-        ("A\n-1 4\n-2 -1\nB\n1\n2\nC\n1\nD\n0", r"block 'C': expected 2 columns"),
-        ("A\n-1 inf\n-2 -1\nB\n1\n2\nC\n1 0\nD\n0", r"non-finite value in block 'A'"),
-    ],
-)
-def test_text_format_diagnostics(tmp_path, text, pattern):
-    path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(ParseError, match=pattern):
-        load_model(path)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +257,15 @@ def test_borderline_stable_model_warns_but_loads(tmp_path):
 
 
 def test_shipped_fixtures_match_constructors():
+    # each fixture is its model's one definition; the constructors read it
     for name in BENCHMARK_NAMES:
-        reference = benchmark_system(name)
-        mf = load_model_file(benchmark_path(name))
-        assert mf.name == name
+        assert load_model_file(benchmark_path(name)).name == name
+    for reference, name in ((acc_system(), "acc"), (toy_system(), "toy-m0"),
+                            (toy_system(0.125), "toy-m1")):
+        fixture = benchmark_system(name)
         for X, Y in zip(
             (reference.A, reference.B, reference.C, reference.D),
-            (mf.system.A, mf.system.B, mf.system.C, mf.system.D),
+            (fixture.A, fixture.B, fixture.C, fixture.D),
         ):
             assert_array_equal(X, Y)
 
