@@ -33,6 +33,7 @@ import contextlib
 import functools
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -65,6 +66,10 @@ def _grid_from_args(sys_: StateSpaceSystem, args: argparse.Namespace) -> np.ndar
         raise _UsageError("--points must be at least 1")
     if args.points == 1:
         # a single frequency: --wmin, else --wmax, else 1
+        for name, value in (("--wmin", args.wmin), ("--wmax", args.wmax)):
+            if value is not None and not 0.0 <= value < math.inf:
+                raise _UsageError(f"--wmin/--wmax: need a finite frequency >= 0, "
+                                  f"got {name} {value}")
         if args.wmin is not None and args.wmax is not None and args.wmin >= args.wmax:
             raise _UsageError(f"--wmin must be below --wmax (got {args.wmin} >= {args.wmax})")
         w = args.wmin if args.wmin is not None else args.wmax

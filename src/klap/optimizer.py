@@ -58,7 +58,6 @@ from .linalg import (
     solve_lyapunov,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
     solve_lyapunov_transposed,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
     spectral_decompose,  # noqa: F401 - kept in the namespace perfbench/tracing.py wraps
-    sqrtm_psd,
 )
 from .passivity import (
     _DUAL_GAP_RTOL,
@@ -633,7 +632,7 @@ def initialize(
         )
     if rng is None:
         rng = np.random.default_rng(0)
-    M = sqrtm_psd(sys.D + sys.D.T)
+    M = sys._feedthrough_root()
     _log.info("Riccati initialization failed twice; using a random start")
     return Initialization(_random_factor(rng, sys, M), 0.0, popov_min, "random")
 
@@ -784,7 +783,8 @@ class KlapResult:
         there and ``L_final = T^{-T} L'`` is mapped back, so ``c_of_l``
         of ``L_final`` gives ``C_hat`` only in exact arithmetic.
     M : (m, m) ndarray
-        Square root of ``D + D^T`` used throughout the run.
+        Square root of ``D + D^T`` used throughout the run: the one the
+        system keeps, read-only.
     J_final : float
         Squared H2 distance at ``C_hat``.
     h2_error : float
@@ -916,7 +916,7 @@ def klap(
         raise DimensionMismatchError(f"L0 must be {sys.n} x {sys.m}, got {L_start.shape}")
 
     try:
-        M = sqrtm_psd(sys.D + sys.D.T)
+        M = sys._feedthrough_root()
     except NotPsdError as exc:
         raise NotPsdError(
             "D + D^T has a significantly negative eigenvalue, so no passive "

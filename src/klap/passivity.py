@@ -49,8 +49,8 @@ from .exceptions import (
     NoSolutionError,
     SingularFeedthroughError,
 )
-from .linalg import _bartels_stewart, _real_schur, sqrtm_psd
-from .system import StateSpaceSystem, popov_eval, popov_scan
+from .linalg import _bartels_stewart, _real_schur
+from .system import StateSpaceSystem, popov_scan
 
 __all__ = [
     "AreSolution",
@@ -77,10 +77,8 @@ _NEWTON_STEPS = 100
 
 def _feedthrough_gram(sys: StateSpaceSystem) -> tuple[np.ndarray, bool]:
     """``R = D + D^T`` and whether it is (numerically) positive definite."""
-    R = sys.D + sys.D.T
-    lam = np.linalg.eigvalsh(R)
-    definite = bool(lam.min() > FEEDTHROUGH_RTOL * max(1.0, float(lam.max())))
-    return R, definite
+    R, lam, _ = sys._feedthrough()
+    return R, bool(lam.min() > FEEDTHROUGH_RTOL * max(1.0, float(lam.max())))
 
 
 @dataclass(frozen=True)
@@ -333,8 +331,8 @@ class PassivityVerdict:
 def _passive_tolerance(sys: StateSpaceSystem) -> float:
     """The tolerance ``eps = PASSIVE_TOL * max(1, ||R||_2, ||Phi(0)||_2)``,
     ``R = D + D^T``, of :func:`check_passive`."""
-    return PASSIVE_TOL * max(1.0, float(np.linalg.norm(sys.D + sys.D.T, 2)),
-                             float(np.linalg.norm(popov_eval(sys, 0.0), 2)))
+    _, _, norm_R = sys._feedthrough()
+    return PASSIVE_TOL * max(1.0, norm_R, float(np.linalg.norm(sys._popov_at_zero(), 2)))
 
 
 def _hamiltonian_matrix(sys: StateSpaceSystem, R: np.ndarray) -> np.ndarray:
@@ -354,9 +352,9 @@ def _sampled_verdict(sys: StateSpaceSystem) -> tuple[PassivityVerdict, bool]:
     discards the margin of a violation, or already holds the default
     scan's minimum, this is the whole check.
     """
-    R = sys.D + sys.D.T
+    R, lam, _ = sys._feedthrough()
     eps = _passive_tolerance(sys)
-    lam_R = float(np.linalg.eigvalsh(R)[0])
+    lam_R = float(lam[0])
     if lam_R < -eps:
         return PassivityVerdict(False, lam_R), False
     H = _hamiltonian_matrix(sys, R + eps * np.eye(sys.m))
@@ -397,9 +395,10 @@ def check_passive(sys: StateSpaceSystem) -> PassivityVerdict:
 def l_from_are(sys: StateSpaceSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recover the Lur'e factor pair ``(L, M)`` from a Riccati solution.
 
-    ``M`` is the symmetric PSD square root of ``D + D^T`` and
-    ``L = (C^T - X B) M^{-1}``; together with ``X`` they satisfy all three
-    Lur'e equations exactly (up to the Riccati residual of ``X``).
+    ``M`` is the symmetric PSD square root of ``D + D^T`` (the read-only
+    one the system keeps) and ``L = (C^T - X B) M^{-1}``; together with
+    ``X`` they satisfy all three Lur'e equations exactly (up to the
+    Riccati residual of ``X``).
 
     Raises
     ------
@@ -409,7 +408,7 @@ def l_from_are(sys: StateSpaceSystem, X: np.ndarray) -> tuple[np.ndarray, np.nda
     R, definite = _feedthrough_gram(sys)
     if not definite:
         raise SingularFeedthroughError("cannot invert M: D + D^T is singular")
-    M = sqrtm_psd(R)
+    M = sys._feedthrough_root()
     X = np.asarray(X, dtype=float)
     L = np.linalg.solve(M, (sys.C.T - X @ sys.B).T).T
     return L, M
@@ -463,7 +462,7 @@ def global_min_certificate(
     """
     tol = 1e-6 * float(np.linalg.norm(sys.A, "fro"))
     R, definite = _feedthrough_gram(sys)
-    M = sqrtm_psd(R)
+    M = sys._feedthrough_root()
     if not definite:
         if M.any():
             return None
@@ -580,8 +579,8 @@ def _kyp_dual(
     is found, or the final ``Z11`` misses that margin.  Each evaluation logs
     one debug line: ``mu0 / J``, the start's lift, the Newton steps and how
     it ended (certified, stopped by the ``g + n mu`` test, end of the path,
-    or refused and why).  Uses neither the system's Lyapunov kernel nor its
-    caches, and draws no random numbers.
+    or refused and why).  Uses neither the system's Lyapunov kernel nor
+    what it keeps from ``(A, B)``, and draws no random numbers.
     """
     n, m = sys.n, sys.m
 
@@ -599,8 +598,7 @@ def _kyp_dual(
     T, T_inv = U * r, U.T / r[:, None]
     B = T_inv @ sys.B
     C = sys.C @ T
-    R = sys.D + sys.D.T
-    M = sqrtm_psd(R)
+    R, M = sys._feedthrough()[0], sys._feedthrough_root()
     schur = _real_schur(T_inv @ sys.A @ T)
 
     def z11(F: np.ndarray) -> np.ndarray:

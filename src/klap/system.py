@@ -13,12 +13,18 @@ smallest eigenvalue, controllability Gramians, and the squared H2 distance
 between two output maps sharing the same state dynamics.
 
 A system checks that ``A`` is Hurwitz once, keeping the spectral abscissa
-and radius from the same eigenvalues, computes the eigenbasis of ``A`` (and
-``V^{-1} B``) and the Lyapunov kernel of ``A`` once each, on first use,
-and shares all of them with every system derived from it by
+and radius from the same eigenvalues.  What depends on ``(A, B)`` alone --
+the eigenbasis of ``A`` (and ``V^{-1} B``), the Lyapunov kernel of ``A``,
+the default Popov grid, ``(0 I - A)^{-1} B`` and, without a trusted
+eigenbasis, the default grid's direct solves -- is computed once each, on
+first use, and shared with every system derived from it by
 :meth:`StateSpaceSystem.with_output` or
 :meth:`StateSpaceSystem.with_feedthrough`, which check only the new
-``C`` or ``D``.  The kernel is the one place
+``C`` or ``D``.  What depends on ``D`` alone -- ``R = D + D^T``, its
+eigenvalues, ``||R||_2`` and its square root -- is shared the same way
+with the copies that keep ``D``: those of
+:meth:`StateSpaceSystem.with_output` and the similar systems the
+optimizer works on.  The kernel is the one place
 that decides how Lyapunov equations in ``A`` are solved: ``"auto"`` on the
 cached basis, the dense solve when ``A`` has none.  :func:`popov_scan`
 evaluates the whole frequency grid in that basis as one matrix product
@@ -29,6 +35,7 @@ solves the whole grid directly, in batches.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,7 @@ from .linalg import (
     DIAG_COND_LIMIT,
     SpectralDecomposition,
     solve_lyapunov,
+    sqrtm_psd,
 )
 
 __all__ = [
@@ -80,8 +88,12 @@ class StateSpaceSystem:
     with ``m <= n``.  Construction validates dimensions and rejects
     non-Hurwitz ``A``: the largest eigenvalue real part must lie below
     ``-1e-12 * ||A||_F``.  The stored arrays are defensive read-only
-    copies, so instances are safe to share across threads (two threads
-    that both find the eigenbasis missing compute the same one).
+    copies.  What the system derives from ``(A, B)`` or from ``D`` is kept
+    read-only in two caches, each entry filled in one assignment on first
+    use, so instances are safe to share across threads (two threads that
+    both find an entry missing compute the same one).  Copies made by
+    :meth:`with_output` share both caches, copies made by
+    :meth:`with_feedthrough` only the one of ``(A, B)``.
     """
 
     A: np.ndarray
@@ -109,15 +121,16 @@ class StateSpaceSystem:
                 f">= -{tol_stab:.3e}",
                 abscissa,
             )
-        # spectral abscissa and radius, eigenbasis and Lyapunov kernel of A,
-        # shared by reference with derived systems
+        # what depends on (A, B) alone, then on D alone, shared by reference
+        # with derived systems
         eigen = {"abscissa": abscissa, "radius": float(np.abs(eigenvalues).max())}
-        self._set(A, B, C, D, eigen)
+        self._set(A, B, C, D, eigen, {})
 
-    def _set(self, A, B, C, D, eigen: dict) -> None:
+    def _set(self, A, B, C, D, eigen: dict, feedthrough: dict) -> None:
         for M in (A, B, C, D):
             M.setflags(write=False)
-        for name, value in (("A", A), ("B", B), ("C", C), ("D", D), ("_eigen", eigen)):
+        for name, value in (("A", A), ("B", B), ("C", C), ("D", D), ("_eigen", eigen),
+                            ("_feed", feedthrough)):
             object.__setattr__(self, name, value)
 
     @property
@@ -132,34 +145,40 @@ class StateSpaceSystem:
 
     def with_output(self, C: np.ndarray) -> "StateSpaceSystem":
         """Same dynamics and feedthrough, different output matrix; shares
-        ``A``, its checked stability, its eigenbasis and its Lyapunov
-        kernel."""
-        return self._sharing_dynamics(C, self.D)
+        ``A``, its checked stability and everything kept from ``(A, B)``
+        (eigenbasis, Lyapunov kernel, default Popov grid and its solves) and
+        from ``D`` (``D + D^T``, its eigenvalues, norm and square root)."""
+        return self._sharing_dynamics(C, self.D, self._feed)
 
     def with_feedthrough(self, D: np.ndarray) -> "StateSpaceSystem":
         """Same dynamics and output map, different feedthrough; shares
-        ``A``, its checked stability, its eigenbasis and its Lyapunov
-        kernel."""
-        return self._sharing_dynamics(self.C, D)
+        ``A``, its checked stability and everything kept from ``(A, B)``
+        (eigenbasis, Lyapunov kernel, default Popov grid and its solves),
+        but derives what depends on ``D`` afresh."""
+        return self._sharing_dynamics(self.C, D, {})
 
-    def _sharing_dynamics(self, C: np.ndarray, D: np.ndarray) -> "StateSpaceSystem":
-        """A system on the validated ``(A, B)`` of this one: only ``C`` and
-        ``D`` are checked."""
+    def _sharing_dynamics(self, C: np.ndarray, D: np.ndarray, feedthrough: dict
+                          ) -> "StateSpaceSystem":
+        """A system on the validated ``(A, B)`` of this one, with the cache
+        ``feedthrough`` of what depends on ``D``: only ``C`` and ``D`` are
+        checked."""
         m, n = self.m, self.n
         other = object.__new__(StateSpaceSystem)
-        other._set(self.A, self.B, _matrix(C, m, n, "C"), _matrix(D, m, m, "D"), self._eigen)
+        other._set(self.A, self.B, _matrix(C, m, n, "C"), _matrix(D, m, m, "D"), self._eigen,
+                   feedthrough)
         return other
 
     def _similar(self, T: np.ndarray, T_inv: np.ndarray) -> "StateSpaceSystem":
         """The system ``(T^{-1} A T, T^{-1} B, C T, D)``, for a well-formed
         pair ``T``, ``T_inv``.  It keeps this system's checked stability,
         spectral abscissa and radius, which a similarity does not change,
-        and no eigenbasis: its Lyapunov kernel is the dense one, built and
-        factored on first use and kept by the new system alone."""
+        and what it keeps from ``D``, and no eigenbasis: its Lyapunov kernel
+        is the dense one, built and factored on first use and kept by the
+        new system alone."""
         other = object.__new__(StateSpaceSystem)
         eigen = {"abscissa": self._eigen["abscissa"], "radius": self._eigen["radius"],
                  "modes": (None, None)}
-        other._set(T_inv @ self.A @ T, T_inv @ self.B, self.C @ T, self.D, eigen)
+        other._set(T_inv @ self.A @ T, T_inv @ self.B, self.C @ T, self.D, eigen, self._feed)
         return other
 
     def _spectral_abscissa(self) -> float:
@@ -196,6 +215,53 @@ class StateSpaceSystem:
             self._eigen["lyapunov"] = linalg._LyapunovKernel(self.A, decomp, strategy)
         return self._eigen["lyapunov"]
 
+    def _kept(self, cache: dict, key: str, make: Callable[[], np.ndarray]) -> np.ndarray:
+        """``cache[key]``, made by ``make`` on first use and kept as a
+        read-only view, which cannot be made writable again; a ``make`` that
+        raises keeps nothing, so it raises again on the next call."""
+        if key not in cache:
+            value = make()
+            value.setflags(write=False)
+            cache[key] = value.view()
+        return cache[key]
+
+    def _feedthrough(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``R = D + D^T``, its eigenvalues (ascending) and ``||R||_2``,
+        computed on first use."""
+        if "gram" not in self._feed:
+            R = self.D + self.D.T
+            lam = np.linalg.eigvalsh(R)
+            R.setflags(write=False)
+            lam.setflags(write=False)
+            self._feed["gram"] = (R, lam, float(np.linalg.norm(R, 2)))
+        return self._feed["gram"]
+
+    def _feedthrough_root(self) -> np.ndarray:
+        """``M = sqrtm_psd(D + D^T)``, computed on first use; an indefinite
+        ``D + D^T`` raises :class:`~klap.exceptions.NotPsdError` on every
+        call."""
+        return self._kept(self._feed, "root", lambda: sqrtm_psd(self._feedthrough()[0]))
+
+    def _popov_grid(self) -> np.ndarray:
+        """The :func:`default_popov_grid` of this system, computed on first
+        use."""
+        return self._kept(self._eigen, "grid", lambda: default_popov_grid(self))
+
+    def _grid_resolvents(self) -> np.ndarray | None:
+        """``(i w I - A)^{-1} B`` at every frequency of the default grid,
+        computed on first use where the whole grid is one block of the
+        direct scan (``None`` otherwise)."""
+        w = self._popov_grid()
+        if w.size * self.n**2 > _SOLVE_BLOCK_ENTRIES:
+            return None
+        return self._kept(self._eigen, "grid_resolvents", lambda: _resolvents(self, w))
+
+    def _popov_at_zero(self) -> np.ndarray:
+        """``Phi(0)`` as :func:`popov_eval` computes it, on ``(0 I - A)^{-1}
+        B`` computed on first use."""
+        X = self._kept(self._eigen, "resolvent_at_0", lambda: _resolvent(self, 0j))
+        return _popov_part(self.C @ X + self.D)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StateSpaceSystem(n={self.n}, m={self.m})"
 
@@ -211,9 +277,12 @@ def transfer_eval(sys: StateSpaceSystem, s: complex) -> np.ndarray:
     -------
     (m, m) complex ndarray
     """
-    n = sys.n
-    resolvent_b = np.linalg.solve(s * np.eye(n) - sys.A, sys.B)
-    return sys.C @ resolvent_b + sys.D
+    return sys.C @ _resolvent(sys, s) + sys.D
+
+
+def _resolvent(sys: StateSpaceSystem, s: complex) -> np.ndarray:
+    """``(sI - A)^{-1} B``."""
+    return np.linalg.solve(s * np.eye(sys.n) - sys.A, sys.B)
 
 
 def popov_eval(sys: StateSpaceSystem, omega: float) -> np.ndarray:
@@ -221,7 +290,11 @@ def popov_eval(sys: StateSpaceSystem, omega: float) -> np.ndarray:
 
     The system is passive iff ``Phi(i w) >= 0`` for all real ``w``.
     """
-    G = transfer_eval(sys, 1j * float(omega))
+    return _popov_part(transfer_eval(sys, 1j * float(omega)))
+
+
+def _popov_part(G: np.ndarray) -> np.ndarray:
+    """``G + G^H`` for one ``(m, m)`` value ``G``, made exactly Hermitian."""
     Phi = G + G.conj().T
     return 0.5 * (Phi + Phi.conj().T)
 
@@ -265,7 +338,8 @@ def popov_scan(sys: StateSpaceSystem, grid: np.ndarray | None = None) -> PopovSc
     ----------
     sys : StateSpaceSystem
     grid : array_like, optional
-        Frequencies to sample; defaults to :func:`default_popov_grid`.
+        Finite frequencies to sample; defaults to :func:`default_popov_grid`,
+        which the system computes once and hands out read-only.
 
     Returns
     -------
@@ -311,19 +385,28 @@ def popov_scan(sys: StateSpaceSystem, grid: np.ndarray | None = None) -> PopovSc
 
     Without a trusted basis (e.g. a defective ``A``), blocks of
     frequencies go through one batched ``(i w I - A)`` solve each, which
-    reproduces :func:`popov_eval` exactly at every grid point.
+    reproduces :func:`popov_eval` exactly at every grid point.  Where the
+    default grid is a single block, the system keeps its solves ``(i w I -
+    A)^{-1} B``, and every later default scan of it or of a copy that
+    shares ``(A, B)`` reuses them.
 
     The grid minimum is an upper bound on the true infimum over all
     frequencies; a sharp Popov dip between grid points is reported slightly
     high.  Downstream users that perturb a system to the passive side add a
     safety margin for exactly this reason.
     """
-    w = np.asarray(default_popov_grid(sys) if grid is None else grid, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("grid must be a non-empty 1-D array")
+    if grid is None:
+        w = sys._popov_grid()
+    else:
+        w = np.asarray(grid, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("grid must be a non-empty 1-D array")
+        if not np.isfinite(w).all():
+            raise ValueError("grid must hold finite frequencies only")
     decomp, b = sys._modes()
     if decomp is None or decomp.condition_estimate > DIAG_COND_LIMIT:
-        mins = _popov_mins_solved(sys, w)
+        X = sys._grid_resolvents() if grid is None else None
+        mins = _popov_mins_solved(sys, w) if X is None else _lambda_min(sys.C @ X + sys.D)
     else:
         mins, err = _popov_mins_modal(sys, decomp, b, w)
         near = mins - err <= (mins + err).min()
@@ -361,15 +444,17 @@ def _popov_mins_modal(
 def _popov_mins_solved(sys: StateSpaceSystem, w: np.ndarray) -> np.ndarray:
     """Popov minima by direct solves, batched over blocks of frequencies
     with the arithmetic of :func:`popov_eval`."""
+    step = max(1, _SOLVE_BLOCK_ENTRIES // (sys.n * sys.n))
+    return np.concatenate([_lambda_min(sys.C @ _resolvents(sys, w[lo:lo + step]) + sys.D)
+                           for lo in range(0, w.size, step)])
+
+
+def _resolvents(sys: StateSpaceSystem, w: np.ndarray) -> np.ndarray:
+    """``(i w_k I - A)^{-1} B`` for every frequency ``w_k``, in one batched
+    solve."""
     n, m = sys.n, sys.m
-    step = max(1, _SOLVE_BLOCK_ENTRIES // (n * n))
-    eye = np.eye(n)
-    mins = []
-    for lo in range(0, w.size, step):
-        s = 1j * w[lo:lo + step, None, None]
-        rhs = np.broadcast_to(sys.B, (s.shape[0], n, m))
-        mins.append(_lambda_min(sys.C @ np.linalg.solve(s * eye - sys.A, rhs) + sys.D))
-    return np.concatenate(mins)
+    s = 1j * w[:, None, None]
+    return np.linalg.solve(s * np.eye(n) - sys.A, np.broadcast_to(sys.B, (w.size, n, m)))
 
 
 def controllability_gramian(

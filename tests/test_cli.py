@@ -431,13 +431,18 @@ def test_popov_single_point_grid(toy_m1_path, capsys):
      (["--wmin", "-1"], "need 0 < wmin < wmax, got [-1.0, "),
      (["--wmax", "1e-9"], ", 1e-09]"),
      (["--points", "1", "--wmin", "10", "--wmax", "1"],
-      "--wmin must be below --wmax (got 10.0 >= 1.0)")],
-    ids=["inverted", "negative-wmin", "tiny-wmax", "single-point-inverted"],
+      "--wmin must be below --wmax (got 10.0 >= 1.0)"),
+     (["--points", "1", "--wmin", "-1"], "need a finite frequency >= 0, got --wmin -1.0"),
+     (["--points", "1", "--wmin", "inf"], "need a finite frequency >= 0, got --wmin inf"),
+     (["--points", "1", "--wmax", "nan"], "need a finite frequency >= 0, got --wmax nan")],
+    ids=["inverted", "negative-wmin", "tiny-wmax", "single-point-inverted",
+         "single-point-negative", "single-point-inf", "single-point-nan"],
 )
 def test_popov_bad_window_is_usage_error(toy_m1_path, window, message, capsys):
     code, out, err = run_cli(["popov", toy_m1_path, *window], capsys)
     assert code == 2
     assert out == ""
+    assert err.count("klap: error:") == 1
     assert "klap: error: --wmin" in err
     assert message in err
 

@@ -995,7 +995,9 @@ def test_klap_builds_one_lyapunov_kernel_per_run(monkeypatch):
     # kernel the system owns; the output maps of the runs, formed in
     # square-root-Gramian coordinates, through one dense kernel of
     # T^{-1} A T, which factors one Schur form and is not kept past the run;
-    # the dual bound evaluated before the restart builds none
+    # the dual bound evaluated before the restart builds none.  Beside the
+    # eigenbasis and the kernel, the run keeps only the default Popov grid
+    # and (0 I - A)^{-1} B: toy-m1 has a trusted basis, so no grid solves
     import klap.linalg as linalg_mod
 
     kernels = []
@@ -1013,7 +1015,30 @@ def test_klap_builds_one_lyapunov_kernel_per_run(monkeypatch):
     own, mapped = kernels
     assert sys._lyapunov() is own and res.system._lyapunov() is own and own.diagonal
     assert mapped.strategy == "dense" and list(mapped._schur) == [True]
-    assert set(sys._eigen) == {"abscissa", "radius", "modes", "lyapunov"}
+    assert set(sys._eigen) == {"abscissa", "radius", "modes", "lyapunov", "grid",
+                               "resolvent_at_0"}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: acc_system(0.125), lambda: rand_family_system(8, 2, 4),
+     lambda: rand_family_system(16, 1, 6)],
+    ids=["acc/d=0.125", "rand-8x2/4", "rand-16x1/6"],
+)
+def test_klap_on_a_warm_copy_matches_a_cold_system(make):
+    # a copy that shares every cache a first run filled (grid, its solves
+    # where A has no eigenbasis, kernel, D + D^T and its root) runs the
+    # same trajectory bit for bit
+    cold = klap(make())
+    sys = make()
+    klap(sys)
+    warm = klap(sys.with_output(sys.C))
+    for name in ("C_hat", "L_final", "M"):
+        assert_array_equal(getattr(warm, name), getattr(cold, name))
+    for name in ("J_final", "iterations", "restarts", "converged", "trace", "popov_min",
+                 "delta", "duality_gap", "message"):
+        assert getattr(warm, name) == getattr(cold, name), name
+    assert_array_equal(warm.certificate.eigenvalues, cold.certificate.eigenvalues)
 
 
 def count_frame_work(monkeypatch):

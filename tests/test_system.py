@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from klap.exceptions import DefectiveMatrixError, DimensionMismatchError, NotHurwitzError
-from klap.linalg import DIAG_COND_LIMIT, spectral_decompose
+from klap.exceptions import (
+    DefectiveMatrixError,
+    DimensionMismatchError,
+    NotHurwitzError,
+    NotPsdError,
+)
+from klap.linalg import DIAG_COND_LIMIT, spectral_decompose, sqrtm_psd
 from klap.system import (
     StateSpaceSystem,
     controllability_gramian,
@@ -231,12 +236,34 @@ def test_popov_scan_matches_per_frequency_oracle(make):
 
 
 def test_popov_scan_defective_falls_back_to_exact_solves():
-    # acc's A has a Jordan block, so it has no eigenbasis
+    # acc's A has a Jordan block, so it has no eigenbasis.  The first scan
+    # keeps the default grid's solves; copies with another C or D scan on
+    # them and still reproduce the per-frequency oracle bit for bit
     sys = acc_system(0.125)
     with pytest.raises(DefectiveMatrixError):
         spectral_decompose(sys.A)
+    copies = [sys.with_output([[0.5, -1.0, 2.0, 0.25]]), sys.with_feedthrough([[0.75]])]
+    for s in [sys, *copies]:
+        scan = popov_scan(s)
+        assert np.array_equal(scan.min_eigenvalues, popov_min_oracle(s, scan.frequencies))
+    assert sys._grid_resolvents() is copies[1]._grid_resolvents()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_popov_scan_rejects_a_non_finite_grid(bad):
+    for sys in (toy_system(), acc_system()):  # modal and direct scans
+        with pytest.raises(ValueError, match="grid must hold finite frequencies only"):
+            popov_scan(sys, grid=[0.0, bad, 1.0])
+
+
+def test_the_default_grid_cannot_be_changed_through_a_scan():
+    sys = toy_system()
     scan = popov_scan(sys)
-    assert np.array_equal(scan.min_eigenvalues, popov_min_oracle(sys, scan.frequencies))
+    with pytest.raises(ValueError):
+        scan.frequencies[1] = 5.0
+    with pytest.raises(ValueError):
+        scan.frequencies.setflags(write=True)
+    assert np.array_equal(popov_scan(sys).frequencies, default_popov_grid(sys))
 
 
 def nearly_defective_system(delta, seed, n=8, m=2):
@@ -290,6 +317,32 @@ def test_derived_systems_share_the_eigenbasis(monkeypatch):
     for s in [sys, *derived, sys]:
         popov_scan(s)
     assert len(calls) == 1
+
+
+def test_copies_that_keep_d_share_the_feedthrough_data():
+    sys = toy_system(0.125)
+    M = sys._feedthrough_root()
+    assert not M.flags.writeable
+    T, T_inv = np.diag([1.0, 2.0]), np.diag([1.0, 0.5])
+    for copy in (sys.with_output([[0.0, 1.0]]), sys._similar(T, T_inv)):
+        assert copy._feedthrough() is sys._feedthrough()
+        assert copy._feedthrough_root() is M
+    # a shifted copy derives its own, even for the same D
+    for D, root in (([[0.625]], 1.25**0.5), (sys.D, 0.25**0.5)):
+        shifted = sys.with_feedthrough(D)
+        assert shifted._feedthrough() is not sys._feedthrough()
+        assert shifted._feedthrough_root() is not M
+        assert_allclose(shifted._feedthrough_root(), [[root]], rtol=1e-15)
+
+
+def test_an_indefinite_feedthrough_raises_on_every_call():
+    sys = toy_system(0.125).with_feedthrough([[-0.5]])
+    with pytest.raises(NotPsdError) as direct:
+        sqrtm_psd(sys.D + sys.D.T)
+    for copy in (sys, sys, sys.with_output([[0.0, 1.0]])):
+        with pytest.raises(NotPsdError) as exc:
+            copy._feedthrough_root()
+        assert str(exc.value) == str(direct.value)
 
 
 # ---------------------------------------------------------------------------
