@@ -56,7 +56,7 @@ from .passivity import (
     solve_are,
 )
 from .optimizer import KlapConfig, KlapResult, klap
-from .modelio import ModelFile, load_model, load_model_file, write_model
+from .modelio import ModelFile, load_model_file, write_model
 from .benchmarks import (
     BENCHMARK_NAMES,
     acc_system,
@@ -103,7 +103,6 @@ __all__ = [
     "klap",
     # model files
     "ModelFile",
-    "load_model",
     "load_model_file",
     "write_model",
     # benchmarks

@@ -7,11 +7,16 @@
     klap popov MODEL         Popov-function frequency sweep as CSV
     klap h2 MODEL MODEL      H2 distance between two models on the same (A, B, D)
 
-Every MODEL is a JSON model file (:mod:`klap.modelio`).  The bundled
-benchmark models are ordinary model files
+Every MODEL is a JSON model file (:mod:`klap.modelio`); ``check``,
+``passivate`` and ``popov`` share the ``--feedthrough`` flag that replaces
+its ``D``.  The bundled benchmark models are ordinary model files
 (:func:`klap.benchmarks.benchmark_path`), run with ``klap passivate``.
-``klap h2`` measures the distance klap minimizes: between two output maps
-that share ``(A, B, D)``, such as a model and its passivation.
+``klap popov`` samples :func:`klap.system.default_popov_grid`, whose
+``ValueError`` on ``--points`` below 2 or a window other than finite
+``0 < wmin < wmax`` is a usage error.  ``klap h2`` measures the distance
+klap minimizes: between two output maps that share ``(A, B, D)``, such as
+a model and its passivation; it exits 2 naming the first of ``A``, ``B``
+and ``D`` that differs.
 
 Exit codes follow a scripting-friendly contract: 0 success (for
 ``check``: passive), 1 not passive, 2 any error (including a passivation
@@ -33,7 +38,6 @@ import contextlib
 import functools
 import json
 import logging
-import math
 import os
 import re
 import sys
@@ -59,25 +63,6 @@ def _configure_logging() -> None:
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
-
-
-def _grid_from_args(sys_: StateSpaceSystem, args: argparse.Namespace) -> np.ndarray:
-    if args.points < 1:
-        raise _UsageError("--points must be at least 1")
-    if args.points == 1:
-        # a single frequency: --wmin, else --wmax, else 1
-        for name, value in (("--wmin", args.wmin), ("--wmax", args.wmax)):
-            if value is not None and not 0.0 <= value < math.inf:
-                raise _UsageError(f"--wmin/--wmax: need a finite frequency >= 0, "
-                                  f"got {name} {value}")
-        if args.wmin is not None and args.wmax is not None and args.wmin >= args.wmax:
-            raise _UsageError(f"--wmin must be below --wmax (got {args.wmin} >= {args.wmax})")
-        w = args.wmin if args.wmin is not None else args.wmax
-        return np.array([1.0 if w is None else float(w)])
-    try:
-        return default_popov_grid(sys_, points=args.points, wmin=args.wmin, wmax=args.wmax)
-    except ValueError as exc:
-        raise _UsageError(f"--wmin/--wmax: {exc}") from exc
 
 
 class _UsageError(Exception):
@@ -260,7 +245,10 @@ def _cmd_passivate(args: argparse.Namespace) -> int:
 
 def _cmd_popov(args: argparse.Namespace) -> int:
     _, sys_ = _load(args.model, args.feedthrough)
-    grid = _grid_from_args(sys_, args)
+    try:
+        grid = default_popov_grid(sys_, points=args.points, wmin=args.wmin, wmax=args.wmax)
+    except ValueError as exc:
+        raise _UsageError(f"--wmin/--wmax/--points: {exc}") from exc
     scan = popov_scan(sys_, grid)
     with _output_stream(args.out) as fh:
         _write_csv(fh, ["omega", "lambda_min"], zip(scan.frequencies, scan.min_eigenvalues))
@@ -270,42 +258,15 @@ def _cmd_popov(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrices_match(X: np.ndarray, Y: np.ndarray, tol: float = 1e-10) -> bool:
-    if X.shape != Y.shape:
-        return False
-    return float(np.max(np.abs(X - Y), initial=0.0)) <= tol * max(
-        1.0, float(np.max(np.abs(X), initial=0.0))
-    )
-
-
 def _cmd_h2(args: argparse.Namespace) -> int:
     _, sys_a = _load(args.model_a, None)
     _, sys_b = _load(args.model_b, None)
-    if sys_a.m != sys_b.m:
-        print(
-            f"error: models have different input/output counts "
-            f"({sys_a.m} vs {sys_b.m}); no H2 distance is defined",
-            file=sys.stderr,
-        )
-        return 2
-    if not _matrices_match(sys_a.D, sys_b.D):
-        print(
-            "error: feedthrough matrices differ, so the error system is not "
-            "strictly proper and the H2 distance is infinite",
-            file=sys.stderr,
-        )
-        return 2
-    if not (
-        sys_a.n == sys_b.n
-        and _matrices_match(sys_a.A, sys_b.A)
-        and _matrices_match(sys_a.B, sys_b.B)
-    ):
-        print(
-            "error: models are different realizations (A or B differ); the H2 "
-            "distance is defined here only between output maps on the same (A, B, D)",
-            file=sys.stderr,
-        )
-        return 2
+    for name in ("A", "B", "D"):
+        X, Y = getattr(sys_a, name), getattr(sys_b, name)
+        if X.shape != Y.shape or np.max(np.abs(X - Y)) > 1e-10 * max(1.0, np.max(np.abs(X))):
+            print(f"error: the models differ in {name}; the H2 distance is defined here "
+                  "only between output maps on the same (A, B, D)", file=sys.stderr)
+            return 2
     j = max(h2_error_sq(sys_a, sys_b.C), 0.0)
     print(f"h2_error_squared = {j!r}")
     print(f"h2_error = {float(np.sqrt(j))!r}")
@@ -328,19 +289,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one model file of check, passivate and popov
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("model")
+    model.add_argument("--feedthrough", type=float, default=None,
+                       help="replace D by this scalar times the identity")
 
-    p_check = sub.add_parser("check", help="decide passivity of a model file")
-    p_check.add_argument("model")
-    p_check.add_argument("--feedthrough", type=float, default=None,
-                         help="replace D by this scalar times the identity")
+    sub.add_parser("check", parents=[model], help="decide passivity of a model file")
 
-    p_pass = sub.add_parser("passivate", help="replace C by the closest passivating map")
-    p_pass.add_argument("model")
+    p_pass = sub.add_parser("passivate", parents=[model],
+                            help="replace C by the closest passivating map")
     p_pass.add_argument("--out", default=None, help="output model path (default: *.passive.json)")
     p_pass.add_argument("--report", default=None,
                         help="run-report JSON path (default: alongside the output model)")
-    p_pass.add_argument("--feedthrough", type=float, default=None,
-                        help="replace D by this scalar times the identity before passivating")
     p_pass.add_argument("--l0", dest="L0", default=None, metavar="VALUES",
                         help="explicit starting factor, comma-separated row-major values "
                              "(default: the Riccati start)")
@@ -354,15 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pass.add_argument("--trace", default=None, metavar="CSV",
                         help="write the per-iteration (J, grad-norm) log as CSV")
 
-    p_popov = sub.add_parser("popov", help="sample the Popov function over a frequency grid")
-    p_popov.add_argument("model")
+    p_popov = sub.add_parser("popov", parents=[model],
+                             help="sample the Popov function over a frequency grid")
     p_popov.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p_popov.add_argument("--feedthrough", type=float, default=None,
-                         help="replace D by this scalar times the identity")
     p_popov.add_argument("--wmin", type=float, default=None, help="lowest scan frequency")
     p_popov.add_argument("--wmax", type=float, default=None, help="highest scan frequency")
     p_popov.add_argument("--points", type=int, default=500,
-                         help="number of scan frequencies (default 500)")
+                         help="number of log-spaced scan frequencies, at least 2 (default 500)")
 
     p_h2 = sub.add_parser("h2", help="H2 distance between two models on the same (A, B, D)")
     p_h2.add_argument("model_a")
@@ -406,10 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         return command(args)
     except _UsageError as exc:
         parser.error(str(exc))  # exits with code 2
-    except KlapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KlapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

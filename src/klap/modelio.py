@@ -4,8 +4,8 @@ A model file is one JSON object ``{"name"?, "n", "m", "A", "B", "C",
 "D", "metadata"?}`` where each matrix is a flat row-major array of
 numbers (nested row arrays are also accepted on input).  Numbers are
 written with Python's shortest round-tripping decimal representation,
-so ``load_model(write_model(sys))`` reproduces every matrix bit for
-bit.
+so loading a file :func:`write_model` wrote reproduces every matrix bit
+for bit.
 
 Parsing failures raise :class:`~klap.exceptions.ParseError` naming the
 offending line or field.  A model whose ``A`` is not Hurwitz raises
@@ -26,7 +26,7 @@ import numpy as np
 from .exceptions import NotHurwitzError, ParseError
 from .system import StateSpaceSystem
 
-__all__ = ["ModelFile", "load_model", "load_model_file", "write_model", "dumps_model"]
+__all__ = ["ModelFile", "load_model_file", "write_model", "dumps_model"]
 
 # relative stability margin below which a (still Hurwitz) A triggers a warning
 _BORDERLINE_RTOL = 1e-6
@@ -147,11 +147,6 @@ def load_model_file(path: str | os.PathLike) -> ModelFile:
         raise ParseError(f"{source}: field 'metadata' must be an object")
 
     return ModelFile(_stable_system(A, B, C, D, source), name, dict(metadata))
-
-
-def load_model(path: str | os.PathLike) -> StateSpaceSystem:
-    """Load a state-space model from a JSON model file."""
-    return load_model_file(path).system
 
 
 def dumps_model(

@@ -474,7 +474,10 @@ def lbfgs_minimize(
     Stops when the Euclidean ``||grad|| <= grad_tol``, when the relative
     objective change drops below ``obj_rel_tol``, or after
     ``max_iterations`` accepted steps.  A failed line search returns the
-    best iterate with ``converged = False``.  ``trace`` records the
+    best iterate with ``converged = False``, and so does an accepted step
+    that leaves the objective bit-identical at ``||grad|| > grad_tol``
+    (status ``"line-search"``: the Armijo test passed only because
+    ``f + 1e-4 t g.d`` rounds to ``f``).  ``trace`` records the
     Euclidean gradient norm, as the stop test does.
     """
     cfg = config or KlapConfig()
@@ -559,7 +562,9 @@ def lbfgs_minimize(
         iterations += 1
         trace.append((f, g_norm))
         if abs(f_prev - f) <= cfg.obj_rel_tol * (abs(f) + cfg.obj_rel_tol):
-            status, converged = "objective-change", True
+            # J bit-identical away from stationarity: the search ran dry
+            stalled = f == f_prev and g_norm > cfg.grad_tol
+            status, converged = ("line-search", False) if stalled else ("objective-change", True)
             break
 
     return LbfgsResult(
@@ -828,10 +833,10 @@ class KlapResult:
     message : str
         Human-readable stop reason.
     duality_gap : float or None
-        Relative gap ``1 - g / J_final`` of the highest KYP dual lower bound
-        ``g <= J*`` found over all rounds (a bound found at any point bounds
-        the optimum); ``None`` where the spectral certificate certified
-        ``L_final`` or no validated bound was found.
+        Relative gap ``(J_final - g) / J_final`` of the highest lower bound
+        ``g <= J*`` the KYP dual map returned over all rounds (a bound found
+        at any point bounds the optimum); ``None`` where the spectral
+        certificate certified ``L_final`` or no validated bound was found.
     """
 
     C_hat: np.ndarray
@@ -972,12 +977,11 @@ def klap(
     total_iterations = 0
     restarts_used = 0
     best: _Candidate | None = None
-    # the highest KYP dual lower bound J (1 - gap) <= J* found so far: the
-    # candidate it was found at and its gap there
-    bound: tuple[_Candidate, float] | None = None
-    # the KYP dual bound's map (C_hat, J) -> gap, built on the first
+    # the highest KYP dual lower bound g <= J* found so far, at any point
+    lower: float | None = None
+    # the KYP dual bound's map (C_hat, J) -> g, built on the first
     # uncertified round
-    dual_gap = None
+    dual_bound = None
     message = "restart budget exhausted without certificate"
 
     def judge(L: np.ndarray, run: LbfgsResult | None = None) -> _Candidate:
@@ -990,17 +994,11 @@ def klap(
             verdict = check_passive(sys.with_output(C_hat))
         return _Candidate(run, L, C_hat, J, verdict, global_min_certificate(sys, L))
 
-    def gap_at(c: _Candidate) -> float | None:
-        """Relative gap of the highest bound at ``c``, restated where it was
-        found elsewhere."""
-        if bound is None:
-            return None
-        at, gap = bound
-        return gap if at is c else 1.0 - at.J * (1.0 - gap) / c.J
+    def gap(c: _Candidate) -> float | None:
+        return None if lower is None else (c.J - lower) / c.J
 
     def certified(c: _Candidate) -> bool:
-        gap = gap_at(c)
-        return c.verdict.passive and (c.spectral or gap is not None and gap <= _DUAL_GAP_RTOL)
+        return c.verdict.passive and (c.spectral or lower is not None and gap(c) <= _DUAL_GAP_RTOL)
 
     try:
         for round_index in range(cfg.max_restarts + 1):
@@ -1020,14 +1018,12 @@ def klap(
             # is not certified, the dual bound judges every point
             gap_text = "not evaluated"
             if not certified(best):
-                if dual_gap is None:
-                    dual_gap = _kyp_dual(sys, *frame.gramian)
-                gap = dual_gap(cand.C_hat, cand.J)
-                gap_text = "none" if gap is None else f"{gap:.3e}"
-                if gap is not None and (
-                    bound is None or cand.J * (1.0 - gap) > bound[0].J * (1.0 - bound[1])
-                ):
-                    bound = (cand, gap)
+                if dual_bound is None:
+                    dual_bound = _kyp_dual(sys, *frame.gramian)
+                g = dual_bound(cand.C_hat, cand.J)
+                gap_text = "none" if g is None else f"{(cand.J - g) / cand.J:.3e}"
+                if g is not None and (lower is None or g > lower):
+                    lower = g
             if cand.verdict is None:
                 verdict_text = (f"check_passive not run: J {cand.J:.17g} not below the "
                                 f"passing best {best.J:.17g}")
@@ -1081,5 +1077,5 @@ def klap(
         initial_J=float(trace[0][0] if trace else best.J),
         system=sys.with_output(best.C_hat),
         message=message,
-        duality_gap=None if best.spectral else gap_at(best),
+        duality_gap=None if best.spectral else gap(best),
     )

@@ -506,10 +506,11 @@ _TRTRI = scipy.linalg.get_lapack_funcs("trtri", dtype=np.float64)
 def _kyp_dual(
     sys: StateSpaceSystem, s: np.ndarray, U: np.ndarray
 ) -> Callable[[np.ndarray, float], float | None]:
-    """The map ``(C_hat, J) -> (J - g) / J``, the relative gap between the
-    objective ``J > 0`` at the passive output map ``C_hat`` and a lower
-    bound ``g`` on the optimum, for ``sys`` and its Gramian ``P = U diag(s)
-    U^T`` (the ``eigh`` of ``P``).  What depends on the system alone is
+    """The map ``(C_hat, J) -> g``, a lower bound ``g <= J*`` on the
+    optimum found from the passive output map ``C_hat`` and its objective
+    ``J > 0``, for ``sys`` and its Gramian ``P = U diag(s) U^T`` (the
+    ``eigh`` of ``P``).  The relative gap ``(J - g) / J`` bounds how far
+    any point's ``J`` is from ``J*``.  What depends on the system alone is
     built here, once: the size cap, the Gramian's definiteness test, ``T``,
     the Schur form of ``T^{-1} A T``, the ``mn`` basis solves of ``Z11``,
     the lift direction and the normalization's defect.  A refused system
@@ -527,9 +528,8 @@ def _kyp_dual(
         - \\langle (E' P) Z_{11}^{-1} (E' P)^T, D + D^T \\rangle \\le J^*,
 
     and ``g`` is concave; when ``D + D^T`` is positive definite (strong
-    duality) its maximum is ``J*``, attained at the optimal ``C - C_hat``.  The
-    gap is therefore an upper bound on ``(J - J*) / J``, and a small gap
-    certifies ``C_hat``.
+    duality) its maximum is ``J*``, attained at the optimal ``C - C_hat``.  A
+    small gap ``(J - g) / J`` therefore certifies ``C_hat``.
 
     Everything runs in Gramian-normalized coordinates, ``T = U S^{1/2}``
     from ``eigh(P)``, where ``P`` becomes ``I``.  ``Z11`` is linear in
@@ -585,9 +585,9 @@ def _kyp_dual(
     n, m = sys.n, sys.m
 
     def refused(reason: str):
-        def gap(C_hat: np.ndarray, J: float) -> None:
+        def bound(C_hat: np.ndarray, J: float) -> None:
             _log.debug("KYP dual bound refused before the path: %s", reason)
-        return gap
+        return bound
 
     if m * n**4 > _DUAL_MAX_WORK:
         return refused(f"m n^4 = {m * n**4} exceeds the dense dual's budget {_DUAL_MAX_WORK}")
@@ -630,7 +630,7 @@ def _kyp_dual(
         g = 2.0 * np.vdot(C, F) - np.vdot(F, F) - np.vdot(W @ R, W)
         return g + 2.0 * mu * np.log(chol.diagonal()).sum(), g, chol_inv
 
-    def gap(C_hat: np.ndarray, J: float) -> float | None:
+    def bound(C_hat: np.ndarray, J: float) -> float | None:
         x = ((sys.C - C_hat) @ T).ravel()
         Z = (x @ flat).reshape(n, n)
         lam = np.linalg.eigvalsh(Z)
@@ -697,17 +697,17 @@ def _kyp_dual(
                               f"refused: lambda_min(Z11) = {lam[0]:.2e} is below the "
                               f"normalization's rounding margin {margin:.2e}")
         g = final[1] - defect / (1.0 - defect) * x.dot(x)
-        value = float((J - g) / J)
-        if value <= _DUAL_GAP_RTOL:
+        gap = (J - g) / J
+        if gap <= _DUAL_GAP_RTOL:
             ending = "certified"
-        return _dual_done(mu0 / J, inside, steps, value, f"{ending}, gap {value:.3e}")
+        return _dual_done(mu0 / J, inside, steps, float(g), f"{ending}, gap {gap:.3e}")
 
-    return gap
+    return bound
 
 
-def _dual_done(mu0_rel: float, inside: float, steps: int, gap: float | None,
+def _dual_done(mu0_rel: float, inside: float, steps: int, g: float | None,
                ending: str) -> float | None:
-    """Log one dual evaluation of :func:`_kyp_dual` and return its gap."""
+    """Log one dual evaluation of :func:`_kyp_dual` and return its bound."""
     _log.debug("KYP dual bound from mu0 = %.2e J, lifted %.0e of Z11's spread inside, "
                "%d Newton steps: %s", mu0_rel, inside, steps, ending)
-    return gap
+    return g

@@ -309,14 +309,15 @@ def default_popov_grid(
 
     By default: ``points`` log-spaced frequencies spanning
     ``[1e-4 * rho, 1e4 * rho]`` with ``rho = max(1, spectral radius of A)``,
-    plus the zero frequency.
+    plus the zero frequency.  Raises ``ValueError`` unless ``points >= 2``
+    and ``0 < wmin < wmax < inf``.
     """
     if points < 2:
-        raise ValueError("need at least 2 grid points")
+        raise ValueError(f"need at least 2 grid points, got {points}")
     rho = max(1.0, sys._spectral_radius())
     lo = 1e-4 * rho if wmin is None else float(wmin)
     hi = 1e4 * rho if wmax is None else float(wmax)
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < np.inf):
         raise ValueError(f"need 0 < wmin < wmax, got [{lo}, {hi}]")
     return np.concatenate(([0.0], np.geomspace(lo, hi, points)))
 

@@ -199,10 +199,11 @@ def original_coordinates(sys, P, M) -> tuple:
 
 
 def kyp_dual_gap(sys, P, C_hat, J):
-    """The KYP dual gap ``(J - g) / J`` at ``C_hat`` (see
-    :func:`klap.passivity._kyp_dual`), with ``sys``'s dual set up afresh
-    from the ``eigh`` of ``P``."""
-    return _kyp_dual(sys, *np.linalg.eigh(P))(C_hat, J)
+    """The KYP dual gap ``(J - g) / J`` at ``C_hat`` of the bound ``g``
+    that :func:`klap.passivity._kyp_dual` returns, with ``sys``'s dual set
+    up afresh from the ``eigh`` of ``P``; ``None`` where it returns none."""
+    g = _kyp_dual(sys, *np.linalg.eigh(P))(C_hat, J)
+    return None if g is None else (J - g) / J
 
 
 def eager_lbfgs(objective, P, L0, config=None, preconditioned=True) -> LbfgsResult:
@@ -293,7 +294,10 @@ def eager_lbfgs(objective, P, L0, config=None, preconditioned=True) -> LbfgsResu
         iterations += 1
         trace.append((f, g_norm))
         if abs(f_prev - f) <= cfg.obj_rel_tol * (abs(f) + cfg.obj_rel_tol):
-            status, converged = "objective-change", True
+            if f == f_prev and g_norm > cfg.grad_tol:  # an Armijo search out of resolution
+                status, converged = "line-search", False
+            else:
+                status, converged = "objective-change", True
             break
 
     return LbfgsResult(x.reshape(shape), f, g_norm, iterations, converged, status, tuple(trace))

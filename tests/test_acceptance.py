@@ -19,7 +19,7 @@ from klap.linalg import (
     solve_lyapunov_transposed,
     sqrtm_psd,
 )
-from klap.modelio import load_model, write_model
+from klap.modelio import load_model_file, write_model
 from klap.optimizer import (
     LurePoint,
     c_of_l,
@@ -319,7 +319,7 @@ def test_criterion_6_cli_pipeline(tmp_path, capsys):
 
         in_path = tmp_path / f"in_{k}.json"
         write_model(sys, in_path, name=f"case-{k}")
-        back = load_model(in_path)
+        back = load_model_file(in_path).system
         for X, Y in zip((sys.A, sys.B, sys.C, sys.D), (back.A, back.B, back.C, back.D)):
             assert_array_equal(X, Y)
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from klap.benchmarks import acc_system, benchmark_path, toy_system
+from klap.benchmarks import benchmark_path, toy_system
 from klap.cli import _build_parser, main
-from klap.modelio import load_model, write_model
+from klap.modelio import load_model_file, write_model
 from klap.passivity import check_passive
 from klap.system import StateSpaceSystem
 from oracles import exact_h2_error_sq, rand_family_system
@@ -40,13 +40,6 @@ def toy_m1_path(tmp_path):
 def toy_m0_path(tmp_path):
     path = tmp_path / "toy-m0.json"
     write_model(toy_system(), path, name="toy-m0")
-    return str(path)
-
-
-@pytest.fixture
-def acc8_path(tmp_path):
-    path = tmp_path / "acc8.json"
-    write_model(acc_system(0.125), path, name="acc8")
     return str(path)
 
 
@@ -220,7 +213,7 @@ def test_passivate_explicit_start_reaches_global(toy_m1_path, tmp_path, capsys):
     # the dual bound was evaluated at the first point only; the returned
     # one passed the spectral test
     assert report["duality_gap"] is None
-    sys_out = load_model(out_path)
+    sys_out = load_model_file(out_path).system
     assert_allclose(sys_out.C, [[0.84, 0.34]], atol=0.01)
 
 
@@ -305,8 +298,8 @@ def test_passivate_seed_reproducible(toy_m0_path, tmp_path, capsys):
         reports.append(json.load(open(report_path)))
     assert reports[0]["j_final"] == reports[1]["j_final"]
     assert reports[0]["iterations"] == reports[1]["iterations"]
-    a = load_model(str(tmp_path / "m0.json"))
-    b = load_model(str(tmp_path / "m1.json"))
+    a = load_model_file(str(tmp_path / "m0.json")).system
+    b = load_model_file(str(tmp_path / "m1.json")).system
     assert_array_equal(a.C, b.C)
 
 
@@ -348,7 +341,7 @@ def test_passivate_already_passive_input(tmp_path, capsys):
     assert report["passive_input"] is True
     assert report["h2_error"] == 0.0
     assert report["certificate"] is None
-    out_sys = load_model(str(tmp_path / "o.json"))
+    out_sys = load_model_file(str(tmp_path / "o.json")).system
     assert_array_equal(out_sys.C, [[1.0]])
 
 
@@ -415,28 +408,17 @@ def test_popov_perturbed_feedthrough_nonnegative(toy_m1_path, capsys):
     assert all(float(lam) >= 0 for _, lam in rows)
 
 
-def test_popov_single_point_grid(toy_m1_path, capsys):
-    code, out, _ = run_cli(
-        ["popov", toy_m1_path, "--points", "1", "--wmin", "2.0"], capsys
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    assert float(lines[1].split(",")[0]) == 2.0
-
-
 @pytest.mark.parametrize(
     "window, message",
     [(["--wmin", "10", "--wmax", "1"], "need 0 < wmin < wmax, got [10.0, 1.0]"),
      (["--wmin", "-1"], "need 0 < wmin < wmax, got [-1.0, "),
      (["--wmax", "1e-9"], ", 1e-09]"),
-     (["--points", "1", "--wmin", "10", "--wmax", "1"],
-      "--wmin must be below --wmax (got 10.0 >= 1.0)"),
-     (["--points", "1", "--wmin", "-1"], "need a finite frequency >= 0, got --wmin -1.0"),
-     (["--points", "1", "--wmin", "inf"], "need a finite frequency >= 0, got --wmin inf"),
-     (["--points", "1", "--wmax", "nan"], "need a finite frequency >= 0, got --wmax nan")],
-    ids=["inverted", "negative-wmin", "tiny-wmax", "single-point-inverted",
-         "single-point-negative", "single-point-inf", "single-point-nan"],
+     (["--wmax", "inf"], ", inf]"),
+     (["--wmin", "nan"], "got [nan, "),
+     (["--points", "1"], "need at least 2 grid points, got 1"),
+     (["--points", "0", "--wmin", "2"], "need at least 2 grid points, got 0")],
+    ids=["inverted", "negative-wmin", "tiny-wmax", "infinite-wmax", "nan-wmin",
+         "one-point", "no-points"],
 )
 def test_popov_bad_window_is_usage_error(toy_m1_path, window, message, capsys):
     code, out, err = run_cli(["popov", toy_m1_path, *window], capsys)
@@ -499,22 +481,25 @@ def test_h2_original_vs_passivated(toy_m0_path, tmp_path, capsys):
     assert j == pytest.approx(0.9423, abs=0.01)
 
 
-def test_h2_mismatched_realizations_exit_two(toy_m0_path, acc8_path, tmp_path, capsys):
-    # different D: no finite H2 distance
-    code, _, err = run_cli(["h2", toy_m0_path, acc8_path], capsys)
-    assert code == 2
-    assert "feedthrough" in err
-
-    # same D, different A: not two output maps on one (A, B, D)
-    other = str(tmp_path / "other.json")
-    write_model(
-        StateSpaceSystem([[-2.0, 0.0], [1.0, -3.0]], [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]),
-        other,
-    )
-    code, out, err = run_cli(["h2", toy_m0_path, other], capsys)
+@pytest.mark.parametrize(
+    "other, differs",
+    [(StateSpaceSystem(toy_system().A, np.eye(2), np.eye(2), np.zeros((2, 2))), "B"),
+     (toy_system().with_feedthrough([[0.125]]), "D"),
+     (StateSpaceSystem([[-2.0, 0.0], [1.0, -3.0]], [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]), "A"),
+     (StateSpaceSystem(toy_system().A, [[1.0], [1.0]], [[0.0, 1.0]], [[0.0]]), "B")],
+    ids=["m", "D", "A", "B"],
+)
+def test_h2_mismatched_realizations_exit_two(toy_m0_path, tmp_path, other, differs, capsys):
+    # only output maps on one (A, B, D) have a finite H2 distance here; a
+    # different m shows as a B of another shape
+    path = str(tmp_path / "other.json")
+    write_model(other, path)
+    code, out, err = run_cli(["h2", toy_m0_path, path], capsys)
     assert code == 2
     assert out == ""
-    assert "different realizations" in err and "(A, B, D)" in err
+    assert err.strip().splitlines() == [
+        f"error: the models differ in {differs}; the H2 distance is defined here only "
+        "between output maps on the same (A, B, D)"]
 
 
 def test_h2_agrees_with_the_exact_oracle(toy_m0_path, tmp_path, capsys):
@@ -562,7 +547,7 @@ def test_bench_toy_m1_restart_from_local_basin(tmp_path, capsys):
     code, _, report, out_path = passivate_bundled("toy-m1", ["--l0", "-2,0"], tmp_path, capsys)
     assert code == 0
     assert report["restarts"] == 1
-    assert_allclose(load_model(out_path).C, [[0.836, 0.34]], atol=0.005)
+    assert_allclose(load_model_file(out_path).system.C, [[0.836, 0.34]], atol=0.005)
 
 
 def test_bench_bad_init_length_is_usage_error(tmp_path, capsys):

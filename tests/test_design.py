@@ -15,10 +15,10 @@ import klap
 SRC = Path(klap.__file__).parent
 
 #: exported names of ``klap``
-MAX_EXPORTS = 37
+MAX_EXPORTS = 36
 
 #: code lines of ``src/klap/*.py``
-MAX_CODE_LINES = 1950
+MAX_CODE_LINES = 1880
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}

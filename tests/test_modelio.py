@@ -14,7 +14,7 @@ from klap.benchmarks import (
     toy_system,
 )
 from klap.exceptions import NotHurwitzError, ParseError
-from klap.modelio import dumps_model, load_model, load_model_file, write_model
+from klap.modelio import dumps_model, load_model_file, write_model
 from klap.system import StateSpaceSystem
 
 
@@ -41,7 +41,7 @@ def test_round_trip_is_bit_exact(tmp_path):
         sys = random_system(rng, n, m)
         path = tmp_path / f"model_{k}.json"
         write_model(sys, path)
-        back = load_model(path)
+        back = load_model_file(path).system
         for X, Y in zip((sys.A, sys.B, sys.C, sys.D), (back.A, back.B, back.C, back.D)):
             assert_array_equal(X, Y)  # exact, not approximate
 
@@ -69,7 +69,7 @@ def test_nested_rows_accepted(tmp_path):
         '{"n": 2, "m": 1, "A": [[-1.0, 4.0], [-2.0, -1.0]],'
         ' "B": [[1.0], [2.0]], "C": [[1.0, 0.0]], "D": [[0.125]]}'
     )
-    sys = load_model(path)
+    sys = load_model_file(path).system
     assert_array_equal(sys.A, [[-1.0, 4.0], [-2.0, -1.0]])
     assert_array_equal(sys.D, [[0.125]])
 
@@ -88,7 +88,7 @@ def _write(tmp_path, text):
 def test_json_syntax_error_reports_line(tmp_path):
     path = _write(tmp_path, '{\n "n": 2,\n "m": 1,\n}')
     with pytest.raises(ParseError, match=r"line 4"):
-        load_model(path)
+        load_model_file(path)
 
 
 def test_wrong_array_length_names_field(tmp_path):
@@ -98,7 +98,7 @@ def test_wrong_array_length_names_field(tmp_path):
         ' "C": [1.0, 0.0], "D": [0.0]}',
     )
     with pytest.raises(ParseError, match=r"field 'A'.*expected 4 numbers.*got 3"):
-        load_model(path)
+        load_model_file(path)
 
 
 def test_ragged_nested_rows_name_field_and_row(tmp_path):
@@ -108,7 +108,7 @@ def test_ragged_nested_rows_name_field_and_row(tmp_path):
         ' "C": [1.0, 0.0], "D": [0.0]}',
     )
     with pytest.raises(ParseError, match=r"field 'A'.*row 2"):
-        load_model(path)
+        load_model_file(path)
 
 
 def test_non_number_entry_rejected(tmp_path):
@@ -117,7 +117,7 @@ def test_non_number_entry_rejected(tmp_path):
         '{"n": 1, "m": 1, "A": [-1.0], "B": [1.0], "C": ["x"], "D": [0.0]}',
     )
     with pytest.raises(ParseError, match=r"field 'C'"):
-        load_model(path)
+        load_model_file(path)
 
 
 def test_non_finite_number_rejected(tmp_path):
@@ -126,13 +126,13 @@ def test_non_finite_number_rejected(tmp_path):
         '{"n": 1, "m": 1, "A": [-1.0], "B": [NaN], "C": [1.0], "D": [0.0]}',
     )
     with pytest.raises(ParseError, match=r"non-finite"):
-        load_model(path)
+        load_model_file(path)
 
 
 def test_missing_field_reported(tmp_path):
     path = _write(tmp_path, '{"n": 1, "m": 1, "A": [-1.0], "B": [1.0], "C": [1.0]}')
     with pytest.raises(ParseError, match=r"field 'D' is missing"):
-        load_model(path)
+        load_model_file(path)
 
 
 def test_bad_dimension_fields(tmp_path):
@@ -142,7 +142,7 @@ def test_bad_dimension_fields(tmp_path):
             f'{{"n": {n_value}, "m": 1, "A": [-1.0], "B": [1.0], "C": [1.0], "D": [0.0]}}',
         )
         with pytest.raises(ParseError, match=r"field 'n'"):
-            load_model(path)
+            load_model_file(path)
 
 
 _TOY_FIELDS = {"n": 2, "m": 1, "A": [-1.0, 4.0, -2.0, -1.0], "B": [1.0, 2.0],
@@ -172,13 +172,13 @@ def test_field_diagnostics_name_field_and_place(tmp_path, field, value, message)
         text = text.replace('"1e999"', "[1e999]")
     path = _write(tmp_path, text)
     with pytest.raises(ParseError) as info:
-        load_model(path)
+        load_model_file(path)
     assert str(info.value) == f"{path}: {message}"
 
 
 def test_toy_fields_load(tmp_path):
     # the base of the diagnostics above is itself a valid model: each failure is the edit's
-    sys = load_model(_write(tmp_path, json.dumps(_TOY_FIELDS)))
+    sys = load_model_file(_write(tmp_path, json.dumps(_TOY_FIELDS))).system
     assert_array_equal(sys.A, [[-1.0, 4.0], [-2.0, -1.0]])
     assert_array_equal(sys.B, [[1.0], [2.0]])
     assert_array_equal(sys.C, [[1.0, 0.0]])
@@ -190,14 +190,14 @@ def test_top_level_must_be_object(tmp_path, text):
     # one diagnostic for any non-object file, matrix-block text included
     expected = r'expected a JSON object \{"n", "m", "A", "B", "C", "D"\} at the top level'
     with pytest.raises(ParseError, match=expected):
-        load_model(_write(tmp_path, text))
+        load_model_file(_write(tmp_path, text))
 
 
 def test_empty_and_missing_files(tmp_path):
     with pytest.raises(ParseError, match="empty"):
-        load_model(_write(tmp_path, "   \n"))
+        load_model_file(_write(tmp_path, "   \n"))
     with pytest.raises(ParseError, match="cannot read"):
-        load_model(tmp_path / "does-not-exist.json")
+        load_model_file(tmp_path / "does-not-exist.json")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_unstable_model_rejected(tmp_path):
         tmp_path, '{"n": 1, "m": 1, "A": [1.0], "B": [1.0], "C": [1.0], "D": [0.0]}'
     )
     with pytest.raises(NotHurwitzError):
-        load_model(path)
+        load_model_file(path)
 
 
 def test_unstable_model_error_names_the_file_and_abscissa(tmp_path):
@@ -218,7 +218,7 @@ def test_unstable_model_error_names_the_file_and_abscissa(tmp_path):
         tmp_path, '{"n": 1, "m": 1, "A": [1.0], "B": [1.0], "C": [1.0], "D": [0.0]}'
     )
     with pytest.raises(NotHurwitzError) as info:
-        load_model(path)
+        load_model_file(path)
     assert str(info.value) == (
         f"{path}: A is not Hurwitz (largest eigenvalue real part 1.000e+00); "
         "every algorithm here assumes asymptotic stability"
@@ -247,7 +247,7 @@ def test_borderline_stable_model_warns_but_loads(tmp_path):
         tmp_path, '{"n": 1, "m": 1, "A": [-1e-08], "B": [1.0], "C": [1.0], "D": [1.0]}'
     )
     with pytest.warns(RuntimeWarning, match="barely Hurwitz"):
-        sys = load_model(path)
+        sys = load_model_file(path).system
     assert sys.A[0, 0] == -1e-08
 
 
@@ -271,14 +271,14 @@ def test_shipped_fixtures_match_constructors():
 
 
 def test_acc_fixture_shape():
-    sys = load_model(benchmark_path("acc"))
+    sys = load_model_file(benchmark_path("acc")).system
     assert sys.n == 4 and sys.m == 1
     assert_array_equal(sys.D, [[0.0]])
 
 
 def test_toy_fixture_variants():
-    m0 = load_model(benchmark_path("toy-m0"))
-    m1 = load_model(benchmark_path("toy-m1"))
+    m0 = load_model_file(benchmark_path("toy-m0")).system
+    m1 = load_model_file(benchmark_path("toy-m1")).system
     assert m0.n == 2 and m1.n == 2
     assert m0.D[0, 0] == 0.0 and m1.D[0, 0] == 0.125
     assert_array_equal(m0.A, m1.A)

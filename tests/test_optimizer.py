@@ -565,6 +565,29 @@ def test_lbfgs_stops_when_the_line_search_fails(monkeypatch):
     assert run.trace == ((values[0], run.gradient_norm),)
 
 
+@pytest.mark.parametrize("grad_tol, status", [(1e-8, "line-search"), (5e-8, "objective-change")])
+def test_lbfgs_step_that_leaves_j_bit_identical_is_converged_only_at_grad_tol(grad_tol, status):
+    # toy-m1's round 0 from (-2, 0): its last accepted step leaves J = 2.5
+    # bit for bit at ||grad J|| 3.8e-8, passing the Armijo test only because
+    # f + 1e-4 t g.d rounds to f.  Above grad_tol that is a line search that
+    # ran dry; at or below it the run has converged.  The eager oracle
+    # stops the same way.
+    import klap.optimizer as mod
+    from oracles import eager_lbfgs
+
+    sys = toy_system(0.125)
+    P = controllability_gramian(sys)
+    frame = mod._Frame(sys, P, sqrtm_psd(sys.D + sys.D.T))
+    L0 = frame.to_run(np.array([[-2.0], [0.0]]))
+    cfg = KlapConfig(grad_tol=grad_tol)
+    run = lbfgs_minimize(frame.objective, frame.H0, L0, cfg)
+    assert (run.status, run.converged) == (status, status != "line-search")
+    assert run.iterations == 11 and run.trace[-1][0] == run.trace[-2][0] == 2.5
+    assert 1e-8 < run.gradient_norm < 5e-8
+    ref = eager_lbfgs(frame.objective, frame.T_inv.dot(P).dot(frame.T_inv.T), L0, cfg)
+    assert (ref.status, ref.converged, ref.trace) == (run.status, run.converged, run.trace)
+
+
 def test_lbfgs_backs_off_from_a_non_finite_trial(monkeypatch):
     # The first line-search trial is moved out to 1e200 * L, where L L^T
     # overflows.  The evaluation reports J = inf, the line search halves

@@ -844,25 +844,26 @@ def test_kyp_dual_gap_refuses_a_system_above_the_size_cap(monkeypatch, caplog):
 
 
 def test_klap_states_a_later_bound_at_the_returned_point(monkeypatch):
-    # round 0 of rand 6x1/2 is the best iterate; a bound certified at the
+    # round 0 of rand 6x1/2 is the best iterate; a bound found at the
     # slightly worse round-1 point also holds there, and the gap reported
-    # is restated at the point returned
+    # is the one at the point returned
     import klap.optimizer as optimizer_mod
 
     calls = []
 
-    def fake_gap(C_hat, J):
+    def fake_bound(C_hat, J):
         calls.append(J)
-        return None if len(calls) == 1 else 1e-8
+        return None if len(calls) == 1 else J * (1.0 - 1e-8)
 
-    monkeypatch.setattr(optimizer_mod, "_kyp_dual", lambda sys, s, U: fake_gap)
+    monkeypatch.setattr(optimizer_mod, "_kyp_dual", lambda sys, s, U: fake_bound)
     res = klap(rand_family_system(6, 1, 2))
     J_0, J_1 = calls
     assert J_1 > J_0 == res.J_final
     assert res.restarts == 1
     assert res.message == "stationary point certified by the KYP dual bound"
     # the bound J_1 (1 - 1e-8) sits closer to J_0 than to J_1
-    assert res.duality_gap == 1.0 - J_1 * (1.0 - 1e-8) / J_0
+    g = J_1 * (1.0 - 1e-8)
+    assert res.duality_gap == (J_0 - g) / J_0
     assert 0.0 < res.duality_gap < 1e-8
 
 
@@ -909,10 +910,11 @@ def test_kyp_dual_gap_is_unchanged_far_from_the_optimum(caplog):
     (line,) = dual_lines(caplog)
     assert "lifted 1e-01 of" in line and float(line.split("mu0 = ")[1].split()[0]) >= 1.0
     # nearly passive rand 6x1/2: J of order 1e-9, a gap far above the tolerance
+    # (the bound is round 1's, the returned point round 2's)
     base = rand_family_system(6, 1, 2)
     C_opt = klap(base).C_hat
     res = klap(base.with_output(C_opt + 1e-4 * (base.C - C_opt)))
-    assert res.duality_gap == 4.0096304131376215e-06
+    assert res.duality_gap == 4.009630413187776e-06
 
 
 def test_kyp_dual_gap_certifies_a_seeded_sweep():

@@ -6,6 +6,7 @@ hand-derived closed forms.
 """
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ def test_default_grid_shape_and_span():
     rho = 3.0  # |eig(A)| = |-1 +/- 2 sqrt(2) i| = 3
     assert w.size == 501 and w[0] == 0.0
     assert w[1] == pytest.approx(1e-4 * rho) and w[-1] == pytest.approx(1e4 * rho)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"wmax": np.inf}, {"wmax": np.nan}, {"points": 1}],
+    ids=["inf-wmax", "nan-wmax", "one-point"],
+)
+def test_default_grid_refuses_infinite_bounds_and_fewer_than_two_points(kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow on the way
+        with pytest.raises(ValueError, match="need "):
+            default_popov_grid(toy_system(), **kwargs)
 
 
 def test_popov_scan_toy_frozen_values():
