@@ -63,9 +63,9 @@ print("At a stationary point the spectral test rejects, the driver first")
 print("evaluates the KYP dual bound; if that does not certify the point, it")
 print("restarts.  The restart takes a tiny gradient")
 print("step directly in output space, past the reach of the factor")
-print("parameterization.  If the stepped model is still passive, the")
-print("stationary point was not pinned against the passive set's boundary:")
-print("a new factor is recovered from the stepped model's minimal Riccati")
-print("solution and optimization continues from there.  If the step exits")
-print("the passive set, the driver falls back to a fresh initialization.")
+print("parameterization, and recovers a new factor from the stepped")
+print("model's minimal Riccati solution; optimization continues from there.")
+print("That recovery is the step's only passivity test: if the step exits")
+print("the passive set, no stabilizing Riccati solution exists, the recovery")
+print("fails, and the driver falls back to a fresh random start.")
 print("The best iterate across all runs is returned.")

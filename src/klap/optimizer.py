@@ -104,8 +104,7 @@ _LBFGS_MEMORY = 10
 #: coordinates: the square-root-Gramian ones where :func:`klap` maps them
 _STATIONARY_GRAD = 1e-8
 
-#: step size of the restart's output-space gradient step (retried once at a
-#: tenth of it)
+#: step size of the restart's output-space gradient step
 _RESTART_ALPHA = 1e-8
 
 #: floor on the Gramian eigenvalues of the L-BFGS preconditioner, relative
@@ -650,36 +649,26 @@ def restart_step(
     At a stationary point whose surrogate output map ``C_star`` (the
     ``C_hat`` of the rejected factor) is not a certified global optimum,
     take a small gradient step directly in output space,
-    ``C_new = C_star - alpha * 2 (C_star - C) P`` with ``alpha = 1e-8``.
-    If the stepped system is still passive, the stationary point was not
-    pinned to the passive set's boundary along the descent direction:
-    recover a factor from the stepped system's minimal Riccati solution and
-    return it.  Otherwise retry with ``alpha / 10``; if both steps exit the
-    passive set, return ``None`` and the caller draws a fresh start.
+    ``C_new = C_star - alpha * 2 (C_star - C) P`` with ``alpha = 1e-8``,
+    and return the factor recovered from the stepped system's minimal
+    Riccati solution.  The recovery is the step's only passivity test: with
+    ``D + D^T`` definite, a stepped system outside the passive set has no
+    stabilizing Riccati solution, so a step that leaves the set shows up
+    as a failed recovery: ``None`` is returned, and the caller draws a
+    fresh start.
 
     The Riccati recovery runs with a relaxed residual tolerance: the
     stepped system sits near the passive boundary, where the Riccati
     equation is close to marginal.
-
-    The stepped system is judged by the verdict of
-    :func:`~klap.passivity.check_passive`, so a violation narrower than the
-    Popov grid's spacing also rejects the step.  The margin of a rejected
-    step is never read, so the check's default-grid rescan is not run.
     """
-    grad_c = 2.0 * (C_star - sys.C) @ P
-    for alpha in (_RESTART_ALPHA, _RESTART_ALPHA / 10.0):
-        candidate = sys.with_output(C_star - alpha * grad_c)
-        if not _sampled_verdict(candidate)[0].passive:
-            continue
-        try:
-            sol = solve_are(candidate, "minimal", tol=1e-6)
-            L_new, _ = l_from_are(candidate, sol.X)
-        except (NoSolutionError, SingularFeedthroughError) as exc:
-            _log.debug("factor recovery failed at alpha=%.1e: %s", alpha, exc)
-            continue
-        _log.debug("restart step accepted at alpha=%.1e", alpha)
-        return L_new
-    return None
+    stepped = sys.with_output(C_star - _RESTART_ALPHA * (2.0 * (C_star - sys.C) @ P))
+    try:
+        L_new, _ = l_from_are(stepped, solve_are(stepped, "minimal", tol=1e-6).X)
+    except (NoSolutionError, SingularFeedthroughError) as exc:
+        _log.debug("factor recovery failed at alpha=%.1e: %s", _RESTART_ALPHA, exc)
+        return None
+    _log.debug("restart step accepted at alpha=%.1e", _RESTART_ALPHA)
+    return L_new
 
 
 class _Frame:
