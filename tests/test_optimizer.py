@@ -769,6 +769,15 @@ def test_restart_step_escapes_toy_local_minimum(caplog):
     assert res.value < 2.5  # strictly better than the local value
 
 
+def test_restart_step_reinitialize_when_step_leaves_passive_set(monkeypatch):
+    import klap.optimizer as mod
+
+    monkeypatch.setattr(mod, "_RESTART_ALPHA", 10.0)
+    sys = toy_system(0.125)
+    P = controllability_gramian(sys)
+    assert restart_step(sys, P, toy_local_map(sys)) is None
+
+
 @pytest.mark.parametrize("alpha", [1e-8, 10.0], ids=["accepted", "leaves-passive-set"])
 def test_restart_step_scans_no_grid_and_solves_one_riccati_equation(monkeypatch, alpha):
     # the Riccati recovery is the step's only passivity test: no Popov grid
