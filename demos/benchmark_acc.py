@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from klap import acc_system, check_passive, klap, popov_scan
+from klap import benchmark_system, check_passive, klap, popov_scan
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -24,7 +24,8 @@ HEADER = (
 
 print("Four-state oscillator benchmark")
 print("=" * len(HEADER))
-scan = popov_scan(acc_system())
+acc = benchmark_system("acc")
+scan = popov_scan(acc)
 print(f"unrepaired Popov minimum: {scan.global_min:.4f} "
       f"near {scan.argmin_frequency:.4f} rad/s -> not passive")
 print()
@@ -33,7 +34,7 @@ print("-" * len(HEADER))
 
 rows = []
 for label, feedthrough in (("D = 1/8", 0.125), ("D = 0", 0.0)):
-    sys = acc_system(feedthrough)
+    sys = acc.with_feedthrough([[feedthrough]])
     start = time.perf_counter()
     result = klap(sys)
     elapsed = time.perf_counter() - start

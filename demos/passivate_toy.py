@@ -12,7 +12,7 @@ Run with:  python3 demos/passivate_toy.py
 
 import numpy as np
 
-from klap import check_passive, h2_error_sq, klap, popov_scan, toy_system
+from klap import benchmark_system, check_passive, h2_error_sq, klap, popov_scan
 
 
 def banner(text):
@@ -23,7 +23,7 @@ def banner(text):
 
 np.set_printoptions(precision=4, suppress=True)
 
-sys = toy_system()
+sys = benchmark_system("toy-m0")
 banner("The model")
 print("A =\n", sys.A)
 print("B =", sys.B.ravel(), " C =", sys.C.ravel(), " D =", sys.D.ravel())

@@ -13,12 +13,12 @@ Run with:  python3 demos/popov_scan_tour.py
 
 import numpy as np
 
-from klap import acc_system, default_popov_grid, popov_eval, popov_scan
+from klap import benchmark_system, default_popov_grid, popov_eval, popov_scan
 from klap.optimizer import initialize
 
 np.set_printoptions(precision=4, suppress=True)
 
-sys = acc_system(feedthrough=0.125)
+sys = benchmark_system("acc").with_feedthrough([[0.125]])
 
 print("Sampled Popov eigenvalues")
 print("-" * 46)

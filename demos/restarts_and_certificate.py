@@ -18,7 +18,7 @@ Run with:  python3 demos/restarts_and_certificate.py
 
 import numpy as np
 
-from klap import klap, toy_system
+from klap import benchmark_system, klap
 
 
 def banner(text):
@@ -29,7 +29,7 @@ def banner(text):
 
 np.set_printoptions(precision=4, suppress=True)
 
-sys = toy_system(feedthrough=0.125)
+sys = benchmark_system("toy-m1")  # the two-state model with D = 1/8
 L_bad = np.array([[-2.0], [0.0]])
 
 banner("Stage 1: no restarts allowed, start in the wrong basin")

@@ -57,13 +57,7 @@ from .passivity import (
 )
 from .optimizer import KlapConfig, KlapResult, klap
 from .modelio import ModelFile, load_model_file, write_model
-from .benchmarks import (
-    BENCHMARK_NAMES,
-    acc_system,
-    benchmark_path,
-    benchmark_system,
-    toy_system,
-)
+from .benchmarks import BENCHMARK_NAMES, benchmark_path, benchmark_system
 
 __version__ = "0.1.0"
 
@@ -107,8 +101,6 @@ __all__ = [
     "write_model",
     # benchmarks
     "BENCHMARK_NAMES",
-    "acc_system",
-    "toy_system",
     "benchmark_system",
     "benchmark_path",
 ]

@@ -16,8 +16,11 @@ documentation and the benchmark harness:
   point) is known in closed form.
 
 Each benchmark is defined once, by its shipped JSON model file (see
-:func:`benchmark_path`); the constructors here read that file.  The
-command-line tool passivates it like any other model file, e.g.
+:func:`benchmark_path`), which :func:`benchmark_system` reads.  Another
+feedthrough is a copy of the system, e.g.
+``benchmark_system("acc").with_feedthrough([[0.125]])``, which shares the
+dynamics already checked.  The command-line tool passivates a benchmark
+like any other model file, e.g.
 ``klap passivate src/klap/data/models/acc.json --feedthrough 0.125 --out acc.passive.json``.
 """
 
@@ -28,27 +31,9 @@ from importlib.resources import files
 from .modelio import load_model_file
 from .system import StateSpaceSystem
 
-__all__ = [
-    "BENCHMARK_NAMES",
-    "acc_system",
-    "toy_system",
-    "benchmark_system",
-    "benchmark_path",
-]
+__all__ = ["BENCHMARK_NAMES", "benchmark_system", "benchmark_path"]
 
 BENCHMARK_NAMES = ("acc", "toy-m0", "toy-m1")
-
-
-def acc_system(feedthrough: float = 0.0) -> StateSpaceSystem:
-    """The 4-state ACC benchmark system, optionally with a scalar
-    feedthrough (the standard passivation exercise uses ``1/8``)."""
-    return benchmark_system("acc").with_feedthrough([[float(feedthrough)]])
-
-
-def toy_system(feedthrough: float = 0.0) -> StateSpaceSystem:
-    """The 2-state oscillator benchmark, optionally with a scalar
-    feedthrough (``1/8`` gives the two-stationary-point landscape)."""
-    return benchmark_system("toy-m0").with_feedthrough([[float(feedthrough)]])
 
 
 def benchmark_system(name: str) -> StateSpaceSystem:

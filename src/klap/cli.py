@@ -16,7 +16,8 @@ its ``D``.  The bundled benchmark models are ordinary model files
 ``0 < wmin < wmax`` is a usage error.  ``klap h2`` measures the distance
 klap minimizes: between two output maps that share ``(A, B, D)``, such as
 a model and its passivation; it exits 2 naming the first of ``A``, ``B``
-and ``D`` that differs.
+and ``D`` that differs, and reports a squared distance that rounding made
+negative as 0, with a note on stderr.
 
 Exit codes follow a scripting-friendly contract: 0 success (for
 ``check``: passive), 1 not passive, 2 any error (including a passivation
@@ -267,7 +268,11 @@ def _cmd_h2(args: argparse.Namespace) -> int:
             print(f"error: the models differ in {name}; the H2 distance is defined here "
                   "only between output maps on the same (A, B, D)", file=sys.stderr)
             return 2
-    j = max(h2_error_sq(sys_a, sys_b.C), 0.0)
+    j = h2_error_sq(sys_a, sys_b.C)
+    if j < 0.0:
+        print(f"note: the computed squared distance {j!r} is negative by rounding; "
+              "reporting 0", file=sys.stderr)
+        j = 0.0
     print(f"h2_error_squared = {j!r}")
     print(f"h2_error = {float(np.sqrt(j))!r}")
     return 0

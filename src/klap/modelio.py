@@ -2,7 +2,7 @@
 
 A model file is one JSON object ``{"name"?, "n", "m", "A", "B", "C",
 "D", "metadata"?}`` where each matrix is a flat row-major array of
-numbers (nested row arrays are also accepted on input).  Numbers are
+numbers; nested row arrays are rejected.  Numbers are
 written with Python's shortest round-tripping decimal representation,
 so loading a file :func:`write_model` wrote reproduces every matrix bit
 for bit.
@@ -26,7 +26,7 @@ import numpy as np
 from .exceptions import NotHurwitzError, ParseError
 from .system import StateSpaceSystem
 
-__all__ = ["ModelFile", "load_model_file", "write_model", "dumps_model"]
+__all__ = ["ModelFile", "load_model_file", "write_model"]
 
 # relative stability margin below which a (still Hurwitz) A triggers a warning
 _BORDERLINE_RTOL = 1e-6
@@ -80,23 +80,13 @@ def _json_matrix(doc: dict, key: str, rows: int, cols: int, source: str) -> np.n
         raise ParseError(f"{where} is missing")
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected an array, got {type(raw).__name__}")
-    if raw and all(isinstance(r, list) for r in raw):
-        if len(raw) != rows:
-            raise ParseError(f"{where}: expected {rows} rows, got {len(raw)}")
-        flat = []
-        for i, row in enumerate(raw):
-            if len(row) != cols:
-                raise ParseError(
-                    f"{where}: row {i + 1} has {len(row)} entries, expected {cols}"
-                )
-            flat.extend(_as_number(v, f"{where}, row {i + 1}") for v in row)
-    else:
-        if len(raw) != rows * cols:
-            raise ParseError(
-                f"{where}: expected {rows * cols} numbers (row-major "
-                f"{rows}x{cols}), got {len(raw)}"
-            )
-        flat = [_as_number(v, f"{where}, entry {i + 1}") for i, v in enumerate(raw)]
+    # entries first, so that a nested row is named as the entry it is
+    flat = [_as_number(v, f"{where}, entry {i + 1}") for i, v in enumerate(raw)]
+    if len(flat) != rows * cols:
+        raise ParseError(
+            f"{where}: expected {rows * cols} numbers (row-major "
+            f"{rows}x{cols}), got {len(flat)}"
+        )
     return np.array(flat, dtype=float).reshape(rows, cols)
 
 
@@ -149,13 +139,18 @@ def load_model_file(path: str | os.PathLike) -> ModelFile:
     return ModelFile(_stable_system(A, B, C, D, source), name, dict(metadata))
 
 
-def dumps_model(
+def write_model(
     sys: StateSpaceSystem,
+    path: str | os.PathLike,
     name: str | None = None,
     metadata: dict | None = None,
-) -> str:
-    """Serialize a system to the JSON model format (one matrix per line,
-    shortest exact decimal representation for every number)."""
+) -> None:
+    """Write a system to ``path`` in the JSON model format: one matrix per
+    line, every number in its shortest exact decimal representation.
+
+    The serialization round-trips exactly: loading the written file
+    reproduces every matrix entry bit for bit.
+    """
     parts = []
     if name is not None:
         parts.append(f'  "name": {json.dumps(name)}')
@@ -166,19 +161,5 @@ def dumps_model(
         parts.append(f'  "{key}": [{entries}]')
     if metadata:
         parts.append(f'  "metadata": {json.dumps(metadata, sort_keys=True)}')
-    return "{\n" + ",\n".join(parts) + "\n}\n"
-
-
-def write_model(
-    sys: StateSpaceSystem,
-    path: str | os.PathLike,
-    name: str | None = None,
-    metadata: dict | None = None,
-) -> None:
-    """Write a system to ``path`` in the JSON model format.
-
-    The serialization round-trips exactly: loading the written file
-    reproduces every matrix entry bit for bit.
-    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(sys, name=name, metadata=metadata))
+        fh.write("{\n" + ",\n".join(parts) + "\n}\n")

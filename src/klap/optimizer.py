@@ -382,9 +382,11 @@ class KlapConfig:
         With ``0`` the one run's point is still judged by both, so
         :attr:`KlapResult.converged` and :attr:`KlapResult.duality_gap`
         keep their meaning.
-    rng_seed : int or None
-        Seed (``>= 0``) of the random starts that replace a failed restart
-        step; runs are deterministic given the seed.
+    rng_seed : int
+        Seed (``>= 0``) of the random starts: the fallback of
+        :func:`initialize` when both Riccati attempts fail, and the starts
+        that replace a failed restart step.  Runs are deterministic given
+        the seed.
     L0 : ndarray, optional
         Explicit starting factor (n x m) in place of the Riccati start of
         :func:`initialize`.
@@ -394,7 +396,7 @@ class KlapConfig:
     obj_rel_tol: float = 1e-14
     max_iterations: int = 50_000
     max_restarts: int = 5
-    rng_seed: int | None = 0
+    rng_seed: int = 0
     L0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -403,8 +405,6 @@ class KlapConfig:
             if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and positive")
         for name, low in (("max_iterations", 1), ("max_restarts", 0), ("rng_seed", 0)):
-            if name == "rng_seed" and self.rng_seed is None:
-                continue
             try:
                 value = operator.index(getattr(self, name))
             except TypeError:
@@ -780,9 +780,11 @@ class KlapResult:
         Square root of ``D + D^T`` used throughout the run: the one the
         system keeps, read-only.
     J_final : float
-        Squared H2 distance at ``C_hat``.
+        Squared H2 distance at ``C_hat``.  Rounding can leave the Gramian
+        indefinite and this value slightly negative; :attr:`message` then
+        says so.
     h2_error : float
-        ``sqrt(J_final)`` — the H2 distance itself.
+        ``sqrt(max(J_final, 0))`` — the H2 distance itself.
     iterations : int
         Accepted quasi-Newton steps, summed over all rounds (at most
         ``max_iterations`` per round).
@@ -820,7 +822,9 @@ class KlapResult:
     system : StateSpaceSystem
         The passivated system ``(A, B, C_hat, D)``.
     message : str
-        Human-readable stop reason.
+        Human-readable stop reason, followed by what is wrong with the
+        returned point: a model that fails the passivity check, a negative
+        ``J_final``.
     duality_gap : float or None
         Relative gap ``(J_final - g) / J_final`` of the highest lower bound
         ``g <= J*`` the KYP dual map returned over all rounds (a bound found
@@ -1049,6 +1053,12 @@ def klap(
                    f"(margin {best.verdict.margin:.3e})")
         _log.warning("the returned model fails the passivity check (margin %.3e)",
                      best.verdict.margin)
+    if best.J < 0.0:
+        # tr(E P E^T) on a Gramian whose rounding leaves it indefinite
+        message = (f"{message}; the judged J is negative ({best.J:.4e}), so h2_error "
+                   "reads 0")
+        _log.warning("the judged J of the returned point is negative (%.4e); h2_error "
+                     "reads 0", best.J)
     return KlapResult(
         C_hat=best.C_hat,
         L_final=best.L,

@@ -46,6 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import (
+    DimensionMismatchError,
     NoSolutionError,
     SingularFeedthroughError,
 )
@@ -64,21 +65,12 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-#: relative eigenvalue floor below which ``D + D^T`` counts as singular
-FEEDTHROUGH_RTOL = 1e-12
-
 #: relative margin tolerance of :func:`check_passive`: boundary systems
 #: produced by passivation land within ``-PASSIVE_TOL * scale``
 PASSIVE_TOL = 1e-8
 
 #: Newton step budget of each Riccati solve
 _NEWTON_STEPS = 100
-
-
-def _feedthrough_gram(sys: StateSpaceSystem) -> tuple[np.ndarray, bool]:
-    """``R = D + D^T`` and whether it is (numerically) positive definite."""
-    R, lam, _ = sys._feedthrough()
-    return R, bool(lam.min() > FEEDTHROUGH_RTOL * max(1.0, float(lam.max())))
 
 
 @dataclass(frozen=True)
@@ -304,7 +296,7 @@ def solve_are(
     """
     if kind != "minimal":
         raise ValueError(f"kind must be 'minimal', got {kind!r}")
-    R, definite = _feedthrough_gram(sys)
+    R, _, _, definite = sys._feedthrough()
     if not definite:
         raise SingularFeedthroughError(
             "D + D^T is singular; the Riccati form of the Lur'e equations "
@@ -331,7 +323,7 @@ class PassivityVerdict:
 def _passive_tolerance(sys: StateSpaceSystem) -> float:
     """The tolerance ``eps = PASSIVE_TOL * max(1, ||R||_2, ||Phi(0)||_2)``,
     ``R = D + D^T``, of :func:`check_passive`."""
-    _, _, norm_R = sys._feedthrough()
+    _, _, norm_R, _ = sys._feedthrough()
     return PASSIVE_TOL * max(1.0, norm_R, float(np.linalg.norm(sys._popov_at_zero(), 2)))
 
 
@@ -352,7 +344,7 @@ def _sampled_verdict(sys: StateSpaceSystem) -> tuple[PassivityVerdict, bool]:
     discards the margin of a violation, or already holds the default
     scan's minimum, this is the whole check.
     """
-    R, lam, _ = sys._feedthrough()
+    R, lam, _, _ = sys._feedthrough()
     eps = _passive_tolerance(sys)
     lam_R = float(lam[0])
     if lam_R < -eps:
@@ -405,7 +397,7 @@ def l_from_are(sys: StateSpaceSystem, X: np.ndarray) -> tuple[np.ndarray, np.nda
     SingularFeedthroughError
         If ``D + D^T`` is singular.
     """
-    R, definite = _feedthrough_gram(sys)
+    _, _, _, definite = sys._feedthrough()
     if not definite:
         raise SingularFeedthroughError("cannot invert M: D + D^T is singular")
     M = sys._feedthrough_root()
@@ -457,17 +449,22 @@ def global_min_certificate(
 
     Raises
     ------
+    DimensionMismatchError
+        If ``L`` is not n x m.
     NotPsdError
         If ``D + D^T`` is indefinite.
     """
+    L = np.asarray(L, dtype=float)
+    if L.shape != (sys.n, sys.m):
+        raise DimensionMismatchError(f"L must be {sys.n} x {sys.m}, got {L.shape}")
     tol = 1e-6 * float(np.linalg.norm(sys.A, "fro"))
-    R, definite = _feedthrough_gram(sys)
+    R, _, _, definite = sys._feedthrough()
     M = sys._feedthrough_root()
     if not definite:
         if M.any():
             return None
         return GlobalMinCertificate(np.empty(0, dtype=complex), 0.0, tol, True, vacuous=True)
-    Y = sys.A - sys.B @ np.linalg.solve(R, M @ np.asarray(L, dtype=float).T)
+    Y = sys.A - sys.B @ np.linalg.solve(R, M @ L.T)
     ev = np.linalg.eigvals(Y)
     max_abs_real = float(np.abs(ev.real).max())
     return GlobalMinCertificate(ev, max_abs_real, tol, max_abs_real <= tol)

@@ -7,10 +7,10 @@ A :class:`StateSpaceSystem` bundles the matrices of
     \\dot x = A x + B u, \\qquad y = C x + D u
 
 with ``A`` Hurwitz (asymptotic stability is a standing assumption of every
-algorithm in this package).  The module provides transfer-function and
-Popov-function evaluation, frequency sweeps of the Popov function's
-smallest eigenvalue, controllability Gramians, and the squared H2 distance
-between two output maps sharing the same state dynamics.
+algorithm in this package).  The module provides Popov-function
+evaluation, frequency sweeps of the Popov function's smallest eigenvalue,
+controllability Gramians, and the squared H2 distance between two output
+maps sharing the same state dynamics.
 
 A system checks that ``A`` is Hurwitz once, keeping the spectral abscissa
 and radius from the same eigenvalues.  What depends on ``(A, B)`` alone --
@@ -21,7 +21,8 @@ first use, and shared with every system derived from it by
 :meth:`StateSpaceSystem.with_output` or
 :meth:`StateSpaceSystem.with_feedthrough`, which check only the new
 ``C`` or ``D``.  What depends on ``D`` alone -- ``R = D + D^T``, its
-eigenvalues, ``||R||_2`` and its square root -- is shared the same way
+eigenvalues, ``||R||_2``, whether it is definite (decided here alone, by
+:data:`FEEDTHROUGH_RTOL`) and its square root -- is shared the same way
 with the copies that keep ``D``: those of
 :meth:`StateSpaceSystem.with_output` and the similar systems the
 optimizer works on.  The kernel is the one place
@@ -52,7 +53,6 @@ from .linalg import (
 __all__ = [
     "StateSpaceSystem",
     "PopovScan",
-    "transfer_eval",
     "popov_eval",
     "default_popov_grid",
     "popov_scan",
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
+
+#: relative eigenvalue floor below which ``D + D^T`` counts as singular
+FEEDTHROUGH_RTOL = 1e-12
 
 #: complex entries per block of ``(i w I - A)`` matrices in the direct
 #: scan: 512 KB of workspace, two frequencies per block at n = 128
@@ -225,15 +228,18 @@ class StateSpaceSystem:
             cache[key] = value.view()
         return cache[key]
 
-    def _feedthrough(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """``R = D + D^T``, its eigenvalues (ascending) and ``||R||_2``,
+    def _feedthrough(self) -> tuple[np.ndarray, np.ndarray, float, bool]:
+        """``R = D + D^T``, its eigenvalues (ascending), ``||R||_2`` and
+        whether ``R`` is numerically positive definite (its smallest
+        eigenvalue above ``FEEDTHROUGH_RTOL * max(1, lambda_max)``),
         computed on first use."""
         if "gram" not in self._feed:
             R = self.D + self.D.T
             lam = np.linalg.eigvalsh(R)
             R.setflags(write=False)
             lam.setflags(write=False)
-            self._feed["gram"] = (R, lam, float(np.linalg.norm(R, 2)))
+            definite = bool(lam[0] > FEEDTHROUGH_RTOL * max(1.0, float(lam[-1])))
+            self._feed["gram"] = (R, lam, float(np.linalg.norm(R, 2)), definite)
         return self._feed["gram"]
 
     def _feedthrough_root(self) -> np.ndarray:
@@ -266,31 +272,18 @@ class StateSpaceSystem:
         return f"StateSpaceSystem(n={self.n}, m={self.m})"
 
 
-def transfer_eval(sys: StateSpaceSystem, s: complex) -> np.ndarray:
-    """Transfer function ``G(s) = C (sI - A)^{-1} B + D``.
-
-    ``s`` must not be an eigenvalue of ``A``; since ``A`` is Hurwitz, every
-    point of the closed right half-plane (including the imaginary axis) is
-    safe.
-
-    Returns
-    -------
-    (m, m) complex ndarray
-    """
-    return sys.C @ _resolvent(sys, s) + sys.D
-
-
 def _resolvent(sys: StateSpaceSystem, s: complex) -> np.ndarray:
     """``(sI - A)^{-1} B``."""
     return np.linalg.solve(s * np.eye(sys.n) - sys.A, sys.B)
 
 
 def popov_eval(sys: StateSpaceSystem, omega: float) -> np.ndarray:
-    """Popov function ``Phi(i w) = G(i w) + G(i w)^H`` (exactly Hermitian).
+    """Popov function ``Phi(i w) = G(i w) + G(i w)^H`` (exactly Hermitian)
+    of the transfer function ``G(s) = C (sI - A)^{-1} B + D``.
 
     The system is passive iff ``Phi(i w) >= 0`` for all real ``w``.
     """
-    return _popov_part(transfer_eval(sys, 1j * float(omega)))
+    return _popov_part(sys.C @ _resolvent(sys, 1j * float(omega)) + sys.D)
 
 
 def _popov_part(G: np.ndarray) -> np.ndarray:

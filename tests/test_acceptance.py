@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from klap.benchmarks import acc_system, toy_system
+from klap.benchmarks import benchmark_system
 from klap.cli import main as cli_main
 from klap.linalg import (
     solve_lyapunov,
@@ -34,10 +34,10 @@ from klap.system import (
     controllability_gramian,
     h2_error_sq,
     popov_scan,
-    transfer_eval,
 )
 
 from oracles import (
+    h2_error_sq_quadrature,
     kron_lyapunov_oracle,
     lure_point,
     maximal_riccati_oracle,
@@ -75,32 +75,11 @@ def random_passive_system(rng, n, m, margin=0.25):
     return StateSpaceSystem(A, B, C, D)
 
 
-def h2_error_sq_quadrature(sys, C_hat, points=20000):
-    """Frequency-domain oracle: (1/pi) * integral of the squared Frobenius
-    norm of the response difference, by trapezoid on a wide log grid."""
-    other = sys.with_output(C_hat)
-    rho = max(1.0, np.abs(np.linalg.eigvals(sys.A)).max())
-    w = np.geomspace(1e-6 * rho, 1e6 * rho, points)
-    vals = np.array(
-        [
-            np.linalg.norm(
-                transfer_eval(sys, 1j * f) - transfer_eval(other, 1j * f), "fro"
-            )
-            ** 2
-            for f in w
-        ]
-    )
-    integral = np.trapezoid(vals, w)
-    d0 = np.linalg.norm(transfer_eval(sys, 0.0) - transfer_eval(other, 0.0), "fro") ** 2
-    integral += 0.5 * (d0 + vals[0]) * w[0]
-    return integral / np.pi
-
-
 def test_criterion_1_toy_m0_unique_global_optimum():
     # 10 random seeds on the feedthrough-free toy system: every run reaches
     # J = 0.94 +- 0.01 with the unique output map [0.46, 0.80] +- 0.01
     start = time.perf_counter()
-    sys = toy_system()
+    sys = benchmark_system("toy-m0")
     values, maps = [], []
     for seed in range(10):
         res = klap(sys, L0=random_start(sys, seed), rng_seed=seed)
@@ -123,7 +102,7 @@ def test_criterion_2_toy_restart_escapes_local_minimum():
     # [0, 1]; the certificate speaks (eigenvalues +-3, non-global); the
     # restarted run reaches [0.84, 0.34] with a certified spectrum
     start = time.perf_counter()
-    sys = toy_system(0.125)
+    sys = benchmark_system("toy-m1")
     P = controllability_gramian(sys)
     M = np.array([[0.5]])
 
@@ -157,14 +136,14 @@ def test_criterion_3_acc_benchmark_errors():
     # from 10 random seeds with restarts enabled
     start = time.perf_counter()
 
-    res_are = klap(acc_system(0.125))
+    res_are = klap(benchmark_system("acc").with_feedthrough([[0.125]]))
     assert res_are.h2_error == pytest.approx(0.871, abs=0.005)
 
-    res_d0 = klap(acc_system(0.0))
+    res_d0 = klap(benchmark_system("acc"))
     assert res_d0.h2_error == pytest.approx(1.03, abs=0.01)
 
     seeded = []
-    sys = acc_system(0.125)
+    sys = benchmark_system("acc").with_feedthrough([[0.125]])
     for seed in range(10):
         res = klap(sys, L0=random_start(sys, seed), rng_seed=seed)
         assert res.h2_error <= 0.875, f"seed {seed}: stuck at {res.h2_error:.4f}"
@@ -184,7 +163,7 @@ def test_criterion_3_acc_benchmark_errors():
 def test_criterion_4_acc_initialization_values():
     # feedthrough shift and initial error of the Riccati initialization on
     # ACC with D = 1/8, under the default frequency grid
-    sys = acc_system(0.125)
+    sys = benchmark_system("acc").with_feedthrough([[0.125]])
     ini = initialize(sys)
     assert ini.delta == pytest.approx(1.14, abs=0.05)
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from klap.benchmarks import benchmark_path, toy_system
+from klap.benchmarks import benchmark_path, benchmark_system
 from klap.cli import _build_parser, main
 from klap.modelio import load_model_file, write_model
+from klap.optimizer import klap
 from klap.passivity import check_passive
 from klap.system import StateSpaceSystem
 from oracles import exact_h2_error_sq, rand_family_system
@@ -32,14 +33,14 @@ def run_cli(args, capsys):
 @pytest.fixture
 def toy_m1_path(tmp_path):
     path = tmp_path / "toy-m1.json"
-    write_model(toy_system(0.125), path, name="toy-m1")
+    write_model(benchmark_system("toy-m1"), path, name="toy-m1")
     return str(path)
 
 
 @pytest.fixture
 def toy_m0_path(tmp_path):
     path = tmp_path / "toy-m0.json"
-    write_model(toy_system(), path, name="toy-m0")
+    write_model(benchmark_system("toy-m0"), path, name="toy-m0")
     return str(path)
 
 
@@ -83,7 +84,8 @@ def test_check_non_passive_exits_one(toy_m0_path, capsys):
                          [(None, "not passive", 1), ("0.5", "passive", 0)])
 def test_check_prints_the_verdict_and_its_margin(toy_m1_path, capsys, feedthrough,
                                                  verdict, expected_code):
-    sys_ = toy_system(0.125 if feedthrough is None else float(feedthrough))
+    d = 0.125 if feedthrough is None else float(feedthrough)
+    sys_ = benchmark_system("toy-m0").with_feedthrough([[d]])
     flags = [] if feedthrough is None else ["--feedthrough", feedthrough]
     code, out, _ = run_cli(["check", toy_m1_path, *flags], capsys)
     assert code == expected_code
@@ -483,10 +485,10 @@ def test_h2_original_vs_passivated(toy_m0_path, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "other, differs",
-    [(StateSpaceSystem(toy_system().A, np.eye(2), np.eye(2), np.zeros((2, 2))), "B"),
-     (toy_system().with_feedthrough([[0.125]]), "D"),
+    [(StateSpaceSystem(benchmark_system("toy-m0").A, np.eye(2), np.eye(2), np.zeros((2, 2))), "B"),
+     (benchmark_system("toy-m0").with_feedthrough([[0.125]]), "D"),
      (StateSpaceSystem([[-2.0, 0.0], [1.0, -3.0]], [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]), "A"),
-     (StateSpaceSystem(toy_system().A, [[1.0], [1.0]], [[0.0, 1.0]], [[0.0]]), "B")],
+     (StateSpaceSystem(benchmark_system("toy-m0").A, [[1.0], [1.0]], [[0.0, 1.0]], [[0.0]]), "B")],
     ids=["m", "D", "A", "B"],
 )
 def test_h2_mismatched_realizations_exit_two(toy_m0_path, tmp_path, other, differs, capsys):
@@ -502,13 +504,30 @@ def test_h2_mismatched_realizations_exit_two(toy_m0_path, tmp_path, other, diffe
         "between output maps on the same (A, B, D)"]
 
 
+def test_h2_reports_a_distance_rounded_below_zero_as_zero_with_a_note(tmp_path, capsys):
+    # klap's own judged J of this model's returned point is negative
+    models = json.loads((Path(__file__).parent / "data" / "near_boundary_models.json").read_text())
+    sys_ = StateSpaceSystem(**models["rand-12x1/31, t = 1e-05"])
+    res = klap(sys_)
+    assert res.J_final < 0.0
+    original, passivated = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    write_model(sys_, original)
+    write_model(res.system, passivated)
+    code, out, err = run_cli(["h2", original, passivated], capsys)
+    assert code == 0
+    assert out == "h2_error_squared = 0.0\nh2_error = 0.0\n"
+    assert err == (f"note: the computed squared distance {res.J_final!r} is negative by "
+                   "rounding; reporting 0\n")
+
+
 def test_h2_agrees_with_the_exact_oracle(toy_m0_path, tmp_path, capsys):
     variant = str(tmp_path / "variant.json")
-    write_model(toy_system().with_output([[0.46, 0.80]]), variant)
+    write_model(benchmark_system("toy-m0").with_output([[0.46, 0.80]]), variant)
     code, out, _ = run_cli(["h2", toy_m0_path, variant], capsys)
     assert code == 0
     j = float(out.splitlines()[0].split("=")[1])
-    assert j == pytest.approx(exact_h2_error_sq(toy_system(), [[0.46, 0.80]]), rel=1e-12)
+    exact = exact_h2_error_sq(benchmark_system("toy-m0"), [[0.46, 0.80]])
+    assert j == pytest.approx(exact, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

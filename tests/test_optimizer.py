@@ -1551,7 +1551,8 @@ def test_config_rejects_tolerances_that_are_not_finite_and_positive(option, valu
 
 @pytest.mark.parametrize("value, match", [(-1, "rng_seed must be >= 0"),
                                           (1.5, "rng_seed must be an integer"),
-                                          ("a", "rng_seed must be an integer")])
+                                          ("a", "rng_seed must be an integer"),
+                                          (None, "rng_seed must be an integer")])
 def test_config_rejects_bad_seeds(value, match):
     with pytest.raises(ValueError, match=match):
         KlapConfig(rng_seed=value)
@@ -1559,7 +1560,6 @@ def test_config_rejects_bad_seeds(value, match):
         klap(toy_system(0.125), rng_seed=value)
     seed = KlapConfig(rng_seed=np.int64(3)).rng_seed
     assert seed == 3 and type(seed) is int
-    assert KlapConfig(rng_seed=None).rng_seed is None
 
 
 @pytest.mark.parametrize("L0", [[[math.nan], [1.0]], [[1e100], [1e100]], [[1e200], [1e200]]],

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from klap import passivity
 from klap.benchmarks import benchmark_system
-from klap.exceptions import NoSolutionError, SingularFeedthroughError
+from klap.exceptions import DimensionMismatchError, NoSolutionError, SingularFeedthroughError
 from klap.linalg import solve_lyapunov_transposed
 from klap.optimizer import _GRAMIAN_FLOOR, klap
 from klap.passivity import (
@@ -675,6 +675,18 @@ def test_klap_confirms_a_near_passive_input_with_its_own_default_scan(monkeypatc
         "-3.1070512704345354e-07", "0.0", "8.390671214484105e-14")
 
 
+def test_klap_names_a_negative_judged_j_in_its_message(caplog):
+    # on this model the Gramian's quadratic form at the returned point
+    # rounds below zero; h2_error reads 0, and the message says why
+    sys = StateSpaceSystem(**NEAR_BOUNDARY_MODELS["rand-12x1/31, t = 1e-05"])
+    with caplog.at_level("WARNING", logger="klap.optimizer"):
+        res = klap(sys)
+    assert res.J_final < 0.0 and res.h2_error == 0.0
+    assert res.message == ("restart budget exhausted without certificate; the judged J is "
+                           f"negative ({res.J_final:.4e}), so h2_error reads 0")
+    assert f"the judged J of the returned point is negative ({res.J_final:.4e})" in caplog.text
+
+
 def test_klap_optimizes_a_zero_feedthrough_input_whose_violation_the_grid_misses():
     sys = benchmark_system("acc")
     C_opt = klap(sys).C_hat
@@ -1004,3 +1016,12 @@ def test_certificate_none_for_singular_nonzero_feedthrough():
     # D + D^T = diag(1, 0): no closed loop to test, so no certificate
     sys = rand_family_system(6, 2, 1).with_feedthrough(np.diag([0.5, 0.0]))
     assert global_min_certificate(sys, np.ones((6, 2))) is None
+
+
+@pytest.mark.parametrize("L", [[[1.0]], np.ones((1, 4)), np.ones((4, 2))],
+                         ids=["1x1", "1x4", "4x2"])
+def test_certificate_rejects_a_factor_that_is_not_n_by_m(L):
+    # acc with D = 1/8 has n = 4, m = 1; numpy would broadcast a 1 x 1 factor
+    sys = benchmark_system("acc").with_feedthrough([[0.125]])
+    with pytest.raises(DimensionMismatchError, match=r"L must be 4 x 1, got \(\d, \d\)"):
+        global_min_certificate(sys, L)

@@ -1,6 +1,8 @@
-"""The README's library quick start runs, its command lines parse, and its
-bundled-benchmark figures are what ``klap`` returns on the same inputs."""
+"""The README's library quick start runs, the names it cites exist, its
+command lines parse, and its bundled-benchmark figures are what ``klap``
+returns on the same inputs."""
 
+import importlib
 import os
 import re
 import shlex
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import klap as package
 from klap import benchmark_system, klap
 from klap.cli import _build_parser, _certificate_status, _merge_factor_values
 
@@ -53,6 +56,34 @@ def l0_run():
     return f"{name} --l0 {l0}", int(iterations), int(restarts), h2
 
 
+def entry_points():
+    """The names in the first column of the entry-point table."""
+    table = section("Library quick start").split("Useful entry points", 1)[1].split("\n\n")[1]
+    names = []
+    for row in table.splitlines()[2:]:
+        first = row.strip("|").split("|")[0]
+        names += [re.match(r"\w+", span).group() for span in re.findall(r"`([^`]+)`", first)]
+    return names
+
+
+def building_blocks():
+    """``(module, name)`` for every name of the building-blocks paragraph:
+    a ``klap.<module>`` span opens the module the spans after it belong to,
+    and a dotted span names its own module."""
+    paragraph = re.search(r"The building blocks of the driver.*?\n\n", README, re.S).group()
+    cited, module = [], None
+    for span in re.findall(r"`([^`]+)`", paragraph):
+        if re.fullmatch(r"klap(\.\w+)+", span):
+            head, _, tail = span.rpartition(".")
+            try:
+                module = importlib.import_module(span)
+            except ModuleNotFoundError:
+                cited.append((importlib.import_module(head), tail))
+        else:
+            cited.append((module, re.match(r"\w+", span).group()))
+    return cited
+
+
 def command_lines():
     """Every ``klap ...`` line of the README's ``sh`` blocks (continuations
     joined) and every inline ``klap`` command with arguments, as argv."""
@@ -86,6 +117,19 @@ def test_the_quick_start_runs():
         text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_every_name_the_readme_cites_resolves():
+    # the entry-point table lists exports of klap; the building blocks
+    # paragraph names of the modules it cites
+    names = entry_points()
+    assert "klap" in names and "write_model" in names
+    for name in names:
+        assert name in package.__all__, name
+    cited = building_blocks()
+    assert len(cited) >= 10
+    for module, name in cited:
+        assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_the_benchmark_table_has_the_four_bundled_runs():

@@ -26,10 +26,9 @@ from klap.system import (
     h2_error_sq,
     popov_eval,
     popov_scan,
-    transfer_eval,
 )
 
-from oracles import kron_lyapunov_oracle, rand_family_system
+from oracles import h2_error_sq_quadrature, kron_lyapunov_oracle, rand_family_system
 
 
 def toy_system(d=0.0):
@@ -55,29 +54,6 @@ def random_system(rng, n, m, d_scale=0.0):
 def popov_min_oracle(sys, grid):
     """Independent per-frequency reference: one direct solve per point."""
     return np.array([np.linalg.eigvalsh(popov_eval(sys, w)).min() for w in grid])
-
-
-def h2_error_sq_quadrature(sys, C_hat, points=20000):
-    """Independent oracle: (1/pi) * integral over [0, inf) of
-    ||G(iw) - Ghat(iw)||_F^2 dw by trapezoid on a wide log grid.
-
-    Valid because the difference system is strictly proper (same D) and
-    its frequency response is conjugate-even in w.
-    """
-    other = sys.with_output(C_hat)
-    rho = max(1.0, np.abs(np.linalg.eigvals(sys.A)).max())
-    w = np.geomspace(1e-6 * rho, 1e6 * rho, points)
-    vals = np.array(
-        [
-            np.linalg.norm(transfer_eval(sys, 1j * f) - transfer_eval(other, 1j * f), "fro") ** 2
-            for f in w
-        ]
-    )
-    integral = np.trapezoid(vals, w)
-    # leading segment [0, w_min] (integrand is smooth and even at 0)
-    d0 = np.linalg.norm(transfer_eval(sys, 0.0) - transfer_eval(other, 0.0), "fro") ** 2
-    integral += 0.5 * (d0 + vals[0]) * w[0]
-    return integral / np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +127,6 @@ def test_similar_system_keeps_the_checked_spectrum_and_solves_densely(monkeypatc
 # ---------------------------------------------------------------------------
 
 
-def test_transfer_at_zero_toy():
-    # G(0) = C (-A)^{-1} B = 1 by direct 2x2 inversion
-    assert_allclose(transfer_eval(toy_system(), 0.0), [[1.0]], atol=1e-14)
-    assert_allclose(transfer_eval(toy_system(0.125), 0.0), [[1.125]], atol=1e-14)
-
-
-def test_transfer_tends_to_feedthrough():
-    sys = toy_system(0.125)
-    G = transfer_eval(sys, 1e12)
-    assert abs(G[0, 0] - 0.125) <= 1e-9
-
-
 def test_popov_of_pure_feedthrough():
     sys = StateSpaceSystem([[-1.0]], [[1.0]], [[0.0]], [[0.5]])
     for w in (0.0, 1.0, 100.0):
@@ -170,8 +134,14 @@ def test_popov_of_pure_feedthrough():
 
 
 def test_popov_value_at_zero():
-    # Phi(0) = 2 * G(0) for a SISO system
+    # Phi(0) = 2 G(0) for a SISO system, and G(0) = C (-A)^{-1} B + D = 1 + D
+    # by direct 2x2 inversion
+    assert_allclose(popov_eval(toy_system(), 0.0), [[2.0]], atol=1e-14)
     assert_allclose(popov_eval(toy_system(0.125), 0.0), [[2.25]], atol=1e-13)
+
+
+def test_popov_tends_to_the_feedthrough_gram():
+    assert abs(popov_eval(toy_system(0.125), 1e12)[0, 0] - 0.25) <= 2e-9
 
 
 def test_popov_is_exactly_hermitian():
