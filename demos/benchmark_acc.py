@@ -12,6 +12,7 @@ Run with:  python3 demos/benchmark_acc.py
 import time
 
 import numpy as np
+import scipy.linalg  # noqa: F401 - klap loads it on first use; the rows time solves
 
 from klap import benchmark_system, check_passive, klap, popov_scan
 

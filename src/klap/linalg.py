@@ -58,6 +58,12 @@ similar system instead).  Two strategies are provided:
 The Newton--Riccati iteration of :mod:`klap.passivity` solves its
 Lyapunov equations through the same pair, on the Schur form of each
 closed loop, which also gives that closed loop's stability test.
+
+SciPy is not imported with this module.  The LAPACK routines come from
+:func:`_lapack`, which imports ``scipy.linalg`` and binds a routine on
+its first request and keeps it: the first Schur form of a process
+(its first dense Lyapunov solve or Riccati solve) loads SciPy, once, and
+a process that makes no Schur form never loads it.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .exceptions import (
     DefectiveMatrixError,
@@ -193,7 +198,14 @@ def spectral_decompose(A: np.ndarray) -> SpectralDecomposition:
     return decomp
 
 
-_GEES, _TRSYL = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+@functools.cache
+def _lapack(name: str):
+    """The float64 LAPACK routine ``name`` (``"gees"``, ``"trsyl"``,
+    ``"trtri"``), bound through SciPy on its first request and kept, so
+    SciPy is imported at the first Schur form, not with the package."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(name, dtype=np.float64)
 
 
 def _no_sort(re, im):  # pragma: no cover - gees calls it only when sorting
@@ -205,7 +217,7 @@ def _gees_lwork(n: int) -> int:
     """The ``gees`` workspace SciPy's ``schur`` queries for order ``n``
     (with Schur vectors): the query reads the order alone, so it is made
     once per order and kept."""
-    return int(_GEES(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+    return int(_lapack("gees")(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
 def _real_schur(a: np.ndarray, vectors: bool = True) -> tuple:
@@ -228,8 +240,8 @@ def _real_schur(a: np.ndarray, vectors: bool = True) -> tuple:
     """
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    T, _, re, _, Z, _, info = _GEES(_no_sort, a, compute_v=int(vectors),
-                                    lwork=_gees_lwork(a.shape[0]))
+    T, _, re, _, Z, _, info = _lapack("gees")(_no_sort, a, compute_v=int(vectors),
+                                              lwork=_gees_lwork(a.shape[0]))
     if info < 0:  # pragma: no cover - argument error
         raise ValueError(f"illegal value in {-info}-th argument of internal gees")
     if info > 0:
@@ -253,7 +265,7 @@ def _bartels_stewart(schur: tuple, q: np.ndarray) -> np.ndarray:
         raise ValueError("array must not contain infs or NaNs")
     T, Z, _ = schur
     f = Z.T.dot(q.dot(Z))
-    y, scale, info = _TRSYL(T, T, f, tranb="T")
+    y, scale, info = _lapack("trsyl")(T, T, f, tranb="T")
     if info < 0:
         raise ValueError("?TRSYL exited with the internal error "
                          f'"illegal value in argument number {-info}.". See '

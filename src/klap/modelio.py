@@ -149,17 +149,20 @@ def write_model(
     line, every number in its shortest exact decimal representation.
 
     The serialization round-trips exactly: loading the written file
-    reproduces every matrix entry bit for bit.
+    reproduces every matrix entry bit for bit.  What
+    :func:`load_model_file` would reject is refused before ``path`` is
+    opened: a ``name`` that is not a string or a ``metadata`` that is not
+    a dict raises :class:`TypeError`, and a non-finite number in
+    ``metadata`` raises :class:`ValueError`.
     """
-    parts = []
-    if name is not None:
-        parts.append(f'  "name": {json.dumps(name)}')
-    parts.append(f'  "n": {sys.n}')
-    parts.append(f'  "m": {sys.m}')
+    if not isinstance(name, (str, type(None))) or not isinstance(metadata, (dict, type(None))):
+        raise TypeError("name must be a str or None, and metadata a dict or None")
+    parts = [] if name is None else [f'  "name": {json.dumps(name)}']
+    parts += [f'  "n": {sys.n}', f'  "m": {sys.m}']
     for key, M in (("A", sys.A), ("B", sys.B), ("C", sys.C), ("D", sys.D)):
         entries = ", ".join(repr(float(v)) for v in M.ravel(order="C"))
         parts.append(f'  "{key}": [{entries}]')
     if metadata:
-        parts.append(f'  "metadata": {json.dumps(metadata, sort_keys=True)}')
+        parts.append(f'  "metadata": {json.dumps(metadata, sort_keys=True, allow_nan=False)}')
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n" + ",\n".join(parts) + "\n}\n")

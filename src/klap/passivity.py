@@ -33,6 +33,12 @@ tests to certify that a candidate passivation cannot be improved upon.
 That test also rejects true optima; :func:`_kyp_dual` bounds the
 optimum from below through the dual of the convex KYP problem and
 certifies the points it rejects.
+
+SciPy is bound on first use, not at import: the Schur forms and
+``trsyl`` of the Newton iteration and the ``trtri`` of :func:`_kyp_dual`
+come through :func:`klap.linalg._lapack`, and the Hamiltonian-Schur
+refinement imports ``scipy.linalg`` where it calls
+``solve_continuous_are``.
 """
 
 from __future__ import annotations
@@ -43,14 +49,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DimensionMismatchError,
     NoSolutionError,
     SingularFeedthroughError,
 )
-from .linalg import _bartels_stewart, _real_schur
+from .linalg import _bartels_stewart, _lapack, _real_schur
 from .system import StateSpaceSystem, popov_scan
 
 __all__ = [
@@ -223,6 +228,8 @@ def _newton_minimal(
 
     scale = max(1.0, float(np.linalg.norm(X, "fro")))
     ending = f"{ending} at residual {res_norm:.3e}"
+    import scipy.linalg
+
     try:
         X_schur = scipy.linalg.solve_continuous_are(
             A, B, np.zeros_like(A), -R, s=-C.T
@@ -497,8 +504,6 @@ _DUAL_MAX_WORK = 1 << 22
 
 _EPS = float(np.finfo(float).eps)
 
-_TRTRI = scipy.linalg.get_lapack_funcs("trtri", dtype=np.float64)
-
 
 def _kyp_dual(
     sys: StateSpaceSystem, s: np.ndarray, U: np.ndarray
@@ -621,7 +626,7 @@ def _kyp_dual(
             chol = np.linalg.cholesky(Z)
         except np.linalg.LinAlgError:
             return None
-        chol_inv = _TRTRI(chol, lower=1)[0]
+        chol_inv = _lapack("trtri")(chol, lower=1)[0]
         F = x.reshape(m, n)
         W = chol_inv @ F.T
         g = 2.0 * np.vdot(C, F) - np.vdot(F, F) - np.vdot(W @ R, W)

@@ -659,3 +659,63 @@ def test_the_shell_entry_point_gives_the_in_process_verdict(toy_m1_path, capsys)
     code, out, _ = run_cli(["check", toy_m1_path], capsys)
     assert (done.returncode, done.stdout) == (code, out)
     assert out.startswith("not passive (margin ")
+
+
+# a fresh interpreter: import the package, run the commands of argv[1] in
+# turn, and record per step the exit code, the stdout and whether any scipy
+# module is loaded; a last step records it at the start of each timed solve
+_FRESH_PROCESS = """
+import contextlib, io, json, sys
+import klap, klap.cli
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+at_solve, solve = ["at solve", None, "", []], klap.cli.klap
+klap.cli.klap = lambda *args: (at_solve[3].append(scipy_loaded()), solve(*args))[1]
+steps = [["import", None, "", scipy_loaded()]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = klap.cli.main(argv)
+    steps.append([argv[0], code, out.getvalue(), scipy_loaded()])
+steps.append(at_solve)
+with open("steps.json", "w") as fh:
+    json.dump(steps, fh)
+"""
+
+
+def test_a_fresh_process_loads_scipy_only_to_passivate(tmp_path, monkeypatch, capsys):
+    # SciPy is bound on first use: the import and the commands that make no
+    # Schur form leave it unloaded; passivate loads it before its timed
+    # solve (so the wall time is the solve's) and writes what a process
+    # that had SciPy loaded already writes
+    commands = [["check", "toy-m1.json"], ["popov", "toy-m1.json"],
+                ["h2", "toy-m1.json", "toy-m1.json"], ["passivate", "toy-m1.json"]]
+    fresh, warm = tmp_path / "fresh", tmp_path / "warm"
+    for folder in (fresh, warm):
+        folder.mkdir()
+        (folder / "toy-m1.json").write_bytes(benchmark_path("toy-m1").read_bytes())
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, json.dumps(commands)],
+                          cwd=fresh, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads((fresh / "steps.json").read_text())
+    (fresh / "steps.json").unlink()
+    assert [(step[0], step[1], step[3]) for step in steps] == [
+        ("import", None, False), ("check", 1, False), ("popov", 0, False),
+        ("h2", 0, False), ("passivate", 0, True), ("at solve", None, [True])]
+
+    monkeypatch.chdir(warm)
+    for argv, (_, code, out, _) in zip(commands, steps[1:-1]):
+        warm_code, warm_out, _ = run_cli(argv, capsys)
+        assert (code, re.sub(r"wall time +\S+ s", "", out)) == (
+            warm_code, re.sub(r"wall time +\S+ s", "", warm_out)), argv
+    names = sorted(path.name for path in fresh.iterdir())
+    assert names == sorted(path.name for path in warm.iterdir()) == [
+        "toy-m1.json", "toy-m1.passive.json", "toy-m1.passive.report.json"]
+    assert (fresh / names[1]).read_bytes() == (warm / names[1]).read_bytes()
+    reports = [json.loads((folder / names[2]).read_text()) for folder in (fresh, warm)]
+    for report in reports:
+        del report["wall_seconds"], report["seconds_per_iteration"]
+    assert reports[0] == reports[1]

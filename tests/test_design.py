@@ -1,4 +1,5 @@
-"""Size bounds on the package: its public names and its code lines.
+"""Size bounds on the package: its public names and its code lines; and
+no module of it imports SciPy when it is imported.
 
 The code-line count is the one the change log reports: per file, every
 line that holds a token other than a comment, a newline, an indent or a
@@ -54,3 +55,33 @@ def test_every_exported_name_resolves():
 def test_package_code_lines_stay_bounded():
     total = sum(code_lines(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py"))
     assert total <= MAX_CODE_LINES
+
+
+def import_time_imports(tree: ast.Module):
+    """The import statements that run when the module is imported: all but
+    those inside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def imported_roots(node) -> list[str]:
+    if isinstance(node, ast.ImportFrom):
+        return [] if node.level else [node.module.split(".")[0]]
+    return [alias.name.split(".")[0] for alias in node.names]
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # SciPy costs about 0.2 s to import; the package binds it on first use
+    # (klap.linalg._lapack and the Riccati refinement of klap.passivity)
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in import_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if "scipy" in imported_roots(node)
+    ]
+    assert offenders == []

@@ -339,13 +339,15 @@ def test_real_schur_queries_the_workspace_once_per_order(monkeypatch):
     import klap.linalg as linalg_mod
 
     calls = []
-    gees = linalg_mod._GEES
+    lapack = linalg_mod._lapack
+    gees = lapack("gees")
 
     def counting_gees(*args, **kwargs):
         calls.append(kwargs["lwork"])
         return gees(*args, **kwargs)
 
-    monkeypatch.setattr(linalg_mod, "_GEES", counting_gees)
+    monkeypatch.setattr(linalg_mod, "_lapack",
+                        lambda name: counting_gees if name == "gees" else lapack(name))
     linalg_mod._gees_lwork.cache_clear()
     rng = np.random.default_rng(5)
     for n, vectors in ((5, True), (5, False), (80, True), (5, True), (80, False)):

@@ -40,13 +40,37 @@ def test_round_trip_is_bit_exact(tmp_path):
             assert_array_equal(X, Y)  # exact, not approximate
 
 
-def test_round_trip_keeps_name_and_metadata(tmp_path):
-    sys = StateSpaceSystem([[-1.0]], [[1.0]], [[1.0]], [[0.5]])
+@pytest.mark.parametrize("name, metadata", [
+    ("tiny", {"origin": "hand"}),
+    ("", {}),
+    ("toy \u00e9", {"tol": 1e-300, "big": 1.7976931348623157e308, "zero": -0.0,
+                   "tags": ["a", 1, None, True], "nested": {"k": [0.1, {"deep": "x"}]}}),
+], ids=["plain", "empty", "nested-finite"])
+def test_round_trip_keeps_name_and_metadata(tmp_path, name, metadata):
     path = tmp_path / "named.json"
-    write_model(sys, path, name="tiny", metadata={"origin": "hand"})
+    write_model(StateSpaceSystem([[-1.0]], [[1.0]], [[1.0]], [[0.5]]), path,
+                name=name, metadata=metadata)
     mf = load_model_file(path)
-    assert mf.name == "tiny"
-    assert mf.metadata == {"origin": "hand"}
+    assert mf.name == name
+    assert mf.metadata == metadata
+
+
+@pytest.mark.parametrize("kwargs, error, match", [
+    ({"metadata": {"a": float("nan")}}, ValueError, "not JSON compliant"),
+    ({"metadata": {"a": [1.0, {"b": float("-inf")}]}}, ValueError, "not JSON compliant"),
+    ({"name": 3}, TypeError, "name must be a str"),
+    ({"name": b"toy"}, TypeError, "name must be a str"),
+    ({"metadata": ["origin", "hand"]}, TypeError, "metadata a dict"),
+], ids=["nan-metadata", "nested-inf-metadata", "int-name", "bytes-name", "list-metadata"])
+def test_write_refuses_what_the_loader_rejects_before_opening_the_file(tmp_path, kwargs,
+                                                                       error, match):
+    # the loader refuses NaN/Infinity, a non-string name and a metadata
+    # that is not an object, so writing them would leave a file no command
+    # can read; nothing is written
+    path = tmp_path / "refused.json"
+    with pytest.raises(error, match=match):
+        write_model(StateSpaceSystem([[-1.0]], [[1.0]], [[1.0]], [[0.5]]), path, **kwargs)
+    assert not path.exists()
 
 
 def test_written_model_is_plain_json(tmp_path):
